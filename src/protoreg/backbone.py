@@ -8,7 +8,7 @@ phase of training updates together with the prototypes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 class ConvSpec:
     out_channels: int
     kernel: int
-    stride: int = 1
+    stride: int
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,11 @@ class BackboneConfig:
     added block for warm-up purposes.
     """
 
-    input_hw: tuple[int, int] = (32, 32)
-    in_channels: int = 3
-    blocks: tuple[ConvSpec, ...] = (
-        ConvSpec(8, 3, 2),
-        ConvSpec(16, 3, 2),
-        ConvSpec(16, 2, 1),
-        ConvSpec(16, 1, 1),
-    )
-    c_z: int = 16
-    latent_hw: tuple[int, int] = (6, 6)
+    input_hw: tuple[int, int]
+    in_channels: int
+    blocks: tuple[ConvSpec, ...]
+    c_z: int
+    latent_hw: tuple[int, int]
 
     def __post_init__(self):
         if len(self.blocks) < 2:
@@ -65,18 +60,6 @@ class BackboneConfig:
             )
         if h <= 1 or w <= 1:
             raise ConfigError(f"latent grid must be >1 in both dims, got ({h},{w})")
-
-
-@dataclass
-class LatentVolume:
-    """Single-sample latent volume (c_z, h_z, w_z) with source provenance."""
-
-    values: np.ndarray
-    sample_id: int | None = None
-
-    @property
-    def grid_hw(self) -> tuple[int, int]:
-        return self.values.shape[1], self.values.shape[2]
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -132,16 +115,3 @@ class Backbone:
             x = x.sigmoid() if i == last else x.relu()
         return x
 
-
-def extract_features(images: Tensor, backbone: Backbone) -> Tensor:
-    return backbone.forward(images)
-
-
-def split_patches(volume: LatentVolume) -> list[tuple[tuple[int, int], np.ndarray]]:
-    """Decompose a latent volume into ((row, col), depth-vector) patches."""
-    c_z, h_z, w_z = volume.values.shape
-    return [
-        ((r, c), volume.values[:, r, c].copy())
-        for r in range(h_z)
-        for c in range(w_z)
-    ]

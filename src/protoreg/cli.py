@@ -2,8 +2,7 @@
 
 Subcommands: gen-data, train, eval, explain, embed, ablate, grad-check.
 Every command echoes the fully resolved config into its output directory.
-Relative --out paths are placed under $PROTOREG_OUT_ROOT when it is set;
-$PROTOREG_THREADS sets the default ablation worker count.
+Relative --out paths are placed under $PROTOREG_OUT_ROOT when it is set.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +19,6 @@ from . import config as config_mod
 from . import data as data_mod
 from . import gradcheck, metrics, reports, trainer
 from .explain import explain, to_pgm_bytes
-from .losses import LossWeights
 from .model import Model, load_checkpoint, save_checkpoint
 
 
@@ -47,16 +44,6 @@ def _resolve_split(path: str, split: str) -> Path:
     return p
 
 
-def _build_model(cfg: dict) -> Model:
-    mc = cfg["model"]
-    return Model.create(
-        config_mod.backbone_config_from(cfg),
-        m=mc["m"], seed=mc["seed"],
-        similarity_kind=mc["similarity"], eps=mc["eps"],
-        label_lo=mc["label_lo"], label_hi=mc["label_hi"],
-    )
-
-
 def _schedule(cfg: dict) -> trainer.TrainSchedule:
     t = cfg["train"]
     return trainer.TrainSchedule(
@@ -72,7 +59,7 @@ def _schedule(cfg: dict) -> trainer.TrainSchedule:
 
 def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trainer.TrainLog]:
     """Train a model from a resolved config; optionally write artifacts."""
-    model = _build_model(cfg)
+    model = Model.from_config(cfg)
     weights = config_mod.loss_weights_from(cfg)
     schedule = _schedule(cfg)
 
@@ -122,8 +109,8 @@ def _evaluate_to_dir(model: Model, cfg: dict, test_ds, out: Path) -> dict:
     y_hat, weights = metrics.per_sample_weights(model, test_ds)
     lines = ["sample_id,y,y_hat,abs_err,s_spars"]
     for i in range(len(test_ds)):
-        lines.append(f"{i},{test_ds.y[i]!r},{y_hat[i]!r},"
-                     f"{abs(y_hat[i] - test_ds.y[i])!r},{metrics.sparsity(weights[i])}")
+        y, y_h = float(test_ds.y[i]), float(y_hat[i])
+        lines.append(f"{i},{y!r},{y_h!r},{abs(y_h - y)!r},{metrics.sparsity(weights[i])}")
     (out / "per_sample.csv").write_text("\n".join(lines) + "\n")
     config_mod.save_config(cfg, out / "resolved_config.json")
     return result
@@ -194,50 +181,28 @@ ABLATION_VARIANTS = [
 ]
 
 
-def _deep_update(base: dict, override: dict) -> dict:
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
-    for key, value in override.items():
-        if isinstance(value, dict):
-            out[key] = _deep_update(out.get(key, {}), value)
-        else:
-            out[key] = value
-    return out
-
-
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args.config)
     out = _out_dir(args.out)
     train_ds = data_mod.load_dataset(_resolve_split(args.data, "train"), split="train")
     test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
-    threads = args.threads or int(os.environ.get("PROTOREG_THREADS", "1"))
-    cells = []
+    rows = []
     for name, override in ABLATION_VARIANTS:
         for s in range(args.seeds):
-            cell_cfg = config_mod.resolve_config(_deep_update(
-                {k: v for k, v in cfg.items()}, override))
+            cell_cfg = config_mod.resolve_config(config_mod._merge(cfg, override))
             cell_cfg["train"]["seed"] = cfg["train"]["seed"] + s
             cell_cfg["model"]["seed"] = cfg["model"]["seed"] + s
-            cells.append((name, cell_cfg))
-
-    def run_cell(cell):
-        name, cell_cfg = cell
-        model, _ = train_run(cell_cfg, train_ds)
-        result = metrics.evaluate(model, test_ds, grades=cell_cfg["data"]["grades"])
-        return {
-            "variant": name,
-            "similarity": cell_cfg["model"]["similarity"],
-            "alpha_clst": cell_cfg["loss"]["alpha_clst"],
-            "alpha_psd": cell_cfg["loss"]["alpha_psd"],
-            "k": cell_cfg["loss"]["k"],
-            "seed": cell_cfg["train"]["seed"],
-            **{k: result[k] for k in ("mae", "accuracy", "s_spars_mean", "diversity")},
-        }
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+            model, _ = train_run(cell_cfg, train_ds)
+            result = metrics.evaluate(model, test_ds, grades=cell_cfg["data"]["grades"])
+            rows.append({
+                "variant": name,
+                "similarity": cell_cfg["model"]["similarity"],
+                "alpha_clst": cell_cfg["loss"]["alpha_clst"],
+                "alpha_psd": cell_cfg["loss"]["alpha_psd"],
+                "k": cell_cfg["loss"]["k"],
+                "seed": cell_cfg["train"]["seed"],
+                **{k: result[k] for k in ("mae", "accuracy", "s_spars_mean", "diversity")},
+            })
     (out / "ablation.csv").write_text(reports.ablation_csv(rows))
     (out / "ablation.md").write_text(reports.ablation_markdown(rows))
     config_mod.save_config(cfg, out / "resolved_config.json")
@@ -301,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")

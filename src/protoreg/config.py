@@ -11,13 +11,9 @@ import copy
 import json
 from pathlib import Path
 
-from .backbone import BackboneConfig, ConvSpec
+from .backbone import BackboneConfig, ConfigError, ConvSpec
 from .data import SynthConfig
 from .losses import LossWeights
-
-
-class ConfigError(ValueError):
-    pass
 
 
 DEFAULTS: dict = {
@@ -122,16 +118,13 @@ def save_config(cfg: dict, path) -> None:
 
 def backbone_config_from(cfg: dict) -> BackboneConfig:
     m, d = cfg["model"], cfg["data"]
-    try:
-        return BackboneConfig(
-            input_hw=tuple(d["image_hw"]),
-            in_channels=d["channels"],
-            blocks=tuple(ConvSpec(*b) for b in m["backbone_blocks"]),
-            c_z=m["c_z"],
-            latent_hw=tuple(m["latent_hw"]),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return BackboneConfig(
+        input_hw=tuple(d["image_hw"]),
+        in_channels=d["channels"],
+        blocks=tuple(ConvSpec(*b) for b in m["backbone_blocks"]),
+        c_z=m["c_z"],
+        latent_hw=tuple(m["latent_hw"]),
+    )
 
 
 def synth_config_from(cfg: dict) -> SynthConfig:

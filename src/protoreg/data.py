@@ -42,15 +42,15 @@ _IMAGE_RESTARTS = 50
 
 @dataclass(frozen=True)
 class SynthConfig:
-    image_hw: tuple[int, int] = (32, 32)
-    channels: int = 3
-    grades: int = 5
-    train_per_grade: int = 100
-    test_per_grade: int = 50
-    blobs_per_grade: int = 2
-    blob_radius: tuple[float, float] = (2.0, 3.0)
-    noise_sigma: float = 0.05
-    seed: int = 7
+    image_hw: tuple[int, int]
+    channels: int
+    grades: int
+    train_per_grade: int
+    test_per_grade: int
+    blobs_per_grade: int
+    blob_radius: tuple[float, float]
+    noise_sigma: float
+    seed: int
 
     def __post_init__(self):
         if self.grades < 2:
@@ -73,18 +73,6 @@ class SynthDataset:
 
     def __len__(self):
         return self.images.shape[0]
-
-    @property
-    def y_reported(self) -> np.ndarray:
-        return unshift_labels(self.y, LABEL_SHIFT)
-
-
-def shift_labels(labels: np.ndarray, offset: float = LABEL_SHIFT) -> np.ndarray:
-    return np.asarray(labels, dtype=np.float64) + offset
-
-
-def unshift_labels(labels: np.ndarray, offset: float = LABEL_SHIFT) -> np.ndarray:
-    return np.asarray(labels, dtype=np.float64) - offset
 
 
 def _place_blobs(cfg: SynthConfig, n_blobs: int,

@@ -491,21 +491,6 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def elementwise(kind: str, a: Tensor, b: Tensor | None = None, c: float = 1.0) -> Tensor:
-    """Dispatch an elementwise op by name; binary kinds need matching shapes."""
-    unary = {"square": Tensor.square, "log": Tensor.log, "negate": Tensor.negate}
-    binary = {"add": Tensor.add, "sub": Tensor.sub, "mul": Tensor.mul}
-    if kind in binary:
-        if b is None:
-            raise ValueError(f"elementwise '{kind}' needs two operands")
-        return binary[kind](a, b)
-    if kind in unary:
-        return unary[kind](a)
-    if kind == "scale":
-        return a.scale(c)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
-
-
 # -- optimizer ----------------------------------------------------------------
 
 

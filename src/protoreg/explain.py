@@ -9,8 +9,7 @@ resolution.
 
 from __future__ import annotations
 
-import base64
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +44,9 @@ class Explanation:
     top3_cumulative_fraction: float
     projected: bool  # False => provenance unavailable, maps still valid
 
-    def to_json_dict(self, embed_maps: bool = False) -> dict:
-        recs = []
-        for r in self.records:
-            entry = {
+    def to_json_dict(self) -> dict:
+        recs = [
+            {
                 "prototype": r.index,
                 "label": r.label,
                 "similarity": r.similarity,
@@ -58,11 +56,8 @@ class Explanation:
                 "argmin": [r.argmin_row, r.argmin_col],
                 "provenance": r.provenance,
             }
-            if embed_maps:
-                entry["activation_map_pgm_base64"] = base64.b64encode(
-                    to_pgm_bytes(r.activation_map)
-                ).decode()
-            recs.append(entry)
+            for r in self.records
+        ]
         return {
             "sample_id": self.sample_id,
             "y_hat": self.y_hat,

@@ -19,7 +19,8 @@ TINY_BACKBONE = BackboneConfig(
 
 
 def tiny_model(seed: int = 0, similarity_kind: str = "reciprocal") -> Model:
-    return Model.create(TINY_BACKBONE, m=3, seed=seed, similarity_kind=similarity_kind)
+    return Model.create(TINY_BACKBONE, m=3, seed=seed, similarity_kind=similarity_kind,
+                        eps=1e-4, label_lo=0.1, label_hi=5.9)
 
 
 def run_suites(seed: int = 0, fd_step: float = 1e-6) -> list[dict]:

@@ -20,9 +20,9 @@ _RATIO_CAP = 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class LossWeights:
-    alpha_mse: float = 1.0
-    alpha_clst: float = 1.0
-    alpha_psd: float = 10.0
+    alpha_mse: float
+    alpha_clst: float
+    alpha_psd: float
 
     def __post_init__(self):
         if min(self.alpha_mse, self.alpha_clst, self.alpha_psd) < 0:
@@ -50,7 +50,7 @@ def eligibility_masks(y: np.ndarray, labels: np.ndarray, delta_l: float) -> np.n
 
 
 def cluster_loss(dmat: Tensor, y: np.ndarray, labels: np.ndarray,
-                 k: int = 3, delta_l: float = 0.5) -> Tensor:
+                 k: int, delta_l: float) -> Tensor:
     """Mean over samples of the min-k average distance to eligible prototypes."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

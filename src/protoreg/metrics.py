@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SynthDataset
+from .data import LABEL_SHIFT, SynthDataset
 from .explain import contribution_order
 from .head import contribution_weights, importance
 from .model import Model
@@ -37,25 +37,26 @@ def top_contributor_set(w: np.ndarray, size: int = 5) -> frozenset[int]:
     return frozenset(int(i) for i in contribution_order(w)[: min(size, w.size)])
 
 
-def diversity(top5_sets: list[frozenset[int]], m: int, threshold: float = 0.01) -> int:
-    """Number of prototypes in the top-5 set of >= threshold of the samples."""
+def _membership_counts(top5_sets: list[frozenset[int]], m: int) -> np.ndarray:
+    """Per-prototype number of top-5 sets it belongs to."""
     if not top5_sets:
-        raise ValueError("diversity needs a non-empty test set")
+        raise ValueError("top-5 membership needs a non-empty test set")
     counts = np.zeros(m)
     for s in top5_sets:
         for j in s:
             counts[j] += 1
+    return counts
+
+
+def diversity(top5_sets: list[frozenset[int]], m: int, threshold: float = 0.01) -> int:
+    """Number of prototypes in the top-5 set of >= threshold of the samples."""
+    counts = _membership_counts(top5_sets, m)
     return int(np.sum(counts >= threshold * len(top5_sets) - 1e-12))
 
 
 def usage_histogram(top5_sets: list[frozenset[int]], m: int) -> np.ndarray:
     """Per-prototype frequency of top-5 membership, normalized to sum to 1."""
-    if not top5_sets:
-        raise ValueError("usage histogram needs a non-empty test set")
-    counts = np.zeros(m)
-    for s in top5_sets:
-        for j in s:
-            counts[j] += 1
+    counts = _membership_counts(top5_sets, m)
     set_size = min(5, m)
     return counts / (set_size * len(top5_sets))
 
@@ -149,8 +150,8 @@ def evaluate(model: Model, dataset: SynthDataset, grades: int = 5) -> dict:
     y_hat, weights = per_sample_weights(model, dataset)
     mae = float(np.mean(np.abs(y_hat - dataset.y)))
     # accuracy against the categorical grade, on the unshifted scale
-    reported = np.clip(np.round(y_hat - 1.0), 0, grades - 1)
-    accuracy = float(np.mean(reported == dataset.y_categorical - 1.0))
+    reported = np.clip(np.round(y_hat - LABEL_SHIFT), 0, grades - 1)
+    accuracy = float(np.mean(reported == dataset.y_categorical - LABEL_SHIFT))
     spars = [sparsity(w) for w in weights]
     sets = [top_contributor_set(w) for w in weights]
     return {

@@ -15,13 +15,15 @@ identical to the saved one.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import head as head_mod
-from .backbone import Backbone, BackboneConfig, ConvSpec
+from .backbone import Backbone, BackboneConfig
+from .config import backbone_config_from
 from .engine import Tensor, no_grad
 from .prototypes import (
     PrototypeBank,
@@ -33,6 +35,7 @@ from .prototypes import (
 
 CHECKPOINT_MAGIC = b"PRCK1"
 CHECKPOINT_VERSION = 1
+_HEADER_KEYS = ("config", "cursor", "eps", "labels", "provenance", "similarity_kind", "tensors")
 
 
 class CheckpointError(ValueError):
@@ -53,14 +56,14 @@ class Model:
     backbone: Backbone
     bank: PrototypeBank
     theta: Tensor
-    similarity_kind: str = "reciprocal"
-    eps: float = 1e-4
+    similarity_kind: str
+    eps: float
     cursor: dict = field(default_factory=dict)  # last completed (cycle, stage)
 
     @staticmethod
     def create(backbone_config: BackboneConfig, m: int, seed: int,
-               similarity_kind: str = "reciprocal", eps: float = 1e-4,
-               label_lo: float = 0.1, label_hi: float = 5.9) -> "Model":
+               similarity_kind: str, eps: float,
+               label_lo: float, label_hi: float) -> "Model":
         rng = np.random.default_rng(seed)
         backbone = Backbone(backbone_config, rng)
         bank = PrototypeBank.create(m, backbone_config.c_z, rng, label_lo, label_hi)
@@ -70,6 +73,16 @@ class Model:
             theta=head_mod.init_theta(bank.labels),
             similarity_kind=similarity_kind,
             eps=eps,
+        )
+
+    @staticmethod
+    def from_config(cfg: dict) -> "Model":
+        """The untrained model that a resolved config describes."""
+        mc = cfg["model"]
+        return Model.create(
+            backbone_config_from(cfg), m=mc["m"], seed=mc["seed"],
+            similarity_kind=mc["similarity"], eps=mc["eps"],
+            label_lo=mc["label_lo"], label_hi=mc["label_hi"],
         )
 
     def params(self) -> list[Tensor]:
@@ -134,35 +147,53 @@ def save_checkpoint(model: Model, path, resolved_config: dict) -> None:
             f.write(t.data.astype("<f8").tobytes())
 
 
+def _read_header(f, path) -> dict:
+    magic = f.read(5)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
+    fixed = f.read(12)
+    if len(fixed) != 12:
+        raise CheckpointError(f"{path}: truncated before the end of the header length field")
+    version, header_len = struct.unpack("<IQ", fixed)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint format version {version} "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
+    # checked before reading, so a corrupt length cannot ask for a huge buffer
+    remaining = os.fstat(f.fileno()).st_size - f.tell()
+    if header_len > remaining:
+        raise CheckpointError(
+            f"{path}: header of {header_len} bytes is truncated to {remaining}")
+    try:
+        header = json.loads(f.read(header_len).decode())
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header has no {', '.join(missing)}")
+    return header
+
+
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild (model, resolved_config) from a checkpoint file."""
     with open(path, "rb") as f:
-        magic = f.read(5)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        version, header_len = struct.unpack("<IQ", f.read(12))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint format version {version} "
-                f"(this build reads version {CHECKPOINT_VERSION})"
-            )
-        header = json.loads(f.read(header_len).decode())
+        header = _read_header(f, path)
         payload = np.frombuffer(f.read(), dtype="<f8")
 
     cfg = header["config"]
+    try:
+        model = Model.from_config(cfg)
+    except KeyError as e:
+        raise CheckpointError(f"{path}: header config has no key {e}") from e
     mc = cfg["model"]
-    backbone_config = BackboneConfig(
-        input_hw=tuple(cfg["data"]["image_hw"]),
-        in_channels=cfg["data"]["channels"],
-        blocks=tuple(ConvSpec(*b) for b in mc["backbone_blocks"]),
-        c_z=mc["c_z"],
-        latent_hw=tuple(mc["latent_hw"]),
-    )
-    model = Model.create(
-        backbone_config, m=mc["m"], seed=mc["seed"],
-        similarity_kind=header["similarity_kind"], eps=header["eps"],
-        label_lo=mc["label_lo"], label_hi=mc["label_hi"],
-    )
+    if (header["similarity_kind"], header["eps"]) != (mc["similarity"], mc["eps"]):
+        raise CheckpointError(
+            f"{path}: header similarity {header['similarity_kind']!r} with eps "
+            f"{header['eps']} disagrees with its config ({mc['similarity']!r}, {mc['eps']})"
+        )
     offset = 0
     tensors = _tensor_manifest(model)
     if len(tensors) != len(header["tensors"]):

@@ -26,7 +26,7 @@ def compute_d_max(c_z: int) -> float:
     return float(c_z)
 
 
-def assign_prototype_labels(m: int, lo: float = 0.1, hi: float = 5.9) -> np.ndarray:
+def assign_prototype_labels(m: int, lo: float, hi: float) -> np.ndarray:
     """Evenly spaced labels from lo to hi inclusive, strictly increasing."""
     if m < 2:
         raise ValueError(f"need at least 2 prototypes for a label grid, got {m}")
@@ -68,7 +68,7 @@ class PrototypeBank:
 
     @staticmethod
     def create(m: int, c_z: int, rng: np.random.Generator,
-               label_lo: float = 0.1, label_hi: float = 5.9) -> "PrototypeBank":
+               label_lo: float, label_hi: float) -> "PrototypeBank":
         # init in the interior of the latent range, away from sigmoid saturation
         vectors = Tensor(rng.uniform(0.2, 0.8, size=(m, c_z)), requires_grad=True)
         labels = assign_prototype_labels(m, label_lo, label_hi)
@@ -98,8 +98,7 @@ def min_pool(dmap: Tensor) -> tuple[Tensor, np.ndarray]:
     return d, positions
 
 
-def similarity(d: Tensor, kind: str = "reciprocal", eps: float = 1e-4,
-               d_max: float = 1.0) -> Tensor:
+def similarity(d: Tensor, kind: str, eps: float, d_max: float = 1.0) -> Tensor:
     """Map squared distances to similarities, elementwise.
 
     reciprocal: 1 / (d/d_max + eps) — steep near zero, so small distance

@@ -24,18 +24,18 @@ from .prototypes import ProvenanceRecord
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    cycles: int = 2
-    joint_epochs: int = 20
-    lastlayer_epochs: int = 10
-    warmup_epochs: int = 5
-    pretrain_epochs: int = 0
-    lr_backbone: float = 1e-5
-    lr_protolayer: float = 1e-3
-    lr_head: float = 1e-3
-    lr_pretrain: float = 5e-3
-    batch_size: int = 30
-    seed: int = 0
-    augment: bool = False
+    cycles: int
+    joint_epochs: int
+    lastlayer_epochs: int
+    warmup_epochs: int
+    pretrain_epochs: int
+    lr_backbone: float
+    lr_protolayer: float
+    lr_head: float
+    lr_pretrain: float
+    batch_size: int
+    seed: int
+    augment: bool
 
     def __post_init__(self):
         if self.warmup_epochs > self.joint_epochs:
@@ -51,10 +51,8 @@ class TrainLog:
         header = "cycle,stage,epoch,mse,clst,psd,total"
         rows = [header]
         for e in self.epochs:
-            rows.append(
-                f"{e['cycle']},{e['stage']},{e['epoch']},"
-                f"{e['mse']!r},{e['clst']!r},{e['psd']!r},{e['total']!r}"
-            )
+            terms = ",".join(repr(float(e[k])) for k in ("mse", "clst", "psd", "total"))
+            rows.append(f"{e['cycle']},{e['stage']},{e['epoch']},{terms}")
         return rows
 
 
@@ -68,22 +66,6 @@ def _frozen(params: list[Tensor]):
     finally:
         for p, was in zip(params, prev):
             p.requires_grad = was
-
-
-def kfold_split(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """k disjoint (train, val) index splits; fold sizes differ by at most 1."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > n:
-        raise ValueError(f"cannot make {k} folds from {n} samples")
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k)
-    out = []
-    for i in range(k):
-        val = np.sort(folds[i])
-        train = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
-        out.append((train, val))
-    return out
 
 
 def _batch_loss(model: Model, images: np.ndarray, y: np.ndarray, cfg_loss: dict,
@@ -116,10 +98,6 @@ def _run_epochs(model: Model, data: SynthDataset, cfg_loss: dict,
                 if schedule.augment:
                     images = augment_batch(images, rng)
                 total, m, c, p = _batch_loss(model, images, data.y[idx], cfg_loss, weights)
-                if not np.isfinite(total.data).all():
-                    raise FloatingPointError(
-                        f"non-finite loss at cycle {cycle}, stage {stage}, epoch {epoch}"
-                    )
                 total.backward()
                 for opt in optimizers:
                     opt.step()

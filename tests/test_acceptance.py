@@ -14,7 +14,7 @@ import pytest
 from protoreg import config as C
 from protoreg import data as D
 from protoreg import gradcheck, metrics, trainer
-from protoreg.cli import _deep_update, train_run
+from protoreg.cli import train_run
 from protoreg.engine import Tensor, no_grad
 from protoreg.head import predict
 from protoreg.prototypes import PrototypeBank, distance_map, min_pool

@@ -1,18 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from protoreg.backbone import (
-    Backbone,
-    BackboneConfig,
-    ConfigError,
-    ConvSpec,
-    LatentVolume,
-    extract_features,
-    split_patches,
-)
+from protoreg.backbone import Backbone, BackboneConfig, ConfigError, ConvSpec
+from protoreg.config import backbone_config_from, resolve_config
 from protoreg.engine import ShapeError, Tensor
 
-DESK = BackboneConfig()  # 32x32x3 -> 6x6x16
+DESK = backbone_config_from(resolve_config())  # 32x32x3 -> 6x6x16
 
 
 def make_backbone(seed=0, config=DESK):
@@ -22,16 +17,17 @@ def make_backbone(seed=0, config=DESK):
 class TestConfig:
     def test_desk_stack_reaches_6x6(self):
         # (32 -k3 s2-> 15 -k3 s2-> 7 -k2 s1-> 6 -k1 s1-> 6), asserted in ctor
-        BackboneConfig(latent_hw=(6, 6))
+        replace(DESK, latent_hw=(6, 6))
 
     def test_wrong_latent_grid_rejected(self):
         with pytest.raises(ConfigError, match=r"\(6,6\)|\(6, 6\)"):
-            BackboneConfig(latent_hw=(9, 9))
+            replace(DESK, latent_hw=(9, 9))
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigError):
             BackboneConfig(
                 input_hw=(8, 8),
+                in_channels=3,
                 blocks=(ConvSpec(4, 3, 2), ConvSpec(4, 3, 1)),
                 c_z=4,
                 latent_hw=(1, 1),
@@ -39,13 +35,13 @@ class TestConfig:
 
     def test_last_block_channels_must_match_c_z(self):
         with pytest.raises(ConfigError):
-            BackboneConfig(c_z=32)
+            replace(DESK, c_z=32)
 
 
 class TestForward:
     def test_outputs_in_open_unit_interval(self):
         bb = make_backbone()
-        out = extract_features(Tensor(np.random.default_rng(1).uniform(size=(2, 3, 32, 32))), bb)
+        out = bb.forward(Tensor(np.random.default_rng(1).uniform(size=(2, 3, 32, 32))))
         assert out.data.shape == (2, 16, 6, 6)
         assert out.data.min() > 0.0 and out.data.max() < 1.0
 
@@ -67,23 +63,3 @@ class TestForward:
         assert len(added) == 4
         assert added[0] is bb.weights[-2] and added[2] is bb.weights[-1]
 
-
-class TestSplitPatches:
-    def test_counts_and_lengths(self):
-        vol = LatentVolume(np.arange(2 * 2 * 3, dtype=float).reshape(3, 2, 2))
-        patches = split_patches(vol)
-        assert len(patches) == 4
-        assert all(vec.shape == (3,) for _, vec in patches)
-
-    def test_patch_positions_index_the_volume(self):
-        values = np.random.default_rng(3).uniform(size=(5, 3, 4))
-        vol = LatentVolume(values)
-        for (r, c), vec in split_patches(vol):
-            np.testing.assert_array_equal(vec, values[:, r, c])
-
-    def test_reassembly_is_lossless(self):
-        values = np.random.default_rng(4).uniform(size=(6, 3, 3))
-        rebuilt = np.zeros_like(values)
-        for (r, c), vec in split_patches(LatentVolume(values)):
-            rebuilt[:, r, c] = vec
-        assert np.array_equal(rebuilt, values)

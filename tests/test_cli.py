@@ -9,6 +9,14 @@ from protoreg.cli import main
 from protoreg.data import load_dataset
 from protoreg.model import load_checkpoint
 
+
+def assert_numeric_fields(rows: list[str], skip_columns: int):
+    """Every field after the first skip_columns of each data row parses as a float."""
+    for row in rows[1:]:
+        for field in row.split(",")[skip_columns:]:
+            float(field)
+
+
 TINY_CFG = {
     "data": {
         "image_hw": [8, 8],
@@ -88,6 +96,7 @@ class TestTrain:
         log = (run / "training_log.csv").read_text().strip().splitlines()
         assert log[0] == "cycle,stage,epoch,mse,clst,psd,total"
         assert len(log) == 1 + 2 + 1  # header + joint(incl. warmup) + lastlayer
+        assert_numeric_fields(log, skip_columns=2)  # cycle, stage
         projections = json.loads((run / "projection_report.json").read_text())
         assert len(projections) == 1
         assert len(projections[0]["prototypes"]) == 3
@@ -121,6 +130,7 @@ class TestEval:
         per_sample = (out / "per_sample.csv").read_text().strip().splitlines()
         assert per_sample[0] == "sample_id,y,y_hat,abs_err,s_spars"
         assert len(per_sample) == 7
+        assert_numeric_fields(per_sample, skip_columns=0)
 
     def test_eval_deterministic_bytes(self, workdir, tmp_path):
         out2 = tmp_path / "eval2"
@@ -209,3 +219,11 @@ class TestErrors:
         rc = main(["eval", "--checkpoint", str(ckpt),
                    "--data", str(tmp_path), "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_truncated_checkpoint(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes((workdir / "run" / "checkpoint.bin").read_bytes()[:10])
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--data", str(workdir / "data"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,11 +1,14 @@
 """Tests for config resolution and the checkpoint format."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from protoreg import config as C
+from protoreg import data as D
+from protoreg.cli import train_run
 from protoreg.gradcheck import tiny_model
 from protoreg.model import (
     CHECKPOINT_MAGIC,
@@ -27,6 +30,7 @@ TINY_CFG = {
     "model": {
         "m": 3,
         "c_z": 4,
+        "eps": 1e-4,  # the eps of gradcheck.tiny_model
         "backbone_blocks": [[4, 3, 2], [4, 2, 1], [4, 1, 1]],
         "latent_hw": [2, 2],
     },
@@ -132,6 +136,34 @@ def tiny_resolved_cfg():
     return C.resolve_config(TINY_CFG)
 
 
+def split_checkpoint(raw: bytes) -> tuple[dict, int]:
+    """(header, offset of the payload) of checkpoint bytes."""
+    (header_len,) = struct.unpack_from("<Q", raw, 9)
+    return json.loads(raw[17 : 17 + header_len]), 17 + header_len
+
+
+def with_header(raw: bytes, header: dict) -> bytes:
+    """Checkpoint bytes with the header replaced and the length field updated."""
+    _, end = split_checkpoint(raw)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:9] + struct.pack("<Q", len(blob)) + blob + raw[end:]
+
+
+def damaged_checkpoints(raw: bytes, damage: str) -> list[bytes]:
+    header, end = split_checkpoint(raw)
+    if damage == "truncated":
+        return [raw[:cut] for cut in range(end)]
+    if damage == "not_utf8":
+        return [raw[:17] + b"\xff" + raw[18:]]
+    if damage == "not_json":
+        return [raw[:17] + b"[" + raw[18:]]
+    assert damage == "missing_key"
+    headers = [{k: v for k, v in header.items() if k != key} for key in header]
+    headers.append({**header, "config": {k: v for k, v in header["config"].items()
+                                         if k != "model"}})
+    return [with_header(raw, h) for h in headers]
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = tiny_model(seed=5)
@@ -194,3 +226,35 @@ class TestCheckpoint:
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"PRCK1"
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_utf8", "not_json", "missing_key"])
+    def test_damaged_header_rejected(self, tmp_path, damage):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
+        for raw in damaged_checkpoints(path.read_bytes(), damage):
+            path.write_bytes(raw)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_config_builds_the_reloaded_model(self, tmp_path):
+        overrides = json.loads(json.dumps(TINY_CFG))
+        overrides["model"].update(similarity="log", eps=1e-3)
+        cfg = C.resolve_config(overrides)
+        rng = np.random.default_rng(0)
+        y = np.tile(np.arange(1.0, 4.0), 4)
+        train = D.SynthDataset(images=rng.uniform(size=(12, 3, 8, 8)), y=y,
+                               y_categorical=y.copy(), label_mode="categorical",
+                               split="train")
+        model, _ = train_run(cfg, train, tmp_path)
+        back, _ = load_checkpoint(tmp_path / "checkpoint.bin")
+        assert (back.similarity_kind, back.eps) == ("log", 1e-3)
+        images = rng.uniform(size=(5, 3, 8, 8))
+        assert np.array_equal(back.predict_np(images), model.predict_np(images))
+
+        raw = (tmp_path / "checkpoint.bin").read_bytes()
+        header, _ = split_checkpoint(raw)
+        header["eps"] = 1e-5
+        path = tmp_path / "edited.bin"
+        path.write_bytes(with_header(raw, header))
+        with pytest.raises(CheckpointError, match="disagrees with its config"):
+            load_checkpoint(path)

@@ -104,14 +104,6 @@ class TestLabels:
         ds = D.generate(small_cfg(), per_grade=2, split="train", seed=0)
         assert ds.y.min() >= 1.0
 
-    def test_shift_round_trip(self):
-        y = np.array([0.0, 1.5, 4.0])
-        assert np.array_equal(D.unshift_labels(D.shift_labels(y)), y)
-
-    def test_reported_labels(self):
-        ds = D.generate(small_cfg(), per_grade=2, split="train", seed=0)
-        assert np.array_equal(ds.y_reported, ds.y - D.LABEL_SHIFT)
-
     def test_continuous_labels_within_half_grade(self):
         ds = D.generate(small_cfg(), per_grade=10, split="train", seed=0)
         cont = D.continuous_labels(ds, seed=5)

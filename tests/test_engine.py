@@ -10,7 +10,6 @@ from protoreg.engine import (
     ShapeError,
     Tensor,
     adam_step,
-    elementwise,
     grad_check,
     no_grad,
 )
@@ -22,14 +21,14 @@ def t(values, grad=True):
 
 class TestElementwise:
     def test_add(self):
-        np.testing.assert_array_equal(elementwise("add", t([1, 2]), t([3, 4])).data, [4, 6])
+        np.testing.assert_array_equal(t([1, 2]).add(t([3, 4])).data, [4, 6])
 
     def test_mul_identity(self):
         x = t([1.5, -2.0, 0.25])
-        np.testing.assert_array_equal(elementwise("mul", x, t([1, 1, 1])).data, x.data)
+        np.testing.assert_array_equal(x.mul(t([1, 1, 1])).data, x.data)
 
     def test_log_of_one(self):
-        assert elementwise("log", t([1.0])).data[0] == 0.0
+        assert t([1.0]).log().data[0] == 0.0
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
@@ -43,7 +42,7 @@ class TestElementwise:
         np.testing.assert_array_equal(t([5, 2]).sub(t([1, 4])).data, [4, -2])
         np.testing.assert_array_equal(t([3, -2]).square().data, [9, 4])
         np.testing.assert_array_equal(t([3, -2]).negate().data, [-3, 2])
-        np.testing.assert_array_equal(elementwise("scale", t([3, -2]), c=2.0).data, [6, -4])
+        np.testing.assert_array_equal(t([3, -2]).scale(2.0).data, [6, -4])
 
 
 class TestSigmoid:

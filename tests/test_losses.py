@@ -127,7 +127,7 @@ class TestTotalLoss:
 
     def test_non_finite_component_named(self):
         with pytest.raises(FloatingPointError, match="cluster"):
-            total_loss(scalar(0.1), scalar(np.inf), scalar(0.1), LossWeights())
+            total_loss(scalar(0.1), scalar(np.inf), scalar(0.1), LossWeights(1.0, 1.0, 10.0))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

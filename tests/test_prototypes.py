@@ -18,7 +18,7 @@ from protoreg.prototypes import (
 def bank_with(vectors, labels=None):
     m, c_z = vectors.shape
     if labels is None:
-        labels = assign_prototype_labels(m)
+        labels = assign_prototype_labels(m, 0.1, 5.9)
     return PrototypeBank(
         vectors=Tensor(vectors, requires_grad=True),
         labels=labels,

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from protoreg import losses, trainer
 from protoreg.data import SynthDataset
@@ -24,8 +22,8 @@ def tiny_dataset(n=12, seed=0, grades=4):
 
 def tiny_schedule(**kw):
     base = dict(cycles=1, joint_epochs=2, lastlayer_epochs=1, warmup_epochs=1,
-                lr_backbone=1e-3, lr_protolayer=1e-3, lr_head=1e-3,
-                batch_size=6, seed=0)
+                pretrain_epochs=0, lr_backbone=1e-3, lr_protolayer=1e-3, lr_head=1e-3,
+                lr_pretrain=5e-3, batch_size=6, seed=0, augment=False)
     base.update(kw)
     return trainer.TrainSchedule(**base)
 
@@ -40,41 +38,6 @@ def snapshot(tensors):
 
 def unchanged(tensors, snap):
     return all(np.array_equal(t.data, s) for t, s in zip(tensors, snap))
-
-
-class TestKFold:
-    def test_partition_properties(self):
-        splits = trainer.kfold_split(10, 3, seed=0)
-        assert len(splits) == 3
-        all_val = np.concatenate([v for _, v in splits])
-        assert sorted(all_val.tolist()) == list(range(10))
-        for train, val in splits:
-            assert set(train) & set(val) == set()
-            assert sorted(np.concatenate([train, val]).tolist()) == list(range(10))
-
-    def test_fold_sizes_balanced(self):
-        for n, k in [(10, 3), (9, 3), (7, 4)]:
-            sizes = [len(v) for _, v in trainer.kfold_split(n, k, seed=1)]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_deterministic(self):
-        a = trainer.kfold_split(20, 4, seed=5)
-        b = trainer.kfold_split(20, 4, seed=5)
-        for (ta, va), (tb, vb) in zip(a, b):
-            assert np.array_equal(ta, tb) and np.array_equal(va, vb)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            trainer.kfold_split(10, 1, seed=0)
-        with pytest.raises(ValueError):
-            trainer.kfold_split(3, 5, seed=0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(4, 60), st.integers(2, 4), st.integers(0, 1000))
-    def test_partition_property(self, n, k, seed):
-        splits = trainer.kfold_split(n, k, seed)
-        all_val = sorted(np.concatenate([v for _, v in splits]).tolist())
-        assert all_val == list(range(n))
 
 
 class TestFreezing:
