@@ -17,8 +17,10 @@ File format (little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -166,15 +168,33 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def write_atomic(path, chunks) -> None:
+    """Write chunks to a temp file beside path, then rename it to path.
+
+    Chunks are bytes-like: bytes, or C-contiguous arrays, written as their
+    raw memory without a copy. A failure part way leaves any earlier file at
+    path as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(ds: SynthDataset, path) -> None:
     n, c, h, w = ds.images.shape
     mode = 1 if ds.label_mode == "continuous" else 0
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<5I", c, h, w, n, mode))
-        f.write(ds.images.astype("<f8").tobytes())
-        f.write(ds.y.astype("<f8").tobytes())
-        f.write(ds.y_categorical.astype("<f8").tobytes())
+    write_atomic(path, (
+        MAGIC,
+        struct.pack("<5I", c, h, w, n, mode),
+        *(np.ascontiguousarray(a, dtype="<f8") for a in (ds.images, ds.y, ds.y_categorical)),
+    ))
 
 
 def load_dataset(path, split: str = "unknown") -> SynthDataset:
@@ -186,17 +206,28 @@ def load_dataset(path, split: str = "unknown") -> SynthDataset:
         if len(header) != 20:
             raise DataFormatError(f"{path}: truncated header")
         c, h, w, n, mode = struct.unpack("<5I", header)
-        body = np.frombuffer(f.read(), dtype="<f8")
-    expected = n * c * h * w + 2 * n
-    if body.size != expected:
-        raise DataFormatError(f"{path}: expected {expected} payload values, got {body.size}")
-    images = body[: n * c * h * w].reshape(n, c, h, w).copy()
-    y = body[n * c * h * w : n * c * h * w + n].copy()
-    y_cat = body[n * c * h * w + n :].copy()
+        if mode not in (0, 1):
+            raise DataFormatError(f"{path}: label mode {mode}, expected 0 (categorical) "
+                                  "or 1 (continuous)")
+        n_pixels = n * c * h * w
+        expected = n_pixels + 2 * n
+        # checked before allocating, so corrupt sizes cannot ask for a huge buffer
+        found = os.fstat(f.fileno()).st_size - f.tell()
+        if found != 8 * expected:
+            raise DataFormatError(f"{path}: expected {expected} payload values "
+                                  f"({8 * expected} bytes), got {found} bytes")
+        body = np.empty(expected, dtype="<f8")
+        if f.readinto(body) != found:
+            raise DataFormatError(f"{path}: payload changed while it was read")
+    finite = np.isfinite(body)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise DataFormatError(f"{path}: {bad.size} non-finite payload values, "
+                              f"the first at value {bad[0]}")
     return SynthDataset(
-        images=images,
-        y=y,
-        y_categorical=y_cat,
+        images=body[:n_pixels].reshape(n, c, h, w),
+        y=body[n_pixels : n_pixels + n],
+        y_categorical=body[n_pixels + n :],
         label_mode="continuous" if mode else "categorical",
         split=split,
     )

@@ -40,6 +40,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> C-contiguous (N*H*W, C): one row per spatial position."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(-1, a.shape[1])
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
@@ -308,29 +313,39 @@ class Tensor:
         oh = (h - kh) // stride + 1
         ow = (wd_ - kw) // stride + 1
         xd, wdat = x.data, w.data
-        out = np.zeros((n, k, oh, ow))
+        p = n * oh * ow
+
+        def tap(a, i, j):
+            return a[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+
+        # One matmul per tap, in the operand layout that np.einsum(optimize=True)
+        # builds for the per-tap contraction, so every element is summed in the
+        # same order, to the same bits. w_taps[i, j] is W[:, :, i, j].T made
+        # contiguous once per call, as matmul would otherwise do on every tap.
+        w_taps = np.ascontiguousarray(wdat.transpose(2, 3, 1, 0))
+        out = np.zeros((p, k))
         for i in range(kh):
             for j in range(kw):
-                xs = xd[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-                out += np.einsum("kc,nchw->nkhw", wdat[:, :, i, j], xs, optimize=True)
+                out += _rows(tap(xd, i, j)) @ w_taps[i, j]
+        out = np.ascontiguousarray(out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2))
 
         def backward(g):
+            g_rows = _rows(g)
             if x.requires_grad:
-                gx = np.zeros_like(xd)
+                w_taps_t = np.ascontiguousarray(wdat.transpose(2, 3, 0, 1))
+                gx = np.zeros((n, c, h, wd_))
                 for i in range(kh):
                     for j in range(kw):
-                        gx[
-                            :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
-                        ] += np.einsum("kc,nkhw->nchw", wdat[:, :, i, j], g, optimize=True)
+                        tap(gx, i, j)[...] += (
+                            (g_rows @ w_taps_t[i, j]).reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
+                        )
                 x._accum(gx)
             if w.requires_grad:
-                gw = np.zeros_like(wdat)
+                gw = np.empty_like(wdat)
                 for i in range(kh):
                     for j in range(kw):
-                        xs = xd[
-                            :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
-                        ]
-                        gw[:, :, i, j] = np.einsum("nkhw,nchw->kc", g, xs, optimize=True)
+                        x_cols = np.ascontiguousarray(tap(xd, i, j).transpose(1, 0, 2, 3))
+                        gw[:, :, i, j] = (x_cols.reshape(c, p) @ g_rows).T
                 w._accum(gw)
 
         return Tensor._result(out, (x, w), backward, "conv2d")
@@ -434,22 +449,31 @@ class Tensor:
             raise ShapeError(
                 f"masked_min_k_rows: mask shape {masks.shape} != tensor {a.data.shape}"
             )
-        n = a.data.shape[0]
-        selections = []
+        if k < 1:
+            raise ValueError(f"masked_min_k_rows: k must be >= 1, got {k}")
+        n, m = a.data.shape
+        counts = masks.sum(axis=1)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            raise ValueError(f"masked_min_k_rows: row {empty[0]} has an empty mask")
+        take = np.minimum(k, counts)
+        width = min(k, m)
+        # stable: ties go to the earliest column, and masked-out entries sort last
+        order = np.argsort(np.where(masks, a.data, np.inf), axis=1, kind="stable")[:, :width]
+        chosen = np.arange(width)[None, :] < take[:, None]
+        rows, cols = np.nonzero(chosen)[0], order[chosen]
+        picked = np.where(chosen, np.take_along_axis(a.data, order, axis=1), 0.0)
+        # column by column: left to right, as np.mean adds fewer than 8 values
+        row_sums = picked[:, 0].copy()
+        for j in range(1, width):
+            row_sums += picked[:, j]
         total = 0.0
-        for i in range(n):
-            cols = np.flatnonzero(masks[i])
-            if cols.size == 0:
-                raise ValueError(f"masked_min_k_rows: row {i} has an empty mask")
-            order = np.argsort(a.data[i, cols], kind="stable")
-            chosen = cols[order[: min(k, cols.size)]]
-            selections.append(chosen)
-            total += float(np.mean(a.data[i, chosen]))
+        for v in (row_sums / take).tolist():
+            total += v
 
         def backward(g):
             buf = np.zeros_like(a.data)
-            for i, chosen in enumerate(selections):
-                buf[i, chosen] = g / (n * chosen.size)
+            buf[rows, cols] = g / (n * take[rows])
             a._accum(buf)
 
         return Tensor._result(total / n, (a,), backward, "masked_min_k_rows")

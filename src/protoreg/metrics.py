@@ -100,13 +100,16 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
     distance to any prototype are kept.
     """
     protos = bank.vectors.data
-    d2 = ((patches[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-    keep = []
-    for sid in np.unique(patch_sample_ids):
-        rows = np.flatnonzero(patch_sample_ids == sid)
-        order = rows[np.argsort(d2[rows], kind="stable")]
-        keep.extend(order[:per_sample_select])
-    keep = np.array(sorted(keep))
+    # one prototype at a time keeps the temporaries at the size of patches
+    d2 = np.full(patches.shape[0], np.inf)
+    for p in protos:
+        np.minimum(d2, ((patches - p) ** 2).sum(axis=1), out=d2)
+    # by sample, then by distance; ties keep the earlier patch
+    order = np.lexsort((d2, patch_sample_ids))
+    _, starts, counts = np.unique(patch_sample_ids[order], return_index=True,
+                                  return_counts=True)
+    rank = np.arange(order.size) - np.repeat(starts, counts)
+    keep = np.sort(order[rank < per_sample_select])
     cloud = np.vstack([patches[keep], protos])
     coords, _, evr = pca_2d(cloud)
     points = []

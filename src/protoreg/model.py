@@ -15,6 +15,7 @@ identical to the saved one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ import numpy as np
 from . import head as head_mod
 from .backbone import Backbone, BackboneConfig
 from .config import backbone_config_from
+from .data import write_atomic
 from .engine import Tensor, no_grad
 from .prototypes import (
     PrototypeBank,
@@ -139,12 +141,12 @@ def save_checkpoint(model: Model, path, resolved_config: dict) -> None:
         "tensors": [{"name": n, "shape": list(t.data.shape)} for n, t in manifest],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for _, t in manifest:
-            f.write(t.data.astype("<f8").tobytes())
+    write_atomic(path, (
+        CHECKPOINT_MAGIC,
+        struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)),
+        blob,
+        *(np.ascontiguousarray(t.data, dtype="<f8") for _, t in manifest),
+    ))
 
 
 def _read_header(f, path) -> dict:
@@ -181,7 +183,24 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild (model, resolved_config) from a checkpoint file."""
     with open(path, "rb") as f:
         header = _read_header(f, path)
-        payload = np.frombuffer(f.read(), dtype="<f8")
+        raw = f.read()
+    try:
+        expected = sum(math.prod(meta["shape"]) for meta in header["tensors"])
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed tensor manifest: {e!r}") from e
+    if len(raw) % 8:
+        raise CheckpointError(
+            f"{path}: payload of {len(raw)} bytes is not a whole number of float64 "
+            f"values; the tensor manifest expects {expected} values"
+        )
+    found = len(raw) // 8
+    if found != expected:
+        trailing = f", {found - expected} of them trailing" if found > expected else ""
+        raise CheckpointError(
+            f"{path}: payload holds {found} values{trailing}; "
+            f"the tensor manifest expects {expected}"
+        )
+    payload = np.frombuffer(raw, dtype="<f8")
 
     cfg = header["config"]
     try:
@@ -207,8 +226,6 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         size = t.data.size
         t.data = payload[offset : offset + size].reshape(t.data.shape).copy()
         offset += size
-    if offset != payload.size:
-        raise CheckpointError(f"{path}: {payload.size - offset} trailing payload values")
     model.bank.labels = np.array(header["labels"])
     model.bank.provenance = [
         None if p is None else ProvenanceRecord(**p) for p in header["provenance"]

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line surface on a tiny configuration."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -227,3 +228,18 @@ class TestErrors:
                    "--data", str(workdir / "data"), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_checkpoint_cut_inside_payload(self, workdir, tmp_path, capsys):
+        raw = (workdir / "run" / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[9:17])
+        start = 17 + header_len  # magic, version, header length, header
+        ckpt = tmp_path / "ckpt.bin"
+        for cut in (start, start + 1, start + 7, start + 8, start + 803,
+                    len(raw) - 8, len(raw) - 1):
+            ckpt.write_bytes(raw[:cut])
+            rc = main(["eval", "--checkpoint", str(ckpt),
+                       "--data", str(workdir / "data"), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {ckpt}: "), err
+            assert "the tensor manifest expects" in err, err

@@ -1,12 +1,17 @@
 """Tests for the synthetic blob-counting dataset and its file format."""
 
+import functools
+import struct
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protoreg import config as C
 from protoreg import data as D
+from protoreg.model import Model, save_checkpoint
 
 
 def small_cfg(**kw):
@@ -204,6 +209,78 @@ class TestFileFormat:
         path.write_bytes(D.MAGIC + b"\x00" * 10)
         with pytest.raises(D.DataFormatError, match="header"):
             D.load_dataset(path)
+
+    @pytest.mark.parametrize("damage", ["cut_3_bytes", "huge_count"])
+    def test_payload_size_checked_before_reading(self, tmp_path, damage):
+        path = tmp_path / "ds.insd"
+        D.save_dataset(D.generate(small_cfg(), per_grade=1, split="train", seed=0), path)
+        raw = bytearray(path.read_bytes())
+        if damage == "cut_3_bytes":
+            raw = raw[:-3]
+        else:
+            raw[17:21] = struct.pack("<I", 2**32 - 1)  # the sample count
+        path.write_bytes(bytes(raw))
+        with pytest.raises(D.DataFormatError, match="payload values"):
+            D.load_dataset(path)
+
+    def test_unknown_label_mode_rejected(self, tmp_path):
+        path = tmp_path / "ds.insd"
+        D.save_dataset(D.generate(small_cfg(), per_grade=1, split="train", seed=0), path)
+        raw = bytearray(path.read_bytes())
+        raw[21:25] = struct.pack("<I", 2)  # the fifth header field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(D.DataFormatError, match="label mode 2"):
+            D.load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        ds = D.generate(small_cfg(), per_grade=1, split="train", seed=0)
+        ds.y[3] = bad
+        path = tmp_path / "ds.insd"
+        D.save_dataset(ds, path)
+        first = ds.images.size + 3
+        with pytest.raises(D.DataFormatError, match=f"non-finite .* value {first}"):
+            D.load_dataset(path)
+
+    @pytest.mark.parametrize("save", ["dataset", "checkpoint"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, save):
+        if save == "dataset":
+            path = tmp_path / "ds.insd"
+            ds = D.generate(small_cfg(), per_grade=1, split="train", seed=0)
+            write = functools.partial(D.save_dataset, ds, path)
+        else:
+            path = tmp_path / "ckpt.bin"
+            cfg = C.resolve_config()
+            model = Model.from_config(cfg)
+            write = functools.partial(save_checkpoint, model, path, cfg)
+        path.write_bytes(b"the old file")
+
+        real_open = open
+
+        class FailingFile:
+            """Writes the first chunk, then fails as a full disk would."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.f.write(chunk)
+
+        monkeypatch.setattr(D, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write()
+        assert path.read_bytes() == b"the old file"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestProperties:

@@ -96,6 +96,116 @@ class TestConv2d:
         assert out.data.shape == (1, 1, 3, 3)
 
 
+def einsum_conv_reference(x, w, stride, g):
+    """Per-tap np.einsum(optimize=True) convolution: output, input and weight gradients."""
+    n, c, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    out, gx, gw = np.zeros((n, k, oh, ow)), np.zeros_like(x), np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            tap = (slice(None), slice(None),
+                   slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
+            out += np.einsum("kc,nchw->nkhw", w[:, :, i, j], x[tap], optimize=True)
+            gx[tap] += np.einsum("kc,nkhw->nchw", w[:, :, i, j], g, optimize=True)
+            gw[:, :, i, j] = np.einsum("nkhw,nchw->kc", g, x[tap], optimize=True)
+    return out, gx, gw
+
+
+# (in_channels, input side) and (weight shape, stride) of the default backbone blocks
+DEFAULT_BLOCKS = [((3, 32), (8, 3, 3, 3), 2), ((8, 15), (16, 8, 3, 3), 2),
+                  ((16, 7), (16, 16, 2, 2), 1), ((16, 6), (16, 16, 1, 1), 1)]
+
+
+def conv_and_reference(batch, block, seed=0):
+    (c, side), w_shape, stride = block
+    rng = np.random.default_rng(seed)
+    x = t(rng.normal(size=(batch, c, side, side)))
+    w = t(rng.normal(size=w_shape))
+    out = x.conv2d(w, stride=stride)
+    g = rng.normal(size=out.shape)
+    out.mul(t(g, grad=False)).sum().backward()
+    return (out.data, x.grad, w.grad), einsum_conv_reference(x.data, w.data, stride, g)
+
+
+class TestConv2dMatchesEinsum:
+    @pytest.mark.parametrize("batch", [2, 30])
+    @pytest.mark.parametrize("block", DEFAULT_BLOCKS, ids=["b0", "b1", "b2", "b3"])
+    def test_bitwise(self, batch, block):
+        got, want = conv_and_reference(batch, block)
+        for name, a, b in zip(("output", "input grad", "weight grad"), got, want):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("block", DEFAULT_BLOCKS, ids=["b0", "b1", "b2", "b3"])
+    def test_batch_one_within_rounding(self, block):
+        # at batch 1 einsum feeds matmul an F-ordered view, so the weight
+        # gradient's summation order (and last bit) may differ
+        got, want = conv_and_reference(1, block)
+        for name, a, b in zip(("output", "input grad", "weight grad"), got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+
+def masked_min_k_reference(d, masks, k):
+    """Per-row loop: (value, gradient) of the masked min-k mean averaged over rows."""
+    n = d.shape[0]
+    grad = np.zeros_like(d)
+    total = 0.0
+    for i in range(n):
+        cols = np.flatnonzero(masks[i])
+        chosen = cols[np.argsort(d[i, cols], kind="stable")[: min(k, cols.size)]]
+        total += float(np.mean(d[i, chosen]))
+        grad[i, chosen] = 1.0 / (n * chosen.size)
+    return total / n, grad
+
+
+class TestMaskedMinKRows:
+    def check(self, d, masks, k):
+        x = t(d)
+        value = x.masked_min_k_rows(masks, k)
+        value.backward()
+        want_value, want_grad = masked_min_k_reference(d, masks, k)
+        assert value.item() == want_value
+        assert np.array_equal(x.grad, want_grad)
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(4)
+        d = rng.uniform(0.0, 5.0, size=(30, 10))
+        masks = rng.uniform(size=(30, 10)) < 0.5
+        masks[:, 0] = True
+        for k in (1, 3, 5):
+            self.check(d, masks, k)
+
+    def test_rows_with_fewer_than_k_entries(self):
+        d = np.array([[4.0, 1.0, 3.0, 2.0], [5.0, 6.0, 7.0, 8.0]])
+        masks = np.array([[True, False, True, False], [False, False, False, True]])
+        self.check(d, masks, 3)
+        x = t(d)
+        assert x.masked_min_k_rows(masks, 3).item() == ((4.0 + 3.0) / 2 + 8.0) / 2
+
+    def test_ties_go_to_earliest_column(self):
+        d = np.array([[2.0, 1.0, 1.0, 1.0]])
+        x = t(d)
+        x.masked_min_k_rows(np.ones((1, 4), dtype=bool), 2).backward()
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.5, 0.5, 0.0]])
+        self.check(d, np.array([[True, False, True, True]]), 1)
+
+    def test_k_larger_than_m(self):
+        rng = np.random.default_rng(5)
+        d = rng.uniform(size=(6, 3))
+        masks = rng.uniform(size=(6, 3)) < 0.6
+        masks[:, 2] = True
+        self.check(d, masks, 7)
+
+    def test_empty_mask_names_its_row(self):
+        masks = np.array([[True, False], [False, False], [False, False]])
+        with pytest.raises(ValueError, match="row 1 has an empty mask"):
+            t(np.ones((3, 2))).masked_min_k_rows(masks, 1)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            t(np.ones((3, 2))).masked_min_k_rows(np.ones((3, 2), dtype=bool), 0)
+
+
 class TestMinKMean:
     def test_k1_is_min(self):
         assert t([3, 1, 2]).min_k_mean(1).item() == 1.0

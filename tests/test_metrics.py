@@ -184,6 +184,27 @@ class TestPCA:
             metrics.pca_2d(np.zeros((1, 3)))
 
 
+class TestPcaEmbed:
+    def test_keeps_each_samples_nearest_patches(self):
+        rng = np.random.default_rng(8)
+        bank = tiny_model(seed=0).bank
+        # coarse values give tied distances; samples are interleaved and some
+        # have fewer patches than are kept per sample
+        patches = np.round(rng.uniform(size=(60, bank.vectors.data.shape[1])), 1)
+        patches[10:14] = patches[2]
+        ids = rng.integers(0, 9, size=60)
+        d2 = ((patches[:, None, :] - bank.vectors.data[None]) ** 2).sum(axis=2).min(axis=1)
+        want = []
+        for sid in np.unique(ids):
+            rows = np.flatnonzero(ids == sid)
+            want.extend(rows[np.argsort(d2[rows], kind="stable")][:5])
+        report = metrics.pca_embed(patches, ids, np.zeros(60), bank,
+                                   [frozenset(range(3))], per_sample_select=5)
+        kept = [int(name.split("_patch")[1]) for name, kind, *_ in report.points
+                if kind == "sample"]
+        assert kept == sorted(want)
+
+
 class TestContributionOrder:
     def test_descending_with_index_ties(self):
         w = np.array([0.2, 0.5, 0.2, 0.9])
