@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Byte pins of the default pipeline: gen-data, train, eval, explain and embed on
+# the default config with one BLAS thread, then the sha256 of every output that
+# the numerics decide. A change that leaves the numerics alone prints the same
+# lines before and after it. Runs the code of the checkout the script is in.
+# Usage: scripts/byte_pins.sh [out-root]
+set -euo pipefail
+
+OUT="${1:-runs/byte_pins}"
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+export OPENBLAS_NUM_THREADS=1
+unset PROTOREG_OUT_ROOT
+
+protoreg() { python3 -m protoreg.cli "$@" > /dev/null; }
+
+protoreg gen-data --out "$OUT/data"
+protoreg train --data "$OUT/data" --out "$OUT/run"
+protoreg eval --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" --out "$OUT/eval"
+protoreg explain --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" \
+  --sample-ids 0,7,123 --out "$OUT/explain"
+protoreg embed --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" --out "$OUT/embed"
+
+cd "$OUT"
+sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sample.csv \
+  explain/explanation_*.json explain/*.pgm \
+  embed/embedding.csv embed/embedding.svg embed/usage_histogram.svg

@@ -5,13 +5,11 @@ follows a joint / projection / last-layer protocol so each prototype ends
 up identical to a real training patch and can be shown as evidence.
 """
 
-from .engine import Adam, AdamState, Tensor, adam_step, grad_check, no_grad
+from .engine import Adam, Tensor, grad_check, no_grad
 
 __all__ = [
     "Adam",
-    "AdamState",
     "Tensor",
-    "adam_step",
     "grad_check",
     "no_grad",
 ]

@@ -49,9 +49,8 @@ def _schedule(cfg: dict) -> trainer.TrainSchedule:
     return trainer.TrainSchedule(
         cycles=t["cycles"], joint_epochs=t["joint_epochs"],
         lastlayer_epochs=t["lastlayer_epochs"], warmup_epochs=t["warmup_epochs"],
-        pretrain_epochs=t["pretrain_epochs"],
         lr_backbone=t["lr_backbone"], lr_protolayer=t["lr_protolayer"],
-        lr_head=t["lr_head"], lr_pretrain=t["lr_pretrain"],
+        lr_head=t["lr_head"],
         batch_size=t["batch_size"], seed=t["seed"],
         augment=cfg["data"]["augment"],
     )

@@ -55,11 +55,9 @@ DEFAULTS: dict = {
         "joint_epochs": 10,
         "lastlayer_epochs": 5,
         "warmup_epochs": 3,
-        "pretrain_epochs": 0,
         "lr_backbone": 5e-3,
         "lr_protolayer": 5e-3,
         "lr_head": 5e-3,
-        "lr_pretrain": 5e-3,
         "batch_size": 30,
         "seed": 3,
     },
@@ -94,8 +92,6 @@ def resolve_config(overrides: dict | None = None) -> dict:
         raise ConfigError(f"model.similarity must be 'reciprocal' or 'log'")
     if cfg["train"]["warmup_epochs"] > cfg["train"]["joint_epochs"]:
         raise ConfigError("train.warmup_epochs cannot exceed train.joint_epochs")
-    if cfg["train"]["pretrain_epochs"] < 0:
-        raise ConfigError("train.pretrain_epochs cannot be negative")
     return cfg
 
 

@@ -12,7 +12,6 @@ identical inputs are bitwise identical.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,9 +70,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- graph construction ------------------------------------------------
 
@@ -412,30 +408,6 @@ class Tensor:
 
         return Tensor._result(out, (z, p), backward, "proto_sqdist")
 
-    def min_k_mean(self, k: int) -> "Tensor":
-        """Mean of the k smallest entries of a 1-D tensor.
-
-        With k larger than the length, averages everything. Gradient 1/k'
-        flows to each selected entry; ties break to the earliest index
-        (stable argsort).
-        """
-        if self.data.ndim != 1:
-            raise ShapeError(f"min_k_mean expects a 1-D tensor, got {self.data.shape}")
-        if self.data.size == 0:
-            raise ShapeError("min_k_mean on empty tensor")
-        if k < 1:
-            raise ValueError(f"min_k_mean: k must be >= 1, got {k}")
-        a = self
-        k_eff = min(k, a.data.size)
-        sel = np.argsort(a.data, kind="stable")[:k_eff]
-
-        def backward(g):
-            buf = np.zeros_like(a.data)
-            buf[sel] = g / k_eff
-            a._accum(buf)
-
-        return Tensor._result(np.mean(a.data[sel]), (a,), backward, "min_k_mean")
-
     def masked_min_k_rows(self, masks: np.ndarray, k: int) -> "Tensor":
         """Row-wise min-k mean under a boolean mask, averaged over rows.
 
@@ -478,16 +450,6 @@ class Tensor:
 
         return Tensor._result(total / n, (a,), backward, "masked_min_k_rows")
 
-    # -- operator sugar ------------------------------------------------------
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-    __truediv__ = div
-
-    def __neg__(self):
-        return self.negate()
-
     # -- backward ------------------------------------------------------------
 
     def backward(self):
@@ -518,55 +480,37 @@ class Tensor:
 # -- optimizer ----------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Per-parameter-group Adam moment buffers and step counter."""
-
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float):
-    """One Adam update with bias correction, in place on the params."""
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.data.shape != g.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} != param {p.data.shape}")
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Convenience wrapper binding an AdamState to a fixed parameter list."""
+    """Adam with bias correction, in place on a fixed list; a None .grad steps as zero."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         grads = [
             p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params
         ]
-        adam_step(self.params, grads, self.state, self.lr)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        for p, g in zip(self.params, grads):
+            if p.data.shape != g.shape:
+                raise ShapeError(f"Adam.step: grad shape {g.shape} != param {p.data.shape}")
+        self.step_count += 1
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # -- gradient verification -----------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from .engine import Tensor, no_grad
 from .head import contribution_weights, importance
 from .model import Model
-from .prototypes import similarity_np
+from .prototypes import similarity
 
 
 @dataclass
@@ -106,7 +106,9 @@ def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
     """Build the explanation for a single (C,H,W) image."""
     with no_grad():
         result = model.forward(Tensor(image[None]))
-    dmap = result.dmap.data[0]  # (m, h_z, w_z)
+        # (m, h_z, w_z): the model's own similarity of every patch
+        act_maps = similarity(result.dmap, model.similarity_kind, model.eps,
+                              model.bank.d_max).data[0]
     s = result.s.data[0]
     argmin = result.argmin[0]
     r = importance(model.theta.data, model.bank.labels)
@@ -119,7 +121,6 @@ def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
     records = []
     for rank in range(min(top_k, model.bank.m)):
         j = int(order[rank])
-        act = similarity_np(dmap[j], model.similarity_kind, model.eps, model.bank.d_max)
         prov = model.bank.provenance[j]
         records.append(PrototypeContribution(
             index=j,
@@ -130,7 +131,7 @@ def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
             weight_fraction=float(fractions[j]),
             argmin_row=int(argmin[j, 0]),
             argmin_col=int(argmin[j, 1]),
-            activation_map=bilinear_upsample(act, in_hw),
+            activation_map=bilinear_upsample(act_maps[j], in_hw),
             provenance=None if prov is None else {
                 "sample_id": prov.sample_id, "row": prov.row, "col": prov.col,
             },

@@ -37,7 +37,6 @@ def run_suites(seed: int = 0, fd_step: float = 1e-6) -> list[dict]:
 
     v = Tensor(rng.uniform(0.5, 2.0, size=7), requires_grad=True)
     add("log", grad_check(lambda: v.log().sum(), [v], fd_step))
-    add("min-k-mean", grad_check(lambda: v.min_k_mean(3), [v], fd_step))
 
     img = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
     ker = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)

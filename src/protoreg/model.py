@@ -24,7 +24,7 @@ import numpy as np
 
 from . import head as head_mod
 from .backbone import Backbone, BackboneConfig
-from .config import backbone_config_from
+from .config import backbone_config_from, resolve_config
 from .data import write_atomic
 from .engine import Tensor, no_grad
 from .prototypes import (
@@ -203,10 +203,15 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     payload = np.frombuffer(raw, dtype="<f8")
 
     cfg = header["config"]
+    if not isinstance(cfg, dict):
+        raise CheckpointError(f"{path}: header config is not a JSON object")
     try:
-        model = Model.from_config(cfg)
-    except KeyError as e:
-        raise CheckpointError(f"{path}: header config has no key {e}") from e
+        resolved = resolve_config(cfg)
+    except (ValueError, TypeError) as e:  # ConfigError, or a value of the wrong type
+        raise CheckpointError(f"{path}: header config: {e}") from e
+    if resolved != cfg:
+        raise CheckpointError(f"{path}: header config lacks keys that resolving it fills in")
+    model = Model.from_config(cfg)
     mc = cfg["model"]
     if (header["similarity_kind"], header["eps"]) != (mc["similarity"], mc["eps"]):
         raise CheckpointError(

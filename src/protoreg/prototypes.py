@@ -113,11 +113,3 @@ def similarity(d: Tensor, kind: str, eps: float, d_max: float = 1.0) -> Tensor:
         return d.add_scalar(1.0).log().sub(d.add_scalar(eps).log())
     raise SimilarityConfigError(f"unknown similarity kind {kind!r}")
 
-
-def similarity_np(d: np.ndarray, kind: str, eps: float, d_max: float) -> np.ndarray:
-    """Plain-array version of similarity() for explanation rendering."""
-    if kind == "reciprocal":
-        return 1.0 / (d / d_max + eps)
-    if kind == "log":
-        return np.log((d + 1.0) / (d + eps))
-    raise SimilarityConfigError(f"unknown similarity kind {kind!r}")

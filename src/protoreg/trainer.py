@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses
 from .data import SynthDataset, augment_batch
-from .engine import Adam, Tensor, no_grad
+from .engine import Adam, Tensor
 from .model import Model
 from .prototypes import ProvenanceRecord
 
@@ -28,11 +28,9 @@ class TrainSchedule:
     joint_epochs: int
     lastlayer_epochs: int
     warmup_epochs: int
-    pretrain_epochs: int
     lr_backbone: float
     lr_protolayer: float
     lr_head: float
-    lr_pretrain: float
     batch_size: int
     seed: int
     augment: bool
@@ -192,11 +190,6 @@ def run_protocol(model: Model, data: SynthDataset, cfg_loss: dict,
         raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(schedule.seed)
     log = TrainLog()
-    if schedule.pretrain_epochs > 0:
-        pretrain_stage(model, data, schedule, rng, log)
-        model.cursor = {"cycle": -1, "stage": "pretrain"}
-        if stage_callback:
-            stage_callback("pretrain", -1, model)
     for cycle in range(schedule.cycles):
         warmup = schedule.warmup_epochs if cycle == 0 else 0
         joint_stage(model, data, cfg_loss, weights, schedule, rng, log, cycle,
@@ -215,78 +208,3 @@ def run_protocol(model: Model, data: SynthDataset, cfg_loss: dict,
             stage_callback("lastlayer", cycle, model)
     return log
 
-
-def _fit_plain_regressor(backbone, data: SynthDataset, epochs: int, lr: float,
-                         batch_size: int, rng: np.random.Generator):
-    """Train backbone + mean-pool + linear head on plain MSE, in place.
-
-    Returns (forward closure, train MSE at last epoch).
-    """
-    c_z = backbone.config.c_z
-    w_lin = Tensor(rng.normal(0.0, 0.1, size=c_z), requires_grad=True)
-    b_lin = Tensor(np.array([np.mean(data.y)]), requires_grad=True)
-    params = backbone.params() + [w_lin, b_lin]
-    opt = Adam(params, lr)
-
-    def forward(images: np.ndarray) -> Tensor:
-        latent = backbone.forward(Tensor(images))
-        n_b, c, h, w = latent.data.shape
-        pooled = latent.reshape(n_b, c, h * w).mean(axis=2)  # (n, c_z)
-        return (pooled.mul(w_lin.expand_rows(n_b)).sum(axis=1)
-                .add(b_lin.expand_rows(n_b).reshape(n_b)))
-
-    n = len(data)
-    last_mse = np.inf
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        sums, batches = 0.0, 0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss = losses.mse(forward(data.images[idx]), data.y[idx])
-            loss.backward()
-            opt.step()
-            for p in params:
-                p.grad = None
-            sums += loss.item()
-            batches += 1
-        last_mse = sums / batches
-    return forward, last_mse
-
-
-def pretrain_stage(model: Model, data: SynthDataset, schedule: TrainSchedule,
-                   rng: np.random.Generator, log: TrainLog):
-    """Fit the backbone on plain regression before the prototype protocol.
-
-    Uses a throwaway mean-pool linear head that is discarded afterwards;
-    only the backbone weights carry over into the three-stage protocol.
-    """
-    _, last_mse = _fit_plain_regressor(
-        model.backbone, data, schedule.pretrain_epochs, schedule.lr_pretrain,
-        schedule.batch_size, rng,
-    )
-    log.epochs.append({
-        "cycle": -1, "stage": "pretrain", "epoch": schedule.pretrain_epochs - 1,
-        "mse": last_mse, "clst": 0.0, "psd": 0.0, "total": last_mse,
-    })
-
-
-def train_baseline(backbone_config, data: SynthDataset, test: SynthDataset,
-                   epochs: int = 30, lr: float = 3e-3, batch_size: int = 30,
-                   seed: int = 0) -> tuple[float, float]:
-    """Plain CNN regressor fixture: same backbone, average pool, linear head.
-
-    Returns (test MAE, train MSE at last epoch). Used as the reference
-    point the prototype model is compared against.
-    """
-    from .backbone import Backbone
-
-    rng = np.random.default_rng(seed)
-    backbone = Backbone(backbone_config, rng)
-    forward, last_mse = _fit_plain_regressor(backbone, data, epochs, lr,
-                                             batch_size, rng)
-    with no_grad():
-        preds = []
-        for start in range(0, len(test), 64):
-            preds.append(forward(test.images[start : start + 64]).data)
-    mae = float(np.mean(np.abs(np.concatenate(preds) - test.y)))
-    return mae, last_mse

@@ -19,6 +19,8 @@ from protoreg.engine import Tensor, no_grad
 from protoreg.head import predict
 from protoreg.prototypes import PrototypeBank, distance_map, min_pool
 
+from baseline import train_baseline
+
 # Baseline fixture: plain CNN (same backbone, mean pool, linear head) trained
 # with Adam(5e-3) for 20 epochs (matching the prototype model's 2x10 joint
 # epochs of backbone training), batch 30, rng seed 0, on the default dataset.
@@ -182,7 +184,7 @@ def test_criterion_05_projection_contract(desk_data, recip_runs):
 def baseline_fixture(desk_data):
     train_ds, test_ds = desk_data
     cfg = C.resolve_config()
-    mae, _ = trainer.train_baseline(
+    mae, _ = train_baseline(
         C.backbone_config_from(cfg), train_ds, test_ds,
         epochs=BASELINE_EPOCHS, lr=BASELINE_LR, seed=BASELINE_SEED,
     )

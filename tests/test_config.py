@@ -157,11 +157,18 @@ def damaged_checkpoints(raw: bytes, damage: str) -> list[bytes]:
         return [raw[:17] + b"\xff" + raw[18:]]
     if damage == "not_json":
         return [raw[:17] + b"[" + raw[18:]]
-    assert damage == "missing_key"
-    headers = [{k: v for k, v in header.items() if k != key} for key in header]
-    headers.append({**header, "config": {k: v for k, v in header["config"].items()
-                                         if k != "model"}})
-    return [with_header(raw, h) for h in headers]
+    if damage == "missing_key":
+        headers = [{k: v for k, v in header.items() if k != key} for key in header]
+        headers += [{**header, "config": {k: v for k, v in header["config"].items()
+                                          if k != section}} for section in header["config"]]
+        return [with_header(raw, h) for h in headers]
+    assert damage == "bad_config"
+    cfg = header["config"]
+    # a key this build does not know (as in a checkpoint with the old pretraining
+    # keys), a config that is not an object, a value of the wrong type
+    configs = [{**cfg, "train": {**cfg["train"], "lr_pretrain": 5e-3}}, [cfg],
+               {**cfg, "data": {**cfg["data"], "image_hw": 8}}]
+    return [with_header(raw, {**header, "config": c}) for c in configs]
 
 
 class TestCheckpoint:
@@ -227,7 +234,8 @@ class TestCheckpoint:
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"PRCK1"
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_utf8", "not_json", "missing_key"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_utf8", "not_json", "missing_key",
+                                        "bad_config"])
     def test_damaged_header_rejected(self, tmp_path, damage):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())

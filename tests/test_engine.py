@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from protoreg.engine import (
     Adam,
-    AdamState,
     DomainError,
     ShapeError,
     Tensor,
-    adam_step,
     grad_check,
     no_grad,
 )
@@ -206,31 +202,6 @@ class TestMaskedMinKRows:
             t(np.ones((3, 2))).masked_min_k_rows(np.ones((3, 2), dtype=bool), 0)
 
 
-class TestMinKMean:
-    def test_k1_is_min(self):
-        assert t([3, 1, 2]).min_k_mean(1).item() == 1.0
-
-    def test_k2_hand_value(self):
-        assert t([3, 1, 2]).min_k_mean(2).item() == 1.5
-
-    def test_k_exceeds_length_averages_all(self):
-        assert t([5, 5]).min_k_mean(10).item() == 5.0
-
-    def test_gradient_split_among_selected(self):
-        x = t([3.0, 1.0, 2.0])
-        x.min_k_mean(2).backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 0.5, 0.5])
-
-    def test_tie_goes_to_earliest_index(self):
-        x = t([2.0, 2.0, 2.0])
-        x.min_k_mean(1).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
-    def test_k1_equals_min_property(self, values):
-        assert t(values).min_k_mean(1).item() == min(values)
-
-
 class TestBackward:
     def test_square_derivative(self):
         x = t([3.0])
@@ -275,23 +246,26 @@ class TestMinReduce:
 
 
 class TestAdam:
+    @staticmethod
+    def step(p, g, opt):
+        p.grad = g
+        opt.step()
+
     def test_zero_lr_keeps_params(self):
         p = t([1.0, 2.0])
         before = p.data.copy()
-        adam_step([p], [np.array([0.5, -0.5])], AdamState(), lr=0.0)
+        self.step(p, np.array([0.5, -0.5]), Adam([p], lr=0.0))
         np.testing.assert_array_equal(p.data, before)
 
     def test_zero_gradients_keep_params(self):
         p = t([1.0, 2.0])
         before = p.data.copy()
-        adam_step([p], [np.zeros(2)], AdamState(), lr=1e-3)
+        self.step(p, np.zeros(2), Adam([p], lr=1e-3))
         np.testing.assert_array_equal(p.data, before)
 
     def test_single_step_matches_hand_formula(self):
         p = t([1.0])
-        g = np.array([0.5])
-        state = AdamState(beta1=0.9, beta2=0.999, eps=1e-8)
-        adam_step([p], [g], state, lr=1e-3)
+        self.step(p, np.array([0.5]), Adam([p], lr=1e-3))
         m_hat = (0.1 * 0.5) / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
         expected = 1.0 - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -299,14 +273,15 @@ class TestAdam:
 
     def test_step_counter_increments(self):
         p = t([1.0])
-        state = AdamState()
+        opt = Adam([p], lr=1e-3)
         for i in range(3):
-            adam_step([p], [np.array([0.1])], state, lr=1e-3)
-            assert state.step == i + 1
+            self.step(p, np.array([0.1]), opt)
+            assert opt.step_count == i + 1
 
     def test_shape_mismatch(self):
+        p = t([1.0, 2.0])
         with pytest.raises(ShapeError):
-            adam_step([t([1.0, 2.0])], [np.zeros(3)], AdamState(), lr=1e-3)
+            self.step(p, np.zeros(3), Adam([p], lr=1e-3))
 
 
 class TestGradCheck:

@@ -274,14 +274,15 @@ class TestExplain:
         # similarity decreases with distance, so the activation map in latent
         # resolution peaks exactly at the recorded nearest-patch position
         from protoreg.engine import Tensor, no_grad
-        from protoreg.prototypes import similarity_np
+        from protoreg.prototypes import similarity
 
         with no_grad():
             result = model.forward(Tensor(image[None]))
+            acts = similarity(result.dmap, model.similarity_kind, model.eps,
+                              model.bank.d_max).data[0]
         dmap = result.dmap.data[0]
         for j in range(model.bank.m):
-            act = similarity_np(dmap[j], model.similarity_kind, model.eps, model.bank.d_max)
-            peak = np.unravel_index(np.argmax(act), act.shape)
+            peak = np.unravel_index(np.argmax(acts[j]), acts[j].shape)
             assert dmap[j][peak] == dmap[j].min()
 
     def test_activation_map_resolution(self, model, image):

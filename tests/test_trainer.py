@@ -7,6 +7,8 @@ from protoreg import losses, trainer
 from protoreg.data import SynthDataset
 from protoreg.gradcheck import TINY_BACKBONE, tiny_model
 
+from baseline import train_baseline
+
 
 def tiny_dataset(n=12, seed=0, grades=4):
     rng = np.random.default_rng(seed)
@@ -22,8 +24,8 @@ def tiny_dataset(n=12, seed=0, grades=4):
 
 def tiny_schedule(**kw):
     base = dict(cycles=1, joint_epochs=2, lastlayer_epochs=1, warmup_epochs=1,
-                pretrain_epochs=0, lr_backbone=1e-3, lr_protolayer=1e-3, lr_head=1e-3,
-                lr_pretrain=5e-3, batch_size=6, seed=0, augment=False)
+                lr_backbone=1e-3, lr_protolayer=1e-3, lr_head=1e-3,
+                batch_size=6, seed=0, augment=False)
     base.update(kw)
     return trainer.TrainSchedule(**base)
 
@@ -253,52 +255,14 @@ class TestBaseline:
         # with n small and few epochs we only require finite sane outputs
         ds = tiny_dataset(n=16, seed=0)
         test = tiny_dataset(n=8, seed=1)
-        mae, train_mse = trainer.train_baseline(TINY_BACKBONE, ds, test,
-                                                epochs=4, lr=3e-3, seed=0)
+        mae, train_mse = train_baseline(TINY_BACKBONE, ds, test, epochs=4, lr=3e-3, seed=0)
         assert np.isfinite(mae) and np.isfinite(train_mse)
         assert mae < 5.0
 
     def test_baseline_deterministic(self):
         ds = tiny_dataset(n=12, seed=0)
         test = tiny_dataset(n=6, seed=1)
-        a = trainer.train_baseline(TINY_BACKBONE, ds, test, epochs=2, seed=3)
-        b = trainer.train_baseline(TINY_BACKBONE, ds, test, epochs=2, seed=3)
+        a = train_baseline(TINY_BACKBONE, ds, test, epochs=2, seed=3)
+        b = train_baseline(TINY_BACKBONE, ds, test, epochs=2, seed=3)
         assert a == b
 
-
-class TestPretrain:
-    def test_pretrain_moves_backbone_and_logs(self):
-        model = tiny_model(seed=0)
-        ds = tiny_dataset(n=12, seed=0)
-        before = snapshot(model.backbone.params())
-        proto_before = snapshot([model.bank.vectors, model.theta])
-        log = trainer.run_protocol(model, ds, CFG_LOSS, WEIGHTS,
-                                   tiny_schedule(cycles=0, pretrain_epochs=2))
-        assert not unchanged(model.backbone.params(), before)
-        # pretraining fits the backbone through a throwaway linear head;
-        # prototypes and theta must not move
-        assert unchanged([model.bank.vectors, model.theta], proto_before)
-        assert [e["stage"] for e in log.epochs] == ["pretrain"]
-        assert model.cursor == {"cycle": -1, "stage": "pretrain"}
-
-    def test_pretrain_skipped_by_default(self):
-        model = tiny_model(seed=0)
-        ds = tiny_dataset(n=12, seed=0)
-        log = trainer.run_protocol(model, ds, CFG_LOSS, WEIGHTS,
-                                   tiny_schedule(cycles=1))
-        assert all(e["stage"] != "pretrain" for e in log.epochs)
-
-    def test_pretrain_callback_and_determinism(self):
-        ds = tiny_dataset(n=12, seed=0)
-        stages = []
-        model_a = tiny_model(seed=0)
-        trainer.run_protocol(model_a, ds, CFG_LOSS, WEIGHTS,
-                             tiny_schedule(cycles=1, pretrain_epochs=1),
-                             stage_callback=lambda st, cy, m: stages.append((st, cy)))
-        assert stages[0] == ("pretrain", -1)
-        assert stages[1:] == [("joint", 0), ("projection", 0), ("lastlayer", 0)]
-        model_b = tiny_model(seed=0)
-        trainer.run_protocol(model_b, ds, CFG_LOSS, WEIGHTS,
-                             tiny_schedule(cycles=1, pretrain_epochs=1))
-        for pa, pb in zip(model_a.params(), model_b.params()):
-            assert np.array_equal(pa.data, pb.data)
