@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Byte pins of the default pipeline: gen-data, train, eval, explain and embed on
-# the default config with one BLAS thread, then the sha256 of every output that
-# the numerics decide. A change that leaves the numerics alone prints the same
-# lines before and after it. Runs the code of the checkout the script is in.
+# the default config with one BLAS thread, then a small ablation matrix, then
+# the sha256 of every output that the numerics decide. A change that leaves the
+# numerics alone prints the same lines before and after it. Runs the code of
+# the checkout the script is in.
 # Usage: scripts/byte_pins.sh [out-root]
 set -euo pipefail
 
@@ -21,7 +22,19 @@ protoreg explain --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" \
   --sample-ids 0,7,123 --out "$OUT/explain"
 protoreg embed --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" --out "$OUT/embed"
 
+# the six ablation cells on a small split, so the log-similarity, k=1 and
+# zero-weight loss branches are pinned as well
+mkdir -p "$OUT/ablate"
+cat > "$OUT/ablate/config.json" <<'EOF'
+{"data": {"train_per_grade": 10, "test_per_grade": 10},
+ "train": {"cycles": 1, "joint_epochs": 2, "warmup_epochs": 1, "lastlayer_epochs": 1}}
+EOF
+protoreg gen-data --config "$OUT/ablate/config.json" --out "$OUT/ablate/data"
+protoreg ablate --config "$OUT/ablate/config.json" --data "$OUT/ablate/data" \
+  --out "$OUT/ablate/out"
+
 cd "$OUT"
 sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sample.csv \
   explain/explanation_*.json explain/*.pgm \
-  embed/embedding.csv embed/embedding.svg embed/usage_histogram.svg
+  embed/embedding.csv embed/embedding.svg embed/usage_histogram.svg \
+  run/checkpoint_c*_*.bin run/projection_report.json ablate/out/ablation.csv

@@ -103,9 +103,10 @@ def cmd_train(args) -> int:
 
 
 def _evaluate_to_dir(model: Model, cfg: dict, test_ds, out: Path) -> dict:
-    result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"])
-    (out / "metrics.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     y_hat, weights = metrics.per_sample_weights(model, test_ds)
+    result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"],
+                              weights=(y_hat, weights))
+    (out / "metrics.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     lines = ["sample_id,y,y_hat,abs_err,s_spars"]
     for i in range(len(test_ds)):
         y, y_h = float(test_ds.y[i]), float(y_hat[i])
@@ -154,12 +155,12 @@ def cmd_embed(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
     test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
-    latents = model.latents_np(test_ds.images)
-    n, c_z, h, w = latents.shape
-    patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)
+    fwd = model.forward_np(test_ds.images)
+    n, c_z, h, w = fwd.latent.shape
+    patches = fwd.latent.transpose(0, 2, 3, 1).reshape(-1, c_z)
     sample_ids = np.repeat(np.arange(n), h * w)
     patch_labels = np.repeat(test_ds.y, h * w)
-    _, weights = metrics.per_sample_weights(model, test_ds)
+    weights = metrics.contribution_matrix(model, fwd.s)
     top5 = [metrics.top_contributor_set(w_row) for w_row in weights]
     report = metrics.pca_embed(patches, sample_ids, patch_labels, model.bank, top5)
     (out / "embedding.csv").write_text(reports.embedding_csv(report))

@@ -85,8 +85,10 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # an owned copy: add hands one array to both parents, reshape a view
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     # -- elementwise -------------------------------------------------------
 
@@ -318,11 +320,17 @@ class Tensor:
         # builds for the per-tap contraction, so every element is summed in the
         # same order, to the same bits. w_taps[i, j] is W[:, :, i, j].T made
         # contiguous once per call, as matmul would otherwise do on every tap.
+        # The tap rows are kept when the weight gradient will need them.
         w_taps = np.ascontiguousarray(wdat.transpose(2, 3, 1, 0))
+        keep_rows = _GRAD_ENABLED and w.requires_grad
+        x_taps = []
         out = np.zeros((p, k))
         for i in range(kh):
             for j in range(kw):
-                out += _rows(tap(xd, i, j)) @ w_taps[i, j]
+                rows = _rows(tap(xd, i, j))
+                out += rows @ w_taps[i, j]
+                if keep_rows:
+                    x_taps.append(rows)
         out = np.ascontiguousarray(out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2))
 
         def backward(g):
@@ -337,11 +345,11 @@ class Tensor:
                         )
                 x._accum(gx)
             if w.requires_grad:
+                # rebuilt only if w started requiring a gradient after the forward pass
+                taps = x_taps or [_rows(tap(xd, i, j)) for i in range(kh) for j in range(kw)]
                 gw = np.empty_like(wdat)
-                for i in range(kh):
-                    for j in range(kw):
-                        x_cols = np.ascontiguousarray(tap(xd, i, j).transpose(1, 0, 2, 3))
-                        gw[:, :, i, j] = (x_cols.reshape(c, p) @ g_rows).T
+                for t, rows in enumerate(taps):
+                    gw[:, :, t // kw, t % kw] = (rows.T @ g_rows).T
                 w._accum(gw)
 
         return Tensor._result(out, (x, w), backward, "conv2d")

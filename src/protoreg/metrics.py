@@ -131,26 +131,27 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
     )
 
 
+def contribution_matrix(model: Model, s: np.ndarray) -> np.ndarray:
+    """(N, m) contribution weights from (N, m) similarities; row i is sample i's."""
+    r = importance(model.theta.data, model.bank.labels)
+    return np.vstack([contribution_weights(s_row, r)[0] for s_row in s])
+
+
 def per_sample_weights(model: Model, dataset: SynthDataset,
                        batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """(y_hat, W) where W[i] holds sample i's contribution weights."""
-    from .engine import Tensor, no_grad
-
-    r = importance(model.theta.data, model.bank.labels)
-    y_hat, weights = [], []
-    with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            result = model.forward(Tensor(dataset.images[start : start + batch_size]))
-            y_hat.append(result.y_hat.data)
-            for s_row in result.s.data:
-                w, _ = contribution_weights(s_row, r)
-                weights.append(w)
-    return np.concatenate(y_hat), np.vstack(weights)
+    out = model.forward_np(dataset.images, batch_size)
+    return out.y_hat, contribution_matrix(model, out.s)
 
 
-def evaluate(model: Model, dataset: SynthDataset, grades: int = 5) -> dict:
-    """MAE, rounded accuracy, mean sparsity and diversity on a labeled set."""
-    y_hat, weights = per_sample_weights(model, dataset)
+def evaluate(model: Model, dataset: SynthDataset, grades: int = 5,
+             weights: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
+    """MAE, rounded accuracy, mean sparsity and diversity on a labeled set.
+
+    weights, when given, is the (y_hat, W) pair that per_sample_weights
+    returns for this model and dataset; it is computed when None.
+    """
+    y_hat, weights = weights if weights is not None else per_sample_weights(model, dataset)
     mae = float(np.mean(np.abs(y_hat - dataset.y)))
     # accuracy against the categorical grade, on the unshifted scale
     reported = np.clip(np.round(y_hat - LABEL_SHIFT), 0, grades - 1)

@@ -19,6 +19,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,11 +47,32 @@ class CheckpointError(ValueError):
 
 @dataclass
 class ForwardResult:
+    latent: Tensor  # (N, c_z, h_z, w_z) backbone output
     dmap: Tensor  # (N, m, h_z, w_z) squared distances
     dmin: Tensor  # (N, m) min-pooled distances
     argmin: np.ndarray  # (N, m, 2) spatial argmin positions
     s: Tensor  # (N, m) similarities
     y_hat: Tensor  # (N,) predictions
+
+
+class ForwardArrays(NamedTuple):
+    latent: np.ndarray  # (N, c_z, h_z, w_z)
+    dmin: np.ndarray  # (N, m)
+    s: np.ndarray  # (N, m)
+    y_hat: np.ndarray  # (N,)
+
+
+def _chunks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of at most size + 1 rows, none of one row unless n == 1.
+
+    A lone sample gets distances up to 1.8e-15 away from the same sample in a
+    larger batch (the distance matmul takes another path at one row); batches
+    of two or more agree bitwise, so a tail of one joins the chunk before it.
+    """
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 @dataclass
@@ -94,17 +116,29 @@ class Model:
         latent = self.backbone.forward(images)
         dmap = distance_map(latent, self.bank)
         dmin, argmin = min_pool(dmap)
+        s, y_hat = self.head(dmin)
+        return ForwardResult(latent=latent, dmap=dmap, dmin=dmin, argmin=argmin, s=s,
+                             y_hat=y_hat)
+
+    def head(self, dmin: Tensor) -> tuple[Tensor, Tensor]:
+        """(similarities, predictions) from (N, m) min-pooled distances."""
         s = similarity(dmin, self.similarity_kind, self.eps, self.bank.d_max)
-        y_hat = head_mod.predict(s, self.theta, self.bank.labels)
-        return ForwardResult(dmap=dmap, dmin=dmin, argmin=argmin, s=s, y_hat=y_hat)
+        return s, head_mod.predict(s, self.theta, self.bank.labels)
+
+    def forward_np(self, images: np.ndarray, batch_size: int = 64) -> ForwardArrays:
+        """One no-grad pass over a raw image array, in chunks (see _chunks)."""
+        if images.shape[0] == 0:
+            raise ValueError("forward pass over an empty image array")
+        parts = []
+        with no_grad():
+            for chunk in _chunks(images.shape[0], batch_size):
+                r = self.forward(Tensor(images[chunk]))
+                parts.append((r.latent.data, r.dmin.data, r.s.data, r.y_hat.data))
+        return ForwardArrays(*(np.concatenate(a) for a in zip(*parts)))
 
     def predict_np(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Batched no-grad prediction on a raw image array."""
-        outs = []
-        with no_grad():
-            for start in range(0, images.shape[0], batch_size):
-                outs.append(self.forward(Tensor(images[start : start + batch_size])).y_hat.data)
-        return np.concatenate(outs)
+        return self.forward_np(images, batch_size).y_hat
 
     def latents_np(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
         outs = []

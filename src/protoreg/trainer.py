@@ -66,14 +66,20 @@ def _frozen(params: list[Tensor]):
             p.requires_grad = was
 
 
-def _batch_loss(model: Model, images: np.ndarray, y: np.ndarray, cfg_loss: dict,
+def _batch_loss(model: Model, batch: np.ndarray, y: np.ndarray, cfg_loss: dict,
                 weights: losses.LossWeights):
-    result = model.forward(Tensor(images))
-    mse_t = losses.mse(result.y_hat, y)
-    clst_t = losses.cluster_loss(
-        result.dmin, y, model.bank.labels, cfg_loss["k"], cfg_loss["delta_l"]
-    )
-    psd_t = losses.psd_loss(result.dmin, model.bank.d_max)
+    """Loss of one batch: (n, C, H, W) images run the whole model, and (n, m)
+    min-pooled distances, cached while the backbone and prototypes are
+    frozen, run only the head."""
+    if batch.ndim == 4:
+        result = model.forward(Tensor(batch))
+        dmin, y_hat = result.dmin, result.y_hat
+    else:
+        dmin = Tensor(batch)
+        _, y_hat = model.head(dmin)
+    mse_t = losses.mse(y_hat, y)
+    clst_t = losses.cluster_loss(dmin, y, model.bank.labels, cfg_loss["k"], cfg_loss["delta_l"])
+    psd_t = losses.psd_loss(dmin, model.bank.d_max)
     total = losses.total_loss(mse_t, clst_t, psd_t, weights)
     return total, mse_t.item(), clst_t.item(), psd_t.item()
 
@@ -82,7 +88,9 @@ def _run_epochs(model: Model, data: SynthDataset, cfg_loss: dict,
                 weights: losses.LossWeights, optimizers: list[Adam],
                 frozen: list[Tensor], epochs: int, rng: np.random.Generator,
                 schedule: TrainSchedule, log: TrainLog, cycle: int, stage: str,
-                epoch_offset: int = 0):
+                epoch_offset: int = 0, inputs: np.ndarray | None = None):
+    """Train for epochs; each batch reads rows of inputs (data.images by default)."""
+    inputs = data.images if inputs is None else inputs
     n = len(data)
     all_params = model.params()
     with _frozen(frozen):
@@ -92,10 +100,10 @@ def _run_epochs(model: Model, data: SynthDataset, cfg_loss: dict,
             batches = 0
             for start in range(0, n, schedule.batch_size):
                 idx = order[start : start + schedule.batch_size]
-                images = data.images[idx]
+                batch = inputs[idx]
                 if schedule.augment:
-                    images = augment_batch(images, rng)
-                total, m, c, p = _batch_loss(model, images, data.y[idx], cfg_loss, weights)
+                    batch = augment_batch(batch, rng)
+                total, m, c, p = _batch_loss(model, batch, data.y[idx], cfg_loss, weights)
                 total.backward()
                 for opt in optimizers:
                     opt.step()
@@ -139,12 +147,18 @@ def joint_stage(model: Model, data: SynthDataset, cfg_loss: dict,
 def lastlayer_stage(model: Model, data: SynthDataset, cfg_loss: dict,
                     weights: losses.LossWeights, schedule: TrainSchedule,
                     rng: np.random.Generator, log: TrainLog, cycle: int):
-    """Train theta only; backbone and prototypes stay bitwise fixed."""
+    """Train theta only; backbone and prototypes stay bitwise fixed.
+
+    Without augmentation every epoch sees the same images through the same
+    frozen layers, so their min-pooled distances are computed once and each
+    step runs only the head and the loss terms on them.
+    """
     opt_head = Adam([model.theta], schedule.lr_head)
     frozen = model.backbone.params() + [model.bank.vectors]
+    inputs = None if schedule.augment else model.forward_np(data.images).dmin
     _run_epochs(model, data, cfg_loss, weights, [opt_head], frozen=frozen,
                 epochs=schedule.lastlayer_epochs, rng=rng, schedule=schedule,
-                log=log, cycle=cycle, stage="lastlayer")
+                log=log, cycle=cycle, stage="lastlayer", inputs=inputs)
 
 
 def project_prototypes(model: Model, data: SynthDataset) -> list[dict]:

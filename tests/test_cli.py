@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from protoreg import metrics
+from protoreg.backbone import Backbone
 from protoreg.cli import main
 from protoreg.data import load_dataset
 from protoreg.model import load_checkpoint
@@ -139,6 +141,41 @@ class TestEval:
                      "--data", str(workdir / "data"), "--out", str(out2)]) == 0
         assert (out2 / "metrics.json").read_bytes() == \
             (workdir / "eval" / "metrics.json").read_bytes()
+
+
+@pytest.fixture
+def backbone_images(monkeypatch):
+    """A list that grows by the batch size of every Backbone.forward call."""
+    seen = []
+    forward = Backbone.forward
+
+    def counting(self, x):
+        seen.append(x.data.shape[0])
+        return forward(self, x)
+
+    monkeypatch.setattr(Backbone, "forward", counting)
+    return seen
+
+
+class TestSinglePass:
+    def test_eval_forwards_each_image_once(self, workdir, tmp_path, backbone_images):
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                     "--data", str(workdir / "data"), "--out", str(out)]) == 0
+        test = load_dataset(workdir / "data" / "test.insd")
+        assert sum(backbone_images) == len(test)
+        model, cfg = load_checkpoint(workdir / "run" / "checkpoint.bin")
+        expected = metrics.evaluate(model, test, grades=cfg["data"]["grades"])
+        assert json.loads((out / "metrics.json").read_text()) == expected
+        y_hat, weights = metrics.per_sample_weights(model, test)
+        rows = [r.split(",") for r in (out / "per_sample.csv").read_text().splitlines()[1:]]
+        assert [float(r[2]) for r in rows] == y_hat.tolist()
+        assert [int(r[4]) for r in rows] == [metrics.sparsity(w) for w in weights]
+
+    def test_embed_forwards_each_image_once(self, workdir, tmp_path, backbone_images):
+        assert main(["embed", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                     "--data", str(workdir / "data"), "--out", str(tmp_path / "embed")]) == 0
+        assert sum(backbone_images) == len(load_dataset(workdir / "data" / "test.insd"))
 
 
 class TestExplain:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from protoreg import losses, trainer
-from protoreg.data import SynthDataset
+from protoreg.backbone import Backbone
+from protoreg.data import SynthDataset, augment_batch
+from protoreg.engine import Adam, Tensor
 from protoreg.gradcheck import TINY_BACKBONE, tiny_model
 
 from baseline import train_baseline
@@ -96,6 +98,100 @@ class TestFreezing:
         trainer.lastlayer_stage(model, ds, CFG_LOSS, WEIGHTS, tiny_schedule(),
                                 rng, trainer.TrainLog(), cycle=0)
         assert all(p.requires_grad for p in model.params())
+
+
+def live_lastlayer(model, ds, sched, rng):
+    """The last-layer stage with a full forward pass per batch; per-epoch loss terms."""
+    opt = Adam([model.theta], sched.lr_head)
+    frozen = model.backbone.params() + [model.bank.vectors]
+    for p in frozen:
+        p.requires_grad = False
+    rows = []
+    for _ in range(sched.lastlayer_epochs):
+        order = rng.permutation(len(ds))
+        sums, batches = np.zeros(3), 0
+        for start in range(0, len(ds), sched.batch_size):
+            idx = order[start : start + sched.batch_size]
+            images = ds.images[idx]
+            if sched.augment:
+                images = augment_batch(images, rng)
+            r = model.forward(Tensor(images))
+            y = ds.y[idx]
+            mse = losses.mse(r.y_hat, y)
+            clst = losses.cluster_loss(r.dmin, y, model.bank.labels, CFG_LOSS["k"],
+                                       CFG_LOSS["delta_l"])
+            psd = losses.psd_loss(r.dmin, model.bank.d_max)
+            losses.total_loss(mse, clst, psd, WEIGHTS).backward()
+            opt.step()
+            model.theta.grad = None
+            sums += (mse.item(), clst.item(), psd.item())
+            batches += 1
+        rows.append(sums / batches)
+    for p in frozen:
+        p.requires_grad = True
+    return rows
+
+
+class TestForwardNp:
+    def test_chunk_size_does_not_change_bits(self):
+        model = tiny_model(seed=4)
+        images = tiny_dataset(n=11, seed=2).images
+        whole = model.forward_np(images, batch_size=11)
+        # sizes 2, 5 and 10 would leave image 10 alone, where its distances differ
+        for size in range(2, 11):
+            out = model.forward_np(images, batch_size=size)
+            for a, b in zip(out, whole):
+                assert a.tobytes() == b.tobytes(), size
+
+    def test_matches_forward(self):
+        from protoreg.engine import no_grad
+
+        model = tiny_model(seed=4)
+        images = tiny_dataset(n=5, seed=2).images
+        out = model.forward_np(images)
+        with no_grad():
+            r = model.forward(Tensor(images))
+        for a, b in zip(out, (r.latent, r.dmin, r.s, r.y_hat)):
+            assert np.array_equal(a, b.data)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            tiny_model(seed=0).forward_np(np.zeros((0, 3, 8, 8)))
+
+
+class TestLastLayerCache:
+    """The stage reads cached distances; it must train exactly as a live forward does."""
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_matches_live_forward(self, augment, monkeypatch):
+        # 14 samples in batches of 6: the tail batch holds 2
+        ds = tiny_dataset(n=14, seed=2)
+        sched = tiny_schedule(lastlayer_epochs=3, lr_head=1e-2, augment=augment)
+        ref_model = tiny_model(seed=4)
+        trainer.project_prototypes(ref_model, ds)
+        ref_rows = live_lastlayer(ref_model, ds, sched, np.random.default_rng(5))
+
+        model = tiny_model(seed=4)
+        trainer.project_prototypes(model, ds)
+        seen = []
+        forward = Backbone.forward
+
+        def counting(self, x):
+            seen.append(x.data.shape[0])
+            return forward(self, x)
+
+        monkeypatch.setattr(Backbone, "forward", counting)
+        log = trainer.TrainLog()
+        trainer.lastlayer_stage(model, ds, CFG_LOSS, WEIGHTS, sched,
+                                np.random.default_rng(5), log, cycle=0)
+        assert np.array_equal(model.theta.data, ref_model.theta.data)
+        assert len(log.epochs) == len(ref_rows)
+        for e, ref in zip(log.epochs, ref_rows):
+            assert [e["mse"], e["clst"], e["psd"]] == ref.tolist()  # bitwise
+        if augment:  # augmented images differ per epoch: one pass per batch
+            assert seen == [6, 6, 2] * sched.lastlayer_epochs
+        else:  # one pass over the split, before the first step
+            assert seen == [len(ds)]
 
 
 class TestProjection:
