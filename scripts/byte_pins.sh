@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte pins of the default pipeline: gen-data, train, eval, explain and embed on
-# the default config with one BLAS thread, then a small ablation matrix, then
-# the sha256 of every output that the numerics decide. A change that leaves the
+# the default config with one BLAS thread, then a small ablation matrix and an
+# eval and embed on a 1000-image test split, then the sha256 of every output
+# that the numerics decide. A change that leaves the
 # numerics alone prints the same lines before and after it. Runs the code of
 # the checkout the script is in.
 # Usage: scripts/byte_pins.sh [out-root]
@@ -33,8 +34,25 @@ protoreg gen-data --config "$OUT/ablate/config.json" --out "$OUT/ablate/data"
 protoreg ablate --config "$OUT/ablate/config.json" --data "$OUT/ablate/data" \
   --out "$OUT/ablate/out"
 
+# eval and embed at the size the benchmark's explain workload measures: a
+# 1000-image test split, scored by a model of one short cycle
+mkdir -p "$OUT/large"
+cat > "$OUT/large/config.json" <<'EOF'
+{"data": {"test_per_grade": 200},
+ "train": {"cycles": 1, "joint_epochs": 2, "warmup_epochs": 1, "lastlayer_epochs": 1}}
+EOF
+protoreg gen-data --config "$OUT/large/config.json" --out "$OUT/large/data"
+protoreg train --config "$OUT/large/config.json" --data "$OUT/large/data" \
+  --out "$OUT/large/run"
+protoreg eval --checkpoint "$OUT/large/run/checkpoint.bin" --data "$OUT/large/data" \
+  --out "$OUT/large/eval"
+protoreg embed --checkpoint "$OUT/large/run/checkpoint.bin" --data "$OUT/large/data" \
+  --out "$OUT/large/embed"
+
 cd "$OUT"
 sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sample.csv \
   explain/explanation_*.json explain/*.pgm \
   embed/embedding.csv embed/embedding.svg embed/usage_histogram.svg \
-  run/checkpoint_c*_*.bin run/projection_report.json ablate/out/ablation.csv
+  run/checkpoint_c*_*.bin run/projection_report.json ablate/out/ablation.csv \
+  large/eval/metrics.json large/eval/per_sample.csv \
+  large/embed/embedding.csv large/embed/embedding.svg large/embed/usage_histogram.svg

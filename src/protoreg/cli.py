@@ -108,9 +108,9 @@ def _evaluate_to_dir(model: Model, cfg: dict, test_ds, out: Path) -> dict:
                               weights=(y_hat, weights))
     (out / "metrics.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     lines = ["sample_id,y,y_hat,abs_err,s_spars"]
-    for i in range(len(test_ds)):
-        y, y_h = float(test_ds.y[i]), float(y_hat[i])
-        lines.append(f"{i},{y!r},{y_h!r},{abs(y_h - y)!r},{metrics.sparsity(weights[i])}")
+    rows = zip(test_ds.y.tolist(), y_hat.tolist(), metrics.sparsity_rows(weights).tolist())
+    for i, (y, y_h, spars) in enumerate(rows):
+        lines.append(f"{i},{y!r},{y_h!r},{abs(y_h - y)!r},{spars}")
     (out / "per_sample.csv").write_text("\n".join(lines) + "\n")
     config_mod.save_config(cfg, out / "resolved_config.json")
     return result
@@ -156,12 +156,13 @@ def cmd_embed(args) -> int:
     out = _out_dir(args.out)
     test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
     fwd = model.forward_np(test_ds.images)
+    weights = metrics.contribution_matrix(model, fwd.s)
     n, c_z, h, w = fwd.latent.shape
     patches = fwd.latent.transpose(0, 2, 3, 1).reshape(-1, c_z)
+    del fwd  # the PCA needs only patches, usually a copy of the latents: free them
     sample_ids = np.repeat(np.arange(n), h * w)
     patch_labels = np.repeat(test_ds.y, h * w)
-    weights = metrics.contribution_matrix(model, fwd.s)
-    top5 = [metrics.top_contributor_set(w_row) for w_row in weights]
+    top5 = metrics.top_contributor_rows(weights)
     report = metrics.pca_embed(patches, sample_ids, patch_labels, model.bank, top5)
     (out / "embedding.csv").write_text(reports.embedding_csv(report))
     (out / "embedding.svg").write_text(reports.embedding_svg(report))

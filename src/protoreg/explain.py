@@ -97,8 +97,9 @@ def to_pgm_bytes(values: np.ndarray) -> bytes:
 
 
 def contribution_order(w: np.ndarray) -> np.ndarray:
-    """Indices sorted by weight descending, ties by prototype index ascending."""
-    return np.lexsort((np.arange(w.size), -w))
+    """Indices sorted by weight descending, ties by prototype index ascending,
+    along the last axis of one (m,) weight row or an (N, m) matrix of them."""
+    return np.argsort(-w, axis=-1, kind="stable")
 
 
 def explain(image: np.ndarray, sample_id: int, y: float, model: Model,

@@ -48,12 +48,26 @@ def importance(theta: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return theta**2 / labels
 
 
+def first_bad_row(bad: np.ndarray) -> int | None:
+    """Index of the first row of a (..., m) mask with a True entry; a 1-D mask is row 0."""
+    rows = np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=1))
+    return int(rows[0]) if rows.size else None
+
+
 def contribution_weights(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-specific weights w = s * r and their normalized fractions."""
-    if np.any(s <= 0) or np.any(r < 0):
-        raise ValueError("need s > 0 and r >= 0")
+    """Sample-specific weights w = s * r and their normalized fractions.
+
+    s is one sample's (m,) similarities or an (N, m) matrix of them; each row
+    is normalized by its own total.
+    """
+    if np.any(r < 0):
+        raise ValueError("need r >= 0")
+    row = first_bad_row(s <= 0)
+    if row is not None:
+        raise ValueError(f"need s > 0 (row {row})")
     w = s * r
-    total = w.sum()
-    if total <= _DENOM_FLOOR:
-        raise DegenerateHeadError("all contribution weights are zero")
+    total = w.sum(axis=-1, keepdims=True)
+    row = first_bad_row(total <= _DENOM_FLOOR)
+    if row is not None:
+        raise DegenerateHeadError(f"all contribution weights are zero (row {row})")
     return w, w / total

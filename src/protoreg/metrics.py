@@ -11,50 +11,67 @@ a shared 2-D PCA basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .data import LABEL_SHIFT, SynthDataset
 from .explain import contribution_order
-from .head import contribution_weights, importance
+from .head import contribution_weights, first_bad_row, importance
 from .model import Model
 from .prototypes import PrototypeBank
 
 
+def sparsity_rows(weights: np.ndarray) -> np.ndarray:
+    """(N,) sparsities of an (N, m) weight matrix: per row, the smallest count
+    of largest-weight prototypes reaching 80% cumulative weight."""
+    row = first_bad_row(weights < 0)
+    if row is not None:
+        raise ValueError(f"weights must be nonnegative (row {row})")
+    totals = weights.sum(axis=1, keepdims=True)
+    row = first_bad_row(totals <= 0)
+    if row is not None:
+        raise ValueError(f"sparsity undefined for all-zero weights (row {row})")
+    ordered = np.take_along_axis(weights, contribution_order(weights), axis=1)
+    cumulative = np.cumsum(ordered, axis=1)
+    # entries short of the 80% mark, as searchsorted's left rule counts them
+    return np.sum(cumulative < 0.8 * totals - 1e-12, axis=1) + 1
+
+
 def sparsity(w: np.ndarray) -> int:
-    """Smallest count of largest-weight prototypes reaching 80% cumulative weight."""
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("sparsity undefined for all-zero weights")
-    ordered = w[contribution_order(w)]
-    cumulative = np.cumsum(ordered)
-    return int(np.searchsorted(cumulative, 0.8 * total - 1e-12) + 1)
+    """Sparsity of one sample's (m,) weights."""
+    return int(sparsity_rows(w[None])[0])
+
+
+def top_contributor_rows(weights: np.ndarray, size: int = 5) -> np.ndarray:
+    """(N, min(size, m)) indices of each row's largest weights, in contribution order."""
+    return contribution_order(weights)[:, :size]
 
 
 def top_contributor_set(w: np.ndarray, size: int = 5) -> frozenset[int]:
-    return frozenset(int(i) for i in contribution_order(w)[: min(size, w.size)])
+    return frozenset(top_contributor_rows(w[None], size)[0].tolist())
 
 
-def _membership_counts(top5_sets: list[frozenset[int]], m: int) -> np.ndarray:
-    """Per-prototype number of top-5 sets it belongs to."""
-    if not top5_sets:
+def _membership_counts(top5: list[frozenset[int]] | np.ndarray, m: int) -> np.ndarray:
+    """Per-prototype number of top-5 sets it belongs to.
+
+    top5 is a list of sets or a (N, k) index matrix from top_contributor_rows.
+    """
+    if len(top5) == 0:
         raise ValueError("top-5 membership needs a non-empty test set")
-    counts = np.zeros(m)
-    for s in top5_sets:
-        for j in s:
-            counts[j] += 1
-    return counts
+    members = (top5.ravel() if isinstance(top5, np.ndarray)
+               else np.fromiter(chain.from_iterable(top5), dtype=np.intp))
+    return np.bincount(members, minlength=m).astype(float)
 
 
-def diversity(top5_sets: list[frozenset[int]], m: int, threshold: float = 0.01) -> int:
+def diversity(top5_sets: list[frozenset[int]] | np.ndarray, m: int,
+              threshold: float = 0.01) -> int:
     """Number of prototypes in the top-5 set of >= threshold of the samples."""
     counts = _membership_counts(top5_sets, m)
     return int(np.sum(counts >= threshold * len(top5_sets) - 1e-12))
 
 
-def usage_histogram(top5_sets: list[frozenset[int]], m: int) -> np.ndarray:
+def usage_histogram(top5_sets: list[frozenset[int]] | np.ndarray, m: int) -> np.ndarray:
     """Per-prototype frequency of top-5 membership, normalized to sum to 1."""
     counts = _membership_counts(top5_sets, m)
     set_size = min(5, m)
@@ -93,7 +110,8 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
               patch_labels: np.ndarray, bank: PrototypeBank,
-              top5_sets: list[frozenset[int]], per_sample_select: int = 5) -> EmbeddingReport:
+              top5_sets: list[frozenset[int]] | np.ndarray,
+              per_sample_select: int = 5) -> EmbeddingReport:
     """Project the most prototype-adjacent patches plus prototypes into 2-D.
 
     For each sample only its per_sample_select patches with the smallest
@@ -133,8 +151,7 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
 
 def contribution_matrix(model: Model, s: np.ndarray) -> np.ndarray:
     """(N, m) contribution weights from (N, m) similarities; row i is sample i's."""
-    r = importance(model.theta.data, model.bank.labels)
-    return np.vstack([contribution_weights(s_row, r)[0] for s_row in s])
+    return contribution_weights(s, importance(model.theta.data, model.bank.labels))[0]
 
 
 def per_sample_weights(model: Model, dataset: SynthDataset,
@@ -156,12 +173,10 @@ def evaluate(model: Model, dataset: SynthDataset, grades: int = 5,
     # accuracy against the categorical grade, on the unshifted scale
     reported = np.clip(np.round(y_hat - LABEL_SHIFT), 0, grades - 1)
     accuracy = float(np.mean(reported == dataset.y_categorical - LABEL_SHIFT))
-    spars = [sparsity(w) for w in weights]
-    sets = [top_contributor_set(w) for w in weights]
     return {
         "mae": mae,
         "accuracy": accuracy,
-        "s_spars_mean": float(np.mean(spars)),
-        "diversity": diversity(sets, model.bank.m),
+        "s_spars_mean": float(np.mean(sparsity_rows(weights))),
+        "diversity": diversity(top_contributor_rows(weights), model.bank.m),
         "n_samples": len(dataset),
     }

@@ -141,11 +141,21 @@ class Model:
         return self.forward_np(images, batch_size).y_hat
 
     def latents_np(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        outs = []
+        """(N, c_z, h_z, w_z) backbone output of a raw image array, in the chunks
+        of forward_np, so each image's latent has forward_np's bits."""
         with no_grad():
-            for start in range(0, images.shape[0], batch_size):
-                outs.append(self.backbone.forward(Tensor(images[start : start + batch_size])).data)
-        return np.concatenate(outs)
+            return np.concatenate([self.backbone.forward(Tensor(images[chunk])).data
+                                   for chunk in _chunks(images.shape[0], batch_size)])
+
+    def dmin_np(self, latents: np.ndarray, batch_size: int = 64) -> np.ndarray:
+        """(N, m) min-pooled distances of latents_np's output, in the chunks of
+        forward_np, so they equal forward_np's dmin bit for bit."""
+        parts = []
+        with no_grad():
+            for chunk in _chunks(latents.shape[0], batch_size):
+                dmin, _ = min_pool(distance_map(Tensor(latents[chunk]), self.bank))
+                parts.append(dmin.data)
+        return np.concatenate(parts)
 
 
 def _tensor_manifest(model: Model) -> list[tuple[str, Tensor]]:

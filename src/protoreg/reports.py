@@ -33,12 +33,13 @@ def embedding_svg(report: EmbeddingReport, size: int = 480) -> str:
     labels = [p[4] for p in report.points]
     lo, hi = min(labels), max(labels)
     pad = 30
-    span_x = max(xs.max() - xs.min(), 1e-12)
-    span_y = max(ys.max() - ys.min(), 1e-12)
+    x_lo, y_lo = xs.min(), ys.min()
+    span_x = max(xs.max() - x_lo, 1e-12)
+    span_y = max(ys.max() - y_lo, 1e-12)
 
     def to_px(x, y):
-        px = pad + (x - xs.min()) / span_x * (size - 2 * pad)
-        py = size - pad - (y - ys.min()) / span_y * (size - 2 * pad)
+        px = pad + (x - x_lo) / span_x * (size - 2 * pad)
+        py = size - pad - (y - y_lo) / span_y * (size - 2 * pad)
         return px, py
 
     parts = [_svg_header(size, size)]

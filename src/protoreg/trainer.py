@@ -146,30 +146,40 @@ def joint_stage(model: Model, data: SynthDataset, cfg_loss: dict,
 
 def lastlayer_stage(model: Model, data: SynthDataset, cfg_loss: dict,
                     weights: losses.LossWeights, schedule: TrainSchedule,
-                    rng: np.random.Generator, log: TrainLog, cycle: int):
+                    rng: np.random.Generator, log: TrainLog, cycle: int,
+                    latents: np.ndarray | None = None):
     """Train theta only; backbone and prototypes stay bitwise fixed.
 
     Without augmentation every epoch sees the same images through the same
     frozen layers, so their min-pooled distances are computed once and each
-    step runs only the head and the loss terms on them.
+    step runs only the head and the loss terms on them. latents, when given,
+    is model.latents_np(data.images) for the current backbone (projection's
+    pass), and the distances come from it without another backbone pass.
     """
     opt_head = Adam([model.theta], schedule.lr_head)
     frozen = model.backbone.params() + [model.bank.vectors]
-    inputs = None if schedule.augment else model.forward_np(data.images).dmin
+    inputs = None
+    if not schedule.augment:
+        if latents is None:
+            latents = model.latents_np(data.images)
+        inputs = model.dmin_np(latents)
     _run_epochs(model, data, cfg_loss, weights, [opt_head], frozen=frozen,
                 epochs=schedule.lastlayer_epochs, rng=rng, schedule=schedule,
                 log=log, cycle=cycle, stage="lastlayer", inputs=inputs)
 
 
-def project_prototypes(model: Model, data: SynthDataset) -> list[dict]:
+def project_prototypes(model: Model, data: SynthDataset,
+                       latents: np.ndarray | None = None) -> list[dict]:
     """Replace each prototype by its nearest training latent patch.
 
     Ties resolve to the earliest (sample, row, col) in scan order. Labels
-    are untouched. Returns one report entry per prototype.
+    are untouched. latents, when given, is model.latents_np(data.images).
+    Returns one report entry per prototype.
     """
     if len(data) == 0:
         raise ValueError("cannot project prototypes onto an empty training set")
-    latents = model.latents_np(data.images)  # (N, c_z, h, w)
+    if latents is None:
+        latents = model.latents_np(data.images)  # (N, c_z, h, w)
     n, c_z, h, w = latents.shape
     # (N*h*w, c_z), sample-major then row-major spatial: scan order for ties
     patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)
@@ -211,12 +221,15 @@ def run_protocol(model: Model, data: SynthDataset, cfg_loss: dict,
         model.cursor = {"cycle": cycle, "stage": "joint"}
         if stage_callback:
             stage_callback("joint", cycle, model)
-        report = project_prototypes(model, data)
+        # one backbone pass serves projection and the last-layer cache
+        latents = model.latents_np(data.images)
+        report = project_prototypes(model, data, latents)
         log.projections.append({"cycle": cycle, "prototypes": report})
         model.cursor = {"cycle": cycle, "stage": "projection"}
         if stage_callback:
             stage_callback("projection", cycle, model)
-        lastlayer_stage(model, data, cfg_loss, weights, schedule, rng, log, cycle)
+        lastlayer_stage(model, data, cfg_loss, weights, schedule, rng, log, cycle,
+                        latents=latents)
         model.cursor = {"cycle": cycle, "stage": "lastlayer"}
         if stage_callback:
             stage_callback("lastlayer", cycle, model)

@@ -177,6 +177,19 @@ class TestSinglePass:
                      "--data", str(workdir / "data"), "--out", str(tmp_path / "embed")]) == 0
         assert sum(backbone_images) == len(load_dataset(workdir / "data" / "test.insd"))
 
+    def test_no_per_row_metric_calls(self, workdir, tmp_path, monkeypatch):
+        def per_row(*args, **kwargs):
+            raise AssertionError("a single-row metric was called")
+
+        monkeypatch.setattr(metrics, "sparsity", per_row)
+        monkeypatch.setattr(metrics, "top_contributor_set", per_row)
+        for command in ("eval", "embed"):
+            assert main([command, "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                         "--data", str(workdir / "data"),
+                         "--out", str(tmp_path / command)]) == 0
+        assert (tmp_path / "eval" / "per_sample.csv").exists()
+        assert (tmp_path / "embed" / "usage_histogram.svg").exists()
+
 
 class TestExplain:
     def test_artifacts(self, workdir):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from protoreg.engine import Tensor
 from protoreg.head import (
@@ -101,3 +102,52 @@ class TestContributionWeights:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateHeadError):
             contribution_weights(np.array([1.0]), np.array([0.0]))
+
+
+@st.composite
+def similarities_and_importance(draw):
+    """(N, m) positive similarities with ties, and importances with zeros; m from 1 up."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    tied = st.sampled_from([0.5, 1.0, 1.0 / 3.0])
+    s = draw(hnp.arrays(np.float64, (n, m), elements=tied | st.floats(1e-6, 1e6)))
+    importances = st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 5.0)
+    r = draw(hnp.arrays(np.float64, m, elements=importances))
+    if not r.any():
+        r[0] = 1.0
+    return s, r
+
+
+class TestContributionWeightRows:
+    @settings(max_examples=200, deadline=None)
+    @given(similarities_and_importance())
+    def test_matrix_equals_row_loop(self, case):
+        s, r = case
+        w, fractions = contribution_weights(s, r)
+        for i, s_row in enumerate(s):
+            w_row = s_row * r
+            assert w[i].tobytes() == w_row.tobytes()
+            assert fractions[i].tobytes() == (w_row / w_row.sum()).tobytes()
+            one_w, one_fractions = contribution_weights(s_row, r)
+            assert one_w.tobytes() == w_row.tobytes()
+            assert one_fractions.tobytes() == fractions[i].tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_similarity_names_first_row(self, bad):
+        s = np.ones((5, 3))
+        s[2, 1] = bad
+        s[4, 0] = bad
+        with pytest.raises(ValueError, match=r"s > 0 \(row 2\)"):
+            contribution_weights(s, np.ones(3))
+
+    def test_negative_importance_rejected(self):
+        with pytest.raises(ValueError, match="r >= 0"):
+            contribution_weights(np.ones((2, 2)), np.array([1.0, -1.0]))
+
+    def test_degenerate_row_named(self):
+        # row 1's weights underflow to zero; row 3's too, but row 1 comes first
+        r = np.array([1e-200, 0.0])
+        s = np.ones((4, 2))
+        s[1, 0] = s[3, 0] = 1e-200
+        with pytest.raises(DegenerateHeadError, match=r"row 1\)"):
+            contribution_weights(s, r)

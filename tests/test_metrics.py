@@ -36,6 +36,86 @@ def diversity_oracle(sets, m, threshold=0.01):
     return hits
 
 
+@st.composite
+def weight_matrices(draw):
+    """(N, m) nonnegative weights, each row with a positive entry: tied values,
+    zero columns (prototypes of zero importance), m from 1 up, m < 5 included."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    values = st.sampled_from([0.0, 0.25, 1.0 / 3.0, 1.0, 2.0]) | st.floats(0.0, 1e6)
+    w = draw(hnp.arrays(np.float64, (n, m), elements=values))
+    dead = draw(hnp.arrays(np.bool_, m))
+    if dead.all():
+        dead[0] = False
+    w[:, dead] = 0.0
+    w[w.sum(axis=1) <= 0, np.flatnonzero(~dead)[0]] = 1.0
+    return w
+
+
+def row_loop(w: np.ndarray, m: int):
+    """Sparsity, top-5 sets and membership counts, one row at a time."""
+    spars, sets = [], []
+    counts = np.zeros(m)
+    for row in w:
+        order = np.lexsort((np.arange(m), -row))
+        cumulative = np.cumsum(row[order])
+        spars.append(int(np.searchsorted(cumulative, 0.8 * row.sum() - 1e-12) + 1))
+        sets.append(frozenset(order[:5].tolist()))
+        for j in sets[-1]:
+            counts[j] += 1
+    return spars, sets, counts
+
+
+class TestRowForms:
+    """The whole-matrix forms equal a row-by-row computation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weight_matrices())
+    def test_match_row_loop(self, w):
+        n, m = w.shape
+        spars, sets, counts = row_loop(w, m)
+        assert metrics.sparsity_rows(w).tolist() == spars
+        assert [metrics.sparsity(row) for row in w] == spars
+        top = metrics.top_contributor_rows(w)
+        assert top.shape == (n, min(5, m))
+        assert [frozenset(t.tolist()) for t in top] == sets
+        assert [metrics.top_contributor_set(row) for row in w] == sets
+        assert contribution_order(w).tolist() == [
+            np.lexsort((np.arange(m), -row)).tolist() for row in w]
+        for top5 in (top, sets):
+            assert metrics.diversity(top5, m) == diversity_oracle(sets, m)
+            hist = metrics.usage_histogram(top5, m)
+            assert hist.tobytes() == (counts / (min(5, m) * n)).tobytes()
+
+    def test_total_is_the_rows_own_sum(self):
+        # np.sum's pairwise total and the last cumulative sum differ here by
+        # one ulp, which moves the 80% mark across an entry
+        w = np.array([[200000.0, 2e6 / 3, 100000.0, 3.8e6 / 3, 3.5e6 / 3, 8e5 / 3,
+                       400000.0, 2.3e6 / 3]])
+        assert w.sum() != np.cumsum(w)[-1]
+        assert metrics.sparsity_rows(w).tolist() == row_loop(w, 8)[0]
+
+    def test_contribution_matrix_matches_row_loop(self):
+        model = tiny_model(seed=3)
+        s = model.forward_np(np.random.default_rng(4).uniform(size=(9, 3, 8, 8))).s
+        r = model.theta.data**2 / model.bank.labels
+        loop = np.vstack([s_row * r for s_row in s])
+        assert metrics.contribution_matrix(model, s).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("bad_row", [0, 2])
+    def test_errors_name_the_first_bad_row(self, bad_row):
+        w = np.ones((4, 3))
+        w[bad_row, 1] = -0.5
+        w[3, 0] = -1.0
+        with pytest.raises(ValueError, match=rf"nonnegative \(row {bad_row}\)"):
+            metrics.sparsity_rows(w)
+        w = np.ones((4, 3))
+        w[bad_row] = 0.0
+        w[3] = 0.0
+        with pytest.raises(ValueError, match=rf"all-zero weights \(row {bad_row}\)"):
+            metrics.sparsity_rows(w)
+
+
 class TestSparsity:
     def test_single_dominant_weight(self):
         assert metrics.sparsity(np.array([10.0, 1.0, 1.0])) == 1

@@ -158,6 +158,17 @@ class TestForwardNp:
         with pytest.raises(ValueError, match="empty"):
             tiny_model(seed=0).forward_np(np.zeros((0, 3, 8, 8)))
 
+    def test_latents_and_dmin_match_forward_np(self):
+        model = tiny_model(seed=4)
+        images = tiny_dataset(n=11, seed=2).images
+        # size 5 and 10 fold a lone tail image into the chunk before it
+        for size in (5, 10, 64):
+            whole = model.forward_np(images, batch_size=size)
+            latents = model.latents_np(images, batch_size=size)
+            assert latents.tobytes() == whole.latent.tobytes(), size
+            dmin = model.dmin_np(latents, batch_size=size)
+            assert dmin.tobytes() == whole.dmin.tobytes(), size
+
 
 class TestLastLayerCache:
     """The stage reads cached distances; it must train exactly as a live forward does."""
@@ -192,6 +203,37 @@ class TestLastLayerCache:
             assert seen == [6, 6, 2] * sched.lastlayer_epochs
         else:  # one pass over the split, before the first step
             assert seen == [len(ds)]
+
+    def test_protocol_shares_the_projection_pass(self, monkeypatch):
+        ds = tiny_dataset(n=14, seed=2)
+        sched = tiny_schedule(cycles=2)
+
+        def run():
+            model = tiny_model(seed=4)
+            log = trainer.run_protocol(model, ds, CFG_LOSS, WEIGHTS, sched)
+            return model.theta.data, [[e["mse"], e["clst"], e["psd"]] for e in log.epochs]
+
+        # reference: the last-layer stage forwards the split itself
+        stage = trainer.lastlayer_stage
+        monkeypatch.setattr(trainer, "lastlayer_stage",
+                            lambda *args, latents=None: stage(*args))
+        ref_theta, ref_rows = run()
+        monkeypatch.setattr(trainer, "lastlayer_stage", stage)
+
+        seen = []
+        forward = Backbone.forward
+
+        def counting(self, x):
+            seen.append(x.data.shape[0])
+            return forward(self, x)
+
+        monkeypatch.setattr(Backbone, "forward", counting)
+        theta, rows = run()
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert rows == ref_rows
+        # every joint epoch forwards the split once, and each cycle's
+        # projection and last-layer cache share one more pass
+        assert sum(seen) == sched.cycles * (sched.joint_epochs + 1) * len(ds)
 
 
 class TestProjection:
