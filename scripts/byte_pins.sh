@@ -22,6 +22,9 @@ protoreg eval --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" --out "$
 protoreg explain --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" \
   --sample-ids 0,7,123 --out "$OUT/explain"
 protoreg embed --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" --out "$OUT/embed"
+# every one of the m = 10 default prototypes' maps, not only the top three
+protoreg explain --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" \
+  --sample-ids 0 --top-k 10 --out "$OUT/explain_all"
 
 # the six ablation cells on a small split, so the log-similarity, k=1 and
 # zero-weight loss branches are pinned as well
@@ -55,4 +58,6 @@ sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sam
   embed/embedding.csv embed/embedding.svg embed/usage_histogram.svg \
   run/checkpoint_c*_*.bin run/projection_report.json ablate/out/ablation.csv \
   large/eval/metrics.json large/eval/per_sample.csv \
-  large/embed/embedding.csv large/embed/embedding.svg large/embed/usage_histogram.svg
+  large/embed/embedding.csv large/embed/embedding.svg large/embed/usage_histogram.svg \
+  data/*.insd ablate/data/*.insd large/data/*.insd \
+  explain_all/explanation_*.json explain_all/*.pgm

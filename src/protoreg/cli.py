@@ -8,6 +8,7 @@ Relative --out paths are placed under $PROTOREG_OUT_ROOT when it is set.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -20,6 +21,34 @@ from . import data as data_mod
 from . import gradcheck, metrics, reports, trainer
 from .explain import explain, to_pgm_bytes
 from .model import Model, load_checkpoint, save_checkpoint
+
+
+# glibc mallopt parameters, and the size from which numpy asks for huge pages
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_LARGE_BLOCK = 4 << 20
+# the largest trim threshold glibc's moving rule reaches, twice its 32 MiB
+# mmap ceiling; a lower one shrinks and regrows the heap's top during training
+_TRIM_THRESHOLD = 64 << 20
+
+
+def pin_malloc_thresholds() -> bool:
+    """Give every block of 4 MiB or more its own mapping, returned on free.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far, so once a dataset-sized array is freed, later ones come from the
+    heap. numpy marks such arrays for transparent huge pages, so the heap
+    around them keeps 2 MiB pages for whatever lands there later, and a
+    command's peak memory depended on the order of earlier frees and on how
+    many huge pages the kernel had to spare. Fixed thresholds keep large
+    arrays out of the heap. Returns False where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _LARGE_BLOCK)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
 def _out_dir(path: str) -> Path:
@@ -277,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -80,12 +80,19 @@ class SynthDataset:
 def _place_blobs(cfg: SynthConfig, n_blobs: int,
                  rng: np.random.Generator) -> list[tuple[float, float, float]] | None:
     h, w = cfg.image_hw
+    r_lo, r_hi = cfg.blob_radius
     placed: list[tuple[float, float, float]] = []
     for _ in range(n_blobs):
         for _attempt in range(_PLACEMENT_TRIES):
-            r = rng.uniform(*cfg.blob_radius)
-            cy = rng.uniform(r, h - 1 - r)
-            cx = rng.uniform(r, w - 1 - r)
+            # lo + (hi - lo) * random() is Generator.uniform's own arithmetic,
+            # so each value keeps its bits without the per-call overhead
+            r = r_lo + (r_hi - r_lo) * rng.random()
+            cy_hi, cx_hi = h - 1 - r, w - 1 - r
+            if cy_hi < r or cx_hi < r:
+                raise DataConfigError(f"a blob of radius {r} does not fit in a "
+                                      f"{h}x{w} image")
+            cy = r + (cy_hi - r) * rng.random()
+            cx = r + (cx_hi - r) * rng.random()
             # keep blobs from touching so component counting stays exact
             if all((cy - py) ** 2 + (cx - px) ** 2 > (r + pr + 2.0) ** 2
                    for py, px, pr in placed):
@@ -96,7 +103,9 @@ def _place_blobs(cfg: SynthConfig, n_blobs: int,
     return placed
 
 
-def _draw_image(cfg: SynthConfig, n_blobs: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_image(cfg: SynthConfig, n_blobs: int, rng: np.random.Generator,
+                yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Draw one (H, W) image; yy, xx are its pixel grid."""
     h, w = cfg.image_hw
     img = np.full((h, w), _BACKGROUND)
     if cfg.noise_sigma > 0:
@@ -110,24 +119,27 @@ def _draw_image(cfg: SynthConfig, n_blobs: int, rng: np.random.Generator) -> np.
             f"could not place {n_blobs} non-touching blobs of radius "
             f"{cfg.blob_radius} in a {h}x{w} image"
         )
-    yy, xx = np.mgrid[0:h, 0:w]
     for cy, cx, r in placed:
-        img[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = _BLOB_VALUE
+        # the blob's bounding box widened by one pixel holds every painted pixel
+        box = (slice(max(int(cy - r) - 1, 0), min(int(cy + r) + 2, h)),
+               slice(max(int(cx - r) - 1, 0), min(int(cx + r) + 2, w)))
+        img[box][(yy[box] - cy) ** 2 + (xx[box] - cx) ** 2 <= r * r] = _BLOB_VALUE
     np.clip(img, 0.0, 1.0, out=img)
-    return np.repeat(img[None, :, :], cfg.channels, axis=0)
+    return img
 
 
 def generate(cfg: SynthConfig, per_grade: int, split: str, seed: int) -> SynthDataset:
     """Balanced dataset: per_grade images of every internal grade 1..grades."""
     rng = np.random.default_rng(seed)
-    images, grades = [], []
-    for g in range(1, cfg.grades + 1):
-        for _ in range(per_grade):
-            images.append(_draw_image(cfg, g * cfg.blobs_per_grade, rng))
-            grades.append(float(g))
-    y = np.array(grades)
+    h, w = cfg.image_hw
+    yy, xx = np.mgrid[0:h, 0:w]
+    images = np.empty((cfg.grades * per_grade, cfg.channels, h, w))
+    y = np.repeat(np.arange(1.0, cfg.grades + 1), per_grade)
+    for i, g in enumerate(y):
+        # every channel holds the same image
+        images[i] = _draw_image(cfg, int(g) * cfg.blobs_per_grade, rng, yy, xx)
     return SynthDataset(
-        images=np.stack(images),
+        images=images,
         y=y,
         y_categorical=y.copy(),
         label_mode="categorical",

@@ -70,19 +70,24 @@ class Explanation:
 
 
 def bilinear_upsample(grid: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Align-corners bilinear interpolation of a 2-D array."""
-    in_h, in_w = grid.shape
+    """Align-corners bilinear interpolation of a 2-D array or a (..., h, w) stack.
+
+    The index and weight vectors are built once for the whole stack; rows are
+    gathered first, then columns, one axis at a time.
+    """
+    in_h, in_w = grid.shape[-2:]
     out_h, out_w = out_hw
     ys = np.linspace(0.0, in_h - 1, out_h)
     xs = np.linspace(0.0, in_w - 1, out_w)
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 2) if in_h > 1 else np.zeros(out_h, int)
     x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 2) if in_w > 1 else np.zeros(out_w, int)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    a = grid[np.ix_(y0, x0)]
-    b = grid[np.ix_(y0, np.minimum(x0 + 1, in_w - 1))]
-    c = grid[np.ix_(np.minimum(y0 + 1, in_h - 1), x0)]
-    d = grid[np.ix_(np.minimum(y0 + 1, in_h - 1), np.minimum(x0 + 1, in_w - 1))]
+    wx = xs - x0
+    top, bottom = grid[..., y0, :], grid[..., y1, :]
+    a, b = top[..., x0], top[..., x1]
+    c, d = bottom[..., x0], bottom[..., x1]
     return (a * (1 - wy) * (1 - wx) + b * (1 - wy) * wx
             + c * wy * (1 - wx) + d * wy * wx)
 
@@ -105,6 +110,8 @@ def contribution_order(w: np.ndarray) -> np.ndarray:
 def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
             top_k: int = 3) -> Explanation:
     """Build the explanation for a single (C,H,W) image."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     with no_grad():
         result = model.forward(Tensor(image[None]))
         # (m, h_z, w_z): the model's own similarity of every patch
@@ -118,10 +125,10 @@ def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
     sorted_fracs = fractions[order]
     projected = model.bank.projected
     in_hw = image.shape[1], image.shape[2]
-
+    top = order[:top_k]
+    maps = bilinear_upsample(act_maps[top], in_hw)
     records = []
-    for rank in range(min(top_k, model.bank.m)):
-        j = int(order[rank])
+    for j, activation_map in zip(top.tolist(), maps):
         prov = model.bank.provenance[j]
         records.append(PrototypeContribution(
             index=j,
@@ -132,7 +139,7 @@ def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
             weight_fraction=float(fractions[j]),
             argmin_row=int(argmin[j, 0]),
             argmin_col=int(argmin[j, 1]),
-            activation_map=bilinear_upsample(act_maps[j], in_hw),
+            activation_map=activation_map,
             provenance=None if prov is None else {
                 "sample_id": prov.sample_id, "row": prov.row, "col": prov.col,
             },

@@ -108,6 +108,10 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centered @ comps.T, comps, evr
 
 
+# rows per block of pca_embed's distance pass: 512 KiB temporaries at c_z = 16
+PCA_BLOCK_ROWS = 4096
+
+
 def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
               patch_labels: np.ndarray, bank: PrototypeBank,
               top5_sets: list[frozenset[int]] | np.ndarray,
@@ -118,10 +122,13 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
     distance to any prototype are kept.
     """
     protos = bank.vectors.data
-    # one prototype at a time keeps the temporaries at the size of patches
+    # a block of rows and one prototype at a time keeps the temporaries small;
+    # each row's sum is the same in a block as over the whole array
     d2 = np.full(patches.shape[0], np.inf)
-    for p in protos:
-        np.minimum(d2, ((patches - p) ** 2).sum(axis=1), out=d2)
+    for lo in range(0, patches.shape[0], PCA_BLOCK_ROWS):
+        rows, out = patches[lo:lo + PCA_BLOCK_ROWS], d2[lo:lo + PCA_BLOCK_ROWS]
+        for p in protos:
+            np.minimum(out, ((rows - p) ** 2).sum(axis=1), out=out)
     # by sample, then by distance; ties keep the earlier patch
     order = np.lexsort((d2, patch_sample_ids))
     _, starts, counts = np.unique(patch_sample_ids[order], return_index=True,

@@ -1,11 +1,16 @@
 """End-to-end tests of the command line surface on a tiny configuration."""
 
 import json
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import protoreg
 from protoreg import metrics
 from protoreg.backbone import Backbone
 from protoreg.cli import main
@@ -213,6 +218,15 @@ class TestExplain:
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one(self, workdir, tmp_path, capsys, top_k):
+        rc = main(["explain", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                   "--data", str(workdir / "data"), "--sample-ids", "0",
+                   "--top-k", top_k, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"error: top_k must be >= 1, got {top_k}" in capsys.readouterr().err
+        assert not list((tmp_path / "x").glob("explanation_*.json"))
+
 
 class TestEmbed:
     def test_artifacts(self, workdir):
@@ -293,3 +307,31 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {ckpt}: "), err
             assert "the tensor manifest expects" in err, err
+
+
+# Frees a 16 MiB array, which raises glibc's default mmap threshold, then
+# prints whether a new 5 MiB array lies inside the brk heap.
+_HEAP_PROBE = """
+import sys
+import numpy as np
+from protoreg.cli import pin_malloc_thresholds
+if sys.argv[1] == "pin":
+    assert pin_malloc_thresholds()
+big = np.ones(2 << 20)
+del big
+addr = np.ones(5 << 17).__array_interface__["data"][0]
+lo, hi = next([int(x, 16) for x in line.split()[0].split("-")]
+              for line in open("/proc/self/maps") if line.rstrip().endswith("[heap]"))
+print(lo <= addr < hi)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/maps").exists(),
+                    reason="glibc heap layout")
+@pytest.mark.parametrize("mode, in_heap", [("default", "True"), ("pin", "False")])
+def test_pinned_thresholds_keep_large_arrays_out_of_the_heap(mode, in_heap):
+    src = str(Path(protoreg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode], capture_output=True,
+                         text=True, check=True,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.stdout.strip() == in_heap

@@ -37,6 +37,50 @@ def count_components(image_chw: np.ndarray) -> int:
     return int(n)
 
 
+def reference_place(cfg: D.SynthConfig, n_blobs: int, rng: np.random.Generator):
+    """Greedy blob placement by Generator.uniform draws."""
+    h, w = cfg.image_hw
+    placed = []
+    for _ in range(n_blobs):
+        for _attempt in range(D._PLACEMENT_TRIES):
+            r = rng.uniform(*cfg.blob_radius)
+            cy = rng.uniform(r, h - 1 - r)
+            cx = rng.uniform(r, w - 1 - r)
+            if all((cy - py) ** 2 + (cx - px) ** 2 > (r + pr + 2.0) ** 2
+                   for py, px, pr in placed):
+                placed.append((cy, cx, r))
+                break
+        else:
+            return None
+    return placed
+
+
+def reference_generate(cfg: D.SynthConfig, per_grade: int, seed: int):
+    """The generator one image at a time: a fresh pixel grid per image, each
+    blob painted over the whole image, then a stack."""
+    rng = np.random.default_rng(seed)
+    h, w = cfg.image_hw
+    images, grades = [], []
+    for g in range(1, cfg.grades + 1):
+        for _ in range(per_grade):
+            img = np.full((h, w), D._BACKGROUND)
+            if cfg.noise_sigma > 0:
+                img += rng.normal(0.0, cfg.noise_sigma, size=(h, w))
+            for _restart in range(D._IMAGE_RESTARTS):
+                placed = reference_place(cfg, g * cfg.blobs_per_grade, rng)
+                if placed is not None:
+                    break
+            else:
+                raise AssertionError("reference placement gave up")
+            yy, xx = np.mgrid[0:h, 0:w]
+            for cy, cx, r in placed:
+                img[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = D._BLOB_VALUE
+            np.clip(img, 0.0, 1.0, out=img)
+            images.append(np.repeat(img[None, :, :], cfg.channels, axis=0))
+            grades.append(float(g))
+    return np.stack(images), np.array(grades)
+
+
 class TestGeneration:
     def test_shapes_and_balance(self):
         cfg = small_cfg()
@@ -92,8 +136,45 @@ class TestGeneration:
     def test_overcrowded_config_raises(self):
         cfg = small_cfg(image_hw=(16, 16), grades=5, blobs_per_grade=8,
                         blob_radius=(3.0, 3.0), noise_sigma=0.0)
-        with pytest.raises(D.DataConfigError):
+        with pytest.raises(D.DataConfigError, match="could not place 8 non-touching blobs"):
             D.generate(cfg, per_grade=1, split="train", seed=0)
+
+    def test_blob_wider_than_image_raises(self):
+        cfg = small_cfg(image_hw=(6, 32), blob_radius=(3.0, 3.0))
+        with pytest.raises(D.DataConfigError, match="does not fit in a 6x32 image"):
+            D.generate(cfg, per_grade=1, split="train", seed=0)
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"channels": 1},
+        {"noise_sigma": 0.0},
+        {"image_hw": (20, 37), "blobs_per_grade": 1},
+        {"image_hw": (24, 24), "blob_radius": (0.5, 5.0), "blobs_per_grade": 1},
+        {"channels": 1, "grades": 3, "blob_radius": (1.0, 1.0), "noise_sigma": 0.2},
+    ])
+    def test_matches_per_image_reference_bytes(self, kw):
+        cfg = small_cfg(**kw)
+        images, y = reference_generate(cfg, per_grade=3, seed=5)
+        ds = D.generate(cfg, per_grade=3, split="train", seed=5)
+        assert ds.images.shape == images.shape
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.y.tobytes() == y.tobytes() and ds.y_categorical.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("kw", [{}, {"image_hw": (20, 37), "blob_radius": (0.5, 5.0)}])
+    def test_placement_draws_match_uniform(self, kw):
+        # image bytes hide a last-bit change of a radius or centre; the draws do not
+        cfg = small_cfg(**kw)
+        for seed in range(5):
+            got = D._place_blobs(cfg, 6, np.random.default_rng(seed))
+            assert got == reference_place(cfg, 6, np.random.default_rng(seed))
+
+    def test_continuous_labels_match_reference(self):
+        cfg = small_cfg()
+        images, y = reference_generate(cfg, per_grade=3, seed=5)
+        ds = D.continuous_labels(D.generate(cfg, per_grade=3, split="train", seed=5), seed=11)
+        ref_y = y + np.random.default_rng(11).uniform(-0.5, 0.5, size=y.size)
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.y.tobytes() == ref_y.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(D.DataConfigError):

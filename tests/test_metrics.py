@@ -66,6 +66,30 @@ def row_loop(w: np.ndarray, m: int):
     return spars, sets, counts
 
 
+def upsample_ix(grid: np.ndarray, out_hw) -> np.ndarray:
+    """Align-corners bilinear upsample of one 2-D grid by four np.ix_ gathers."""
+    in_h, in_w = grid.shape
+    out_h, out_w = out_hw
+    ys = np.linspace(0.0, in_h - 1, out_h)
+    xs = np.linspace(0.0, in_w - 1, out_w)
+    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 2) if in_h > 1 else np.zeros(out_h, int)
+    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 2) if in_w > 1 else np.zeros(out_w, int)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    a = grid[np.ix_(y0, x0)]
+    b = grid[np.ix_(y0, x1)]
+    c = grid[np.ix_(y1, x0)]
+    d = grid[np.ix_(y1, x1)]
+    return (a * (1 - wy) * (1 - wx) + b * (1 - wy) * wx
+            + c * wy * (1 - wx) + d * wy * wx)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestRowForms:
     """The whole-matrix forms equal a row-by-row computation."""
 
@@ -284,6 +308,19 @@ class TestPcaEmbed:
                 if kind == "sample"]
         assert kept == sorted(want)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 59])
+    def test_row_blocks_keep_the_report(self, monkeypatch, block_rows):
+        bank = tiny_model(seed=0).bank
+        rng = np.random.default_rng(9)
+        patches = rng.uniform(size=(60, bank.vectors.data.shape[1]))
+        args = (patches, rng.integers(0, 9, size=60), rng.uniform(size=60), bank,
+                [frozenset(range(3))])
+        whole = metrics.pca_embed(*args)
+        monkeypatch.setattr(metrics, "PCA_BLOCK_ROWS", block_rows)
+        blocked = metrics.pca_embed(*args)
+        assert blocked.points == whole.points
+        assert blocked.explained_variance == whole.explained_variance
+
 
 class TestContributionOrder:
     def test_descending_with_index_ties(self):
@@ -312,6 +349,25 @@ class TestUpsampleAndPgm:
         up = bilinear_upsample(g, (1, 9))
         assert np.all(np.diff(up[0]) > 0)
         assert np.allclose(up[0], np.linspace(0.0, 2.0, 9))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10),
+           st.sampled_from([(1, 1), (1, 5), (5, 1), (1, 2), (2, 1)])
+           | st.tuples(st.integers(1, 7), st.integers(1, 7)),
+           st.tuples(st.integers(1, 40), st.integers(1, 40)),
+           st.integers(0, 2**32 - 1))
+    def test_stack_matches_per_map_ix_formula(self, k, in_hw, out_hw, seed):
+        maps = np.random.default_rng(seed).normal(size=(k, *in_hw))
+        up = bilinear_upsample(maps, out_hw)
+        assert up.shape == (k, *out_hw)
+        for j in range(k):
+            assert same_bits(up[j], upsample_ix(maps[j], out_hw))
+
+    @pytest.mark.parametrize("in_hw", [(6, 6), (1, 1), (1, 5), (5, 1), (3, 7)])
+    def test_2d_grid_returns_2d_map(self, in_hw):
+        g = np.random.default_rng(0).uniform(size=in_hw)
+        up = bilinear_upsample(g, (32, 32))
+        assert same_bits(up, upsample_ix(g, (32, 32)))
 
     def test_pgm_header_and_scaling(self):
         raw = to_pgm_bytes(np.array([[0.0, 0.5], [0.25, 1.0]]))
@@ -378,6 +434,24 @@ class TestExplain:
         assert json.loads(json.dumps(doc)) == doc
         assert doc["top_k"] == 3
         assert len(doc["records"]) == 3
+
+    @pytest.mark.parametrize("top_k", [3, 7])
+    def test_maps_are_per_map_upsamples_of_similarity(self, image, top_k):
+        from protoreg.engine import Tensor, no_grad
+        from protoreg.gradcheck import TINY_BACKBONE
+        from protoreg.model import Model
+        from protoreg.prototypes import similarity
+
+        model = Model.create(TINY_BACKBONE, m=7, seed=3, similarity_kind="reciprocal",
+                             eps=1e-4, label_lo=0.1, label_hi=5.9)
+        with no_grad():
+            dmap = model.forward(Tensor(image[None])).dmap
+            acts = similarity(dmap, model.similarity_kind, model.eps,
+                              model.bank.d_max).data[0]
+        e = explain(image, sample_id=0, y=1.0, model=model, top_k=top_k)
+        assert len(e.records) == top_k  # m = 7 covers every map
+        for r in e.records:
+            assert same_bits(r.activation_map, upsample_ix(acts[r.index], (8, 8)))
 
     def test_prediction_matches_model(self, model, image):
         e = explain(image, sample_id=0, y=1.0, model=model)
