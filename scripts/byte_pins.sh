@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Byte pins of the default pipeline: gen-data, train, eval, explain and embed on
-# the default config with one BLAS thread, then a small ablation matrix and an
+# the default config with one BLAS thread, then a short training run with
+# augmentation and continuous labels, a small ablation matrix and an
 # eval and embed on a 1000-image test split, then the sha256 of every output
 # that the numerics decide. A change that leaves the
 # numerics alone prints the same lines before and after it. Runs the code of
@@ -25,6 +26,17 @@ protoreg embed --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" --out "
 # every one of the m = 10 default prototypes' maps, not only the top three
 protoreg explain --checkpoint "$OUT/run/checkpoint.bin" --data "$OUT/data" \
   --sample-ids 0 --top-k 10 --out "$OUT/explain_all"
+
+# data.augment and data.continuous on the ablation-sized split with one short
+# cycle, so augmented batches and continuous labels are pinned as well
+mkdir -p "$OUT/augment"
+cat > "$OUT/augment/config.json" <<'EOF'
+{"data": {"train_per_grade": 10, "test_per_grade": 10, "augment": true, "continuous": true},
+ "train": {"cycles": 1, "joint_epochs": 2, "warmup_epochs": 1, "lastlayer_epochs": 1}}
+EOF
+protoreg gen-data --config "$OUT/augment/config.json" --out "$OUT/augment/data"
+protoreg train --config "$OUT/augment/config.json" --data "$OUT/augment/data" \
+  --out "$OUT/augment/run"
 
 # the six ablation cells on a small split, so the log-similarity, k=1 and
 # zero-weight loss branches are pinned as well
@@ -60,4 +72,5 @@ sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sam
   large/eval/metrics.json large/eval/per_sample.csv \
   large/embed/embedding.csv large/embed/embedding.svg large/embed/usage_histogram.svg \
   data/*.insd ablate/data/*.insd large/data/*.insd \
-  explain_all/explanation_*.json explain_all/*.pgm
+  explain_all/explanation_*.json explain_all/*.pgm \
+  augment/run/checkpoint.bin augment/run/training_log.csv

@@ -19,6 +19,7 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from . import gradcheck, metrics, reports, trainer
+from .engine import Tensor, no_grad
 from .explain import explain, to_pgm_bytes
 from .model import Model, load_checkpoint, save_checkpoint
 
@@ -73,31 +74,15 @@ def _resolve_split(path: str, split: str) -> Path:
     return p
 
 
-def _schedule(cfg: dict) -> trainer.TrainSchedule:
-    t = cfg["train"]
-    return trainer.TrainSchedule(
-        cycles=t["cycles"], joint_epochs=t["joint_epochs"],
-        lastlayer_epochs=t["lastlayer_epochs"], warmup_epochs=t["warmup_epochs"],
-        lr_backbone=t["lr_backbone"], lr_protolayer=t["lr_protolayer"],
-        lr_head=t["lr_head"],
-        batch_size=t["batch_size"], seed=t["seed"],
-        augment=cfg["data"]["augment"],
-    )
-
-
 def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trainer.TrainLog]:
     """Train a model from a resolved config; optionally write artifacts."""
     model = Model.from_config(cfg)
-    weights = config_mod.loss_weights_from(cfg)
-    schedule = _schedule(cfg)
-
     callback = None
     if out is not None:
         def callback(stage, cycle, model_):
             save_checkpoint(model_, out / f"checkpoint_c{cycle}_{stage}.bin", cfg)
 
-    log = trainer.run_protocol(model, train_ds, cfg["loss"], weights, schedule,
-                               stage_callback=callback)
+    log = trainer.run_protocol(model, train_ds, cfg, stage_callback=callback)
     if out is not None:
         save_checkpoint(model, out / "checkpoint.bin", cfg)
         (out / "training_log.csv").write_text("\n".join(log.csv_rows()) + "\n")
@@ -184,11 +169,13 @@ def cmd_embed(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
     test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
-    fwd = model.forward_np(test_ds.images)
-    weights = metrics.contribution_matrix(model, fwd.s)
-    n, c_z, h, w = fwd.latent.shape
-    patches = fwd.latent.transpose(0, 2, 3, 1).reshape(-1, c_z)
-    del fwd  # the PCA needs only patches, usually a copy of the latents: free them
+    latents = model.latents_np(test_ds.images)
+    with no_grad():
+        s, _ = model.head(Tensor(model.dmin_np(latents)))
+    weights = metrics.contribution_matrix(model, s.data)
+    n, c_z, h, w = latents.shape
+    patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)
+    del latents  # the PCA needs only patches, usually a copy of the latents: free them
     sample_ids = np.repeat(np.arange(n), h * w)
     patch_labels = np.repeat(test_ds.y, h * w)
     top5 = metrics.top_contributor_rows(weights)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .backbone import BackboneConfig, ConfigError, ConvSpec
 from .data import SynthConfig
-from .losses import LossWeights
 
 
 DEFAULTS: dict = {
@@ -85,13 +84,17 @@ def resolve_config(overrides: dict | None = None) -> dict:
     # construct the derived objects once so bad values fail here, loudly
     backbone_config_from(cfg)
     synth_config_from(cfg)
-    loss_weights_from(cfg)
     if cfg["model"]["eps"] <= 0:
         raise ConfigError(f"model.eps must be > 0, got {cfg['model']['eps']}")
     if cfg["model"]["similarity"] not in ("reciprocal", "log"):
         raise ConfigError(f"model.similarity must be 'reciprocal' or 'log'")
+    for key in ("alpha_mse", "alpha_clst", "alpha_psd"):
+        if cfg["loss"][key] < 0:
+            raise ConfigError(f"loss.{key} must be >= 0, got {cfg['loss'][key]}")
     if cfg["train"]["warmup_epochs"] > cfg["train"]["joint_epochs"]:
         raise ConfigError("train.warmup_epochs cannot exceed train.joint_epochs")
+    if cfg["train"]["batch_size"] < 1:
+        raise ConfigError(f"train.batch_size must be >= 1, got {cfg['train']['batch_size']}")
     return cfg
 
 
@@ -137,13 +140,5 @@ def synth_config_from(cfg: dict) -> SynthConfig:
             noise_sigma=d["noise_sigma"],
             seed=d["seed"],
         )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def loss_weights_from(cfg: dict) -> LossWeights:
-    lo = cfg["loss"]
-    try:
-        return LossWeights(lo["alpha_mse"], lo["alpha_clst"], lo["alpha_psd"])
     except ValueError as e:
         raise ConfigError(str(e)) from e

@@ -5,22 +5,25 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .backbone import BackboneConfig, ConvSpec
+from .config import backbone_config_from, resolve_config
 from .engine import Tensor, grad_check
 from .model import Model
 
-TINY_BACKBONE = BackboneConfig(
-    input_hw=(8, 8),
-    in_channels=3,
-    blocks=(ConvSpec(4, 3, 2), ConvSpec(4, 2, 1), ConvSpec(4, 1, 1)),
-    c_z=4,
-    latent_hw=(2, 2),
-)
+# config overrides of a model small enough for finite differences, on 8x8 images
+TINY_CFG = {
+    "data": {"image_hw": [8, 8], "train_per_grade": 4, "test_per_grade": 2, "grades": 3,
+             "blobs_per_grade": 1, "blob_radius": [1.5, 2.0]},
+    "model": {"m": 3, "c_z": 4, "eps": 1e-4, "latent_hw": [2, 2],
+              "backbone_blocks": [[4, 3, 2], [4, 2, 1], [4, 1, 1]]},
+    "train": {"cycles": 1, "joint_epochs": 2, "lastlayer_epochs": 1, "warmup_epochs": 1,
+              "batch_size": 6},
+}
+TINY_BACKBONE = backbone_config_from(resolve_config(TINY_CFG))
 
 
 def tiny_model(seed: int = 0, similarity_kind: str = "reciprocal") -> Model:
-    return Model.create(TINY_BACKBONE, m=3, seed=seed, similarity_kind=similarity_kind,
-                        eps=1e-4, label_lo=0.1, label_hi=5.9)
+    mc = {**TINY_CFG["model"], "seed": seed, "similarity": similarity_kind}
+    return Model.from_config(resolve_config({**TINY_CFG, "model": mc}))
 
 
 def run_suites(seed: int = 0, fd_step: float = 1e-6) -> list[dict]:
@@ -52,8 +55,8 @@ def run_suites(seed: int = 0, fd_step: float = 1e-6) -> list[dict]:
         model = tiny_model(seed=seed, similarity_kind=kind)
         images = rng.uniform(0.0, 1.0, size=(6, 3, 8, 8))
         y = rng.uniform(1.0, 5.0, size=6)
-        weights = losses.LossWeights(1.0, 1.0, 10.0)
-        cfg_loss = {"k": 2, "delta_l": 1.5}
+        cfg_loss = {"alpha_mse": 1.0, "alpha_clst": 1.0, "alpha_psd": 10.0,
+                    "k": 2, "delta_l": 1.5}
 
         def closure(model=model, images=images, y=y):
             result = model.forward(Tensor(images))
@@ -62,7 +65,7 @@ def run_suites(seed: int = 0, fd_step: float = 1e-6) -> list[dict]:
                 losses.cluster_loss(result.dmin, y, model.bank.labels,
                                     cfg_loss["k"], cfg_loss["delta_l"]),
                 losses.psd_loss(result.dmin, model.bank.d_max),
-                weights,
+                cfg_loss,
             )
 
         add(f"full-model-{kind}", grad_check(closure, model.params(), fd_step,

@@ -8,25 +8,12 @@ nearby patch in the batch so none drifts off into empty latent space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import ShapeError, Tensor
 
 # keeps the log argument positive when a distance reaches d_max in floating point
 _RATIO_CAP = 1.0 - 1e-6
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha_mse: float
-    alpha_clst: float
-    alpha_psd: float
-
-    def __post_init__(self):
-        if min(self.alpha_mse, self.alpha_clst, self.alpha_psd) < 0:
-            raise ValueError(f"loss weights must be nonnegative, got {self}")
 
 
 def mse(y_hat: Tensor, y: np.ndarray) -> Tensor:
@@ -68,12 +55,13 @@ def psd_loss(dmat: Tensor, d_max: float) -> Tensor:
 
 
 def total_loss(mse_term: Tensor, clst_term: Tensor, psd_term: Tensor,
-               weights: LossWeights) -> Tensor:
+               cfg_loss: dict) -> Tensor:
+    """The three terms weighted by cfg_loss's alpha_mse, alpha_clst and alpha_psd."""
     for name, term in (("mse", mse_term), ("cluster", clst_term), ("psd", psd_term)):
         if not np.isfinite(term.data).all():
             raise FloatingPointError(f"non-finite {name} loss component")
     return (
-        mse_term.scale(weights.alpha_mse)
-        .add(clst_term.scale(weights.alpha_clst))
-        .add(psd_term.scale(weights.alpha_psd))
+        mse_term.scale(cfg_loss["alpha_mse"])
+        .add(clst_term.scale(cfg_loss["alpha_clst"]))
+        .add(psd_term.scale(cfg_loss["alpha_psd"]))
     )

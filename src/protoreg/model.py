@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import head as head_mod
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone
 from .config import backbone_config_from, resolve_config
 from .data import write_atomic
 from .engine import Tensor, no_grad
@@ -56,7 +56,6 @@ class ForwardResult:
 
 
 class ForwardArrays(NamedTuple):
-    latent: np.ndarray  # (N, c_z, h_z, w_z)
     dmin: np.ndarray  # (N, m)
     s: np.ndarray  # (N, m)
     y_hat: np.ndarray  # (N,)
@@ -85,28 +84,20 @@ class Model:
     cursor: dict = field(default_factory=dict)  # last completed (cycle, stage)
 
     @staticmethod
-    def create(backbone_config: BackboneConfig, m: int, seed: int,
-               similarity_kind: str, eps: float,
-               label_lo: float, label_hi: float) -> "Model":
-        rng = np.random.default_rng(seed)
+    def from_config(cfg: dict) -> "Model":
+        """The untrained model that a resolved config describes."""
+        mc = cfg["model"]
+        backbone_config = backbone_config_from(cfg)
+        rng = np.random.default_rng(mc["seed"])
         backbone = Backbone(backbone_config, rng)
-        bank = PrototypeBank.create(m, backbone_config.c_z, rng, label_lo, label_hi)
+        bank = PrototypeBank.create(mc["m"], backbone_config.c_z, rng,
+                                    mc["label_lo"], mc["label_hi"])
         return Model(
             backbone=backbone,
             bank=bank,
             theta=head_mod.init_theta(bank.labels),
-            similarity_kind=similarity_kind,
-            eps=eps,
-        )
-
-    @staticmethod
-    def from_config(cfg: dict) -> "Model":
-        """The untrained model that a resolved config describes."""
-        mc = cfg["model"]
-        return Model.create(
-            backbone_config_from(cfg), m=mc["m"], seed=mc["seed"],
-            similarity_kind=mc["similarity"], eps=mc["eps"],
-            label_lo=mc["label_lo"], label_hi=mc["label_hi"],
+            similarity_kind=mc["similarity"],
+            eps=mc["eps"],
         )
 
     def params(self) -> list[Tensor]:
@@ -133,7 +124,7 @@ class Model:
         with no_grad():
             for chunk in _chunks(images.shape[0], batch_size):
                 r = self.forward(Tensor(images[chunk]))
-                parts.append((r.latent.data, r.dmin.data, r.s.data, r.y_hat.data))
+                parts.append((r.dmin.data, r.s.data, r.y_hat.data))
         return ForwardArrays(*(np.concatenate(a) for a in zip(*parts)))
 
     def predict_np(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
@@ -142,7 +133,7 @@ class Model:
 
     def latents_np(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """(N, c_z, h_z, w_z) backbone output of a raw image array, in the chunks
-        of forward_np, so each image's latent has forward_np's bits."""
+        of forward_np, so each image's latent has the bits of forward_np's pass."""
         with no_grad():
             return np.concatenate([self.backbone.forward(Tensor(images[chunk])).data
                                    for chunk in _chunks(images.shape[0], batch_size)])

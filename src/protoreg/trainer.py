@@ -22,24 +22,6 @@ from .model import Model
 from .prototypes import ProvenanceRecord
 
 
-@dataclass(frozen=True)
-class TrainSchedule:
-    cycles: int
-    joint_epochs: int
-    lastlayer_epochs: int
-    warmup_epochs: int
-    lr_backbone: float
-    lr_protolayer: float
-    lr_head: float
-    batch_size: int
-    seed: int
-    augment: bool
-
-    def __post_init__(self):
-        if self.warmup_epochs > self.joint_epochs:
-            raise ValueError("warmup_epochs cannot exceed joint_epochs")
-
-
 @dataclass
 class TrainLog:
     epochs: list[dict] = field(default_factory=list)
@@ -66,8 +48,7 @@ def _frozen(params: list[Tensor]):
             p.requires_grad = was
 
 
-def _batch_loss(model: Model, batch: np.ndarray, y: np.ndarray, cfg_loss: dict,
-                weights: losses.LossWeights):
+def _batch_loss(model: Model, batch: np.ndarray, y: np.ndarray, cfg_loss: dict):
     """Loss of one batch: (n, C, H, W) images run the whole model, and (n, m)
     min-pooled distances, cached while the backbone and prototypes are
     frozen, run only the head."""
@@ -80,30 +61,30 @@ def _batch_loss(model: Model, batch: np.ndarray, y: np.ndarray, cfg_loss: dict,
     mse_t = losses.mse(y_hat, y)
     clst_t = losses.cluster_loss(dmin, y, model.bank.labels, cfg_loss["k"], cfg_loss["delta_l"])
     psd_t = losses.psd_loss(dmin, model.bank.d_max)
-    total = losses.total_loss(mse_t, clst_t, psd_t, weights)
+    total = losses.total_loss(mse_t, clst_t, psd_t, cfg_loss)
     return total, mse_t.item(), clst_t.item(), psd_t.item()
 
 
-def _run_epochs(model: Model, data: SynthDataset, cfg_loss: dict,
-                weights: losses.LossWeights, optimizers: list[Adam],
-                frozen: list[Tensor], epochs: int, rng: np.random.Generator,
-                schedule: TrainSchedule, log: TrainLog, cycle: int, stage: str,
-                epoch_offset: int = 0, inputs: np.ndarray | None = None):
-    """Train for epochs; each batch reads rows of inputs (data.images by default)."""
+def _run_epochs(model: Model, data: SynthDataset, cfg: dict, optimizers: list[Adam],
+                epochs: int, rng: np.random.Generator, log: TrainLog, cycle: int,
+                stage: str, epoch_offset: int = 0, inputs: np.ndarray | None = None):
+    """Train for epochs, with every parameter that no optimizer holds frozen;
+    each batch reads rows of inputs (data.images by default)."""
     inputs = data.images if inputs is None else inputs
+    batch_size, augment, cfg_loss = cfg["train"]["batch_size"], cfg["data"]["augment"], cfg["loss"]
     n = len(data)
     all_params = model.params()
-    with _frozen(frozen):
+    trained = {id(p) for opt in optimizers for p in opt.params}
+    with _frozen([p for p in all_params if id(p) not in trained]):
         for epoch in range(epochs):
             order = rng.permutation(n)
-            sums = np.zeros(3)
-            batches = 0
-            for start in range(0, n, schedule.batch_size):
-                idx = order[start : start + schedule.batch_size]
+            sums, batches = np.zeros(3), 0
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
                 batch = inputs[idx]
-                if schedule.augment:
+                if augment:
                     batch = augment_batch(batch, rng)
-                total, m, c, p = _batch_loss(model, batch, data.y[idx], cfg_loss, weights)
+                total, m, c, p = _batch_loss(model, batch, data.y[idx], cfg_loss)
                 total.backward()
                 for opt in optimizers:
                     opt.step()
@@ -115,39 +96,35 @@ def _run_epochs(model: Model, data: SynthDataset, cfg_loss: dict,
             log.epochs.append({
                 "cycle": cycle, "stage": stage, "epoch": epoch_offset + epoch,
                 "mse": mse_avg, "clst": clst_avg, "psd": psd_avg,
-                "total": weights.alpha_mse * mse_avg + weights.alpha_clst * clst_avg
-                         + weights.alpha_psd * psd_avg,
+                "total": cfg_loss["alpha_mse"] * mse_avg + cfg_loss["alpha_clst"] * clst_avg
+                         + cfg_loss["alpha_psd"] * psd_avg,
             })
 
 
-def joint_stage(model: Model, data: SynthDataset, cfg_loss: dict,
-                weights: losses.LossWeights, schedule: TrainSchedule,
-                rng: np.random.Generator, log: TrainLog, cycle: int,
-                warmup_epochs: int = 0):
-    """Train backbone + prototypes with theta frozen; warm-up epochs touch
-    only the prototypes and the final conv block."""
+def joint_stage(model: Model, data: SynthDataset, cfg: dict, rng: np.random.Generator,
+                log: TrainLog, cycle: int):
+    """Train backbone + prototypes with theta frozen; the first cycle's
+    warm-up epochs touch only the prototypes and the final conv block."""
+    t = cfg["train"]
     added = model.backbone.added_block_params()
     added_ids = {id(p) for p in added}
     trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
-    opt_trunk = Adam(trunk, schedule.lr_backbone)
-    opt_added = Adam(added, schedule.lr_protolayer)
-    opt_proto = Adam([model.bank.vectors], schedule.lr_protolayer)
-    if warmup_epochs > 0:
-        _run_epochs(model, data, cfg_loss, weights, [opt_added, opt_proto],
-                    frozen=trunk + [model.theta], epochs=warmup_epochs, rng=rng,
-                    schedule=schedule, log=log, cycle=cycle, stage="warmup")
-    remaining = schedule.joint_epochs - warmup_epochs
-    if remaining > 0:
-        _run_epochs(model, data, cfg_loss, weights, [opt_trunk, opt_added, opt_proto],
-                    frozen=[model.theta], epochs=remaining, rng=rng,
-                    schedule=schedule, log=log, cycle=cycle, stage="joint",
-                    epoch_offset=warmup_epochs)
+    opt_trunk = Adam(trunk, t["lr_backbone"])
+    # Adam updates each element on its own, so one optimizer for both groups
+    # moves them exactly as one per group would
+    opt_proto = Adam(added + [model.bank.vectors], t["lr_protolayer"])
+    warmup = t["warmup_epochs"] if cycle == 0 else 0
+    if warmup > 0:
+        _run_epochs(model, data, cfg, [opt_proto], epochs=warmup, rng=rng, log=log,
+                    cycle=cycle, stage="warmup")
+    if t["joint_epochs"] > warmup:
+        _run_epochs(model, data, cfg, [opt_trunk, opt_proto],
+                    epochs=t["joint_epochs"] - warmup, rng=rng, log=log, cycle=cycle,
+                    stage="joint", epoch_offset=warmup)
 
 
-def lastlayer_stage(model: Model, data: SynthDataset, cfg_loss: dict,
-                    weights: losses.LossWeights, schedule: TrainSchedule,
-                    rng: np.random.Generator, log: TrainLog, cycle: int,
-                    latents: np.ndarray | None = None):
+def lastlayer_stage(model: Model, data: SynthDataset, cfg: dict, rng: np.random.Generator,
+                    log: TrainLog, cycle: int, latents: np.ndarray | None = None):
     """Train theta only; backbone and prototypes stay bitwise fixed.
 
     Without augmentation every epoch sees the same images through the same
@@ -156,16 +133,14 @@ def lastlayer_stage(model: Model, data: SynthDataset, cfg_loss: dict,
     is model.latents_np(data.images) for the current backbone (projection's
     pass), and the distances come from it without another backbone pass.
     """
-    opt_head = Adam([model.theta], schedule.lr_head)
-    frozen = model.backbone.params() + [model.bank.vectors]
+    opt_head = Adam([model.theta], cfg["train"]["lr_head"])
     inputs = None
-    if not schedule.augment:
+    if not cfg["data"]["augment"]:
         if latents is None:
             latents = model.latents_np(data.images)
         inputs = model.dmin_np(latents)
-    _run_epochs(model, data, cfg_loss, weights, [opt_head], frozen=frozen,
-                epochs=schedule.lastlayer_epochs, rng=rng, schedule=schedule,
-                log=log, cycle=cycle, stage="lastlayer", inputs=inputs)
+    _run_epochs(model, data, cfg, [opt_head], epochs=cfg["train"]["lastlayer_epochs"],
+                rng=rng, log=log, cycle=cycle, stage="lastlayer", inputs=inputs)
 
 
 def project_prototypes(model: Model, data: SynthDataset,
@@ -202,36 +177,33 @@ def project_prototypes(model: Model, data: SynthDataset,
     return report
 
 
-def run_protocol(model: Model, data: SynthDataset, cfg_loss: dict,
-                 weights: losses.LossWeights, schedule: TrainSchedule,
+def run_protocol(model: Model, data: SynthDataset, cfg: dict,
                  stage_callback=None) -> TrainLog:
-    """Run the full protocol in place; returns the per-epoch log.
+    """Run the full protocol of a resolved config in place; returns the
+    per-epoch log.
 
     stage_callback(stage_name, cycle, model), when given, fires after each
     completed stage (used by the CLI to write per-stage checkpoints).
     """
-    if len(data) == 0 and schedule.cycles > 0:
+    cycles = cfg["train"]["cycles"]
+    if len(data) == 0 and cycles > 0:
         raise ValueError("cannot train on an empty dataset")
-    rng = np.random.default_rng(schedule.seed)
+    rng = np.random.default_rng(cfg["train"]["seed"])
     log = TrainLog()
-    for cycle in range(schedule.cycles):
-        warmup = schedule.warmup_epochs if cycle == 0 else 0
-        joint_stage(model, data, cfg_loss, weights, schedule, rng, log, cycle,
-                    warmup_epochs=warmup)
-        model.cursor = {"cycle": cycle, "stage": "joint"}
+
+    def finished(stage: str, cycle: int):
+        model.cursor = {"cycle": cycle, "stage": stage}
         if stage_callback:
-            stage_callback("joint", cycle, model)
+            stage_callback(stage, cycle, model)
+
+    for cycle in range(cycles):
+        joint_stage(model, data, cfg, rng, log, cycle)
+        finished("joint", cycle)
         # one backbone pass serves projection and the last-layer cache
         latents = model.latents_np(data.images)
         report = project_prototypes(model, data, latents)
         log.projections.append({"cycle": cycle, "prototypes": report})
-        model.cursor = {"cycle": cycle, "stage": "projection"}
-        if stage_callback:
-            stage_callback("projection", cycle, model)
-        lastlayer_stage(model, data, cfg_loss, weights, schedule, rng, log, cycle,
-                        latents=latents)
-        model.cursor = {"cycle": cycle, "stage": "lastlayer"}
-        if stage_callback:
-            stage_callback("lastlayer", cycle, model)
+        finished("projection", cycle)
+        lastlayer_stage(model, data, cfg, rng, log, cycle, latents=latents)
+        finished("lastlayer", cycle)
     return log
-

@@ -278,6 +278,16 @@ class TestErrors:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_batch_size_zero_rejected_before_data_loads(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"batch_size": 0}}))
+        # the dataset path does not exist: only the config check can name the error
+        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: train.batch_size must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.bin"
         ckpt.write_bytes(b"garbage")

@@ -1,6 +1,7 @@
 """Tests for config resolution and the checkpoint format."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from protoreg import config as C
 from protoreg import data as D
 from protoreg.cli import train_run
-from protoreg.gradcheck import tiny_model
+from protoreg.gradcheck import TINY_CFG, tiny_model
 from protoreg.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -17,31 +18,6 @@ from protoreg.model import (
     save_checkpoint,
 )
 from protoreg.prototypes import ProvenanceRecord
-
-TINY_CFG = {
-    "data": {
-        "image_hw": [8, 8],
-        "train_per_grade": 4,
-        "test_per_grade": 2,
-        "grades": 3,
-        "blobs_per_grade": 1,
-        "blob_radius": [1.5, 2.0],
-    },
-    "model": {
-        "m": 3,
-        "c_z": 4,
-        "eps": 1e-4,  # the eps of gradcheck.tiny_model
-        "backbone_blocks": [[4, 3, 2], [4, 2, 1], [4, 1, 1]],
-        "latent_hw": [2, 2],
-    },
-    "train": {
-        "cycles": 1,
-        "joint_epochs": 2,
-        "lastlayer_epochs": 1,
-        "warmup_epochs": 1,
-        "batch_size": 6,
-    },
-}
 
 
 class TestResolve:
@@ -85,6 +61,17 @@ class TestResolve:
             C.resolve_config({"data": {"grades": 1}})
         with pytest.raises(C.ConfigError):
             C.resolve_config({"loss": {"alpha_psd": -1.0}})
+
+    @pytest.mark.parametrize("override, message", [
+        ({"loss": {"alpha_mse": -0.5}}, "loss.alpha_mse must be >= 0, got -0.5"),
+        ({"loss": {"alpha_clst": -0.5}}, "loss.alpha_clst must be >= 0, got -0.5"),
+        ({"loss": {"alpha_psd": -0.5}}, "loss.alpha_psd must be >= 0, got -0.5"),
+        ({"train": {"batch_size": 0}}, "train.batch_size must be >= 1, got 0"),
+        ({"train": {"batch_size": -3}}, "train.batch_size must be >= 1, got -3"),
+    ])
+    def test_out_of_range_value_names_its_key(self, override, message):
+        with pytest.raises(C.ConfigError, match=re.escape(message)):
+            C.resolve_config(override)
 
     def test_backbone_shape_mismatch_rejected(self):
         # blocks that do not land on the declared latent size must fail loudly

@@ -437,13 +437,14 @@ class TestExplain:
 
     @pytest.mark.parametrize("top_k", [3, 7])
     def test_maps_are_per_map_upsamples_of_similarity(self, image, top_k):
+        from protoreg.config import resolve_config
         from protoreg.engine import Tensor, no_grad
-        from protoreg.gradcheck import TINY_BACKBONE
+        from protoreg.gradcheck import TINY_CFG
         from protoreg.model import Model
         from protoreg.prototypes import similarity
 
-        model = Model.create(TINY_BACKBONE, m=7, seed=3, similarity_kind="reciprocal",
-                             eps=1e-4, label_lo=0.1, label_hi=5.9)
+        overrides = {**TINY_CFG, "model": {**TINY_CFG["model"], "m": 7, "seed": 3}}
+        model = Model.from_config(resolve_config(overrides))
         with no_grad():
             dmap = model.forward(Tensor(image[None])).dmap
             acts = similarity(dmap, model.similarity_kind, model.eps,

@@ -5,9 +5,10 @@ import pytest
 
 from protoreg import losses, trainer
 from protoreg.backbone import Backbone
+from protoreg.config import resolve_config
 from protoreg.data import SynthDataset, augment_batch
 from protoreg.engine import Adam, Tensor
-from protoreg.gradcheck import TINY_BACKBONE, tiny_model
+from protoreg.gradcheck import TINY_BACKBONE, TINY_CFG, tiny_model
 
 from baseline import train_baseline
 
@@ -24,16 +25,13 @@ def tiny_dataset(n=12, seed=0, grades=4):
     )
 
 
-def tiny_schedule(**kw):
-    base = dict(cycles=1, joint_epochs=2, lastlayer_epochs=1, warmup_epochs=1,
-                lr_backbone=1e-3, lr_protolayer=1e-3, lr_head=1e-3,
-                batch_size=6, seed=0, augment=False)
-    base.update(kw)
-    return trainer.TrainSchedule(**base)
-
-
-CFG_LOSS = {"k": 2, "delta_l": 1.0}
-WEIGHTS = losses.LossWeights(1.0, 1.0, 10.0)
+def tiny_cfg(augment=False, **train):
+    """TINY_CFG resolved with slow rates, k = 2 and delta_l = 1; train holds
+    further train-section overrides."""
+    train = {**TINY_CFG["train"], "lr_backbone": 1e-3, "lr_protolayer": 1e-3,
+             "lr_head": 1e-3, "seed": 0, **train}
+    return resolve_config({**TINY_CFG, "data": {**TINY_CFG["data"], "augment": augment},
+                           "loss": {"k": 2, "delta_l": 1.0}, "train": train})
 
 
 def snapshot(tensors):
@@ -48,13 +46,12 @@ class TestFreezing:
     def test_joint_stage_freezes_head(self):
         model = tiny_model(seed=0)
         ds = tiny_dataset()
-        sched = tiny_schedule()
         theta_before = model.theta.data.copy()
         trunk_before = snapshot(model.backbone.params())
         proto_before = model.bank.vectors.data.copy()
         rng = np.random.default_rng(0)
-        trainer.joint_stage(model, ds, CFG_LOSS, WEIGHTS, sched, rng,
-                            trainer.TrainLog(), cycle=0)
+        # a cycle after the first has no warm-up epochs
+        trainer.joint_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=1)
         assert np.array_equal(model.theta.data, theta_before)
         assert not unchanged(model.backbone.params(), trunk_before)
         assert not np.array_equal(model.bank.vectors.data, proto_before)
@@ -63,7 +60,7 @@ class TestFreezing:
         model = tiny_model(seed=0)
         ds = tiny_dataset()
         # all epochs are warm-up: only the added block and prototypes move
-        sched = tiny_schedule(joint_epochs=2, warmup_epochs=2)
+        cfg = tiny_cfg(joint_epochs=2, warmup_epochs=2)
         added = model.backbone.added_block_params()
         added_ids = {id(p) for p in added}
         trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
@@ -71,8 +68,7 @@ class TestFreezing:
         added_before = snapshot(added)
         proto_before = model.bank.vectors.data.copy()
         rng = np.random.default_rng(0)
-        trainer.joint_stage(model, ds, CFG_LOSS, WEIGHTS, sched, rng,
-                            trainer.TrainLog(), cycle=0, warmup_epochs=2)
+        trainer.joint_stage(model, ds, cfg, rng, trainer.TrainLog(), cycle=0)
         assert unchanged(trunk, trunk_before)  # bitwise
         assert not unchanged(added, added_before)
         assert not np.array_equal(model.bank.vectors.data, proto_before)
@@ -80,13 +76,11 @@ class TestFreezing:
     def test_lastlayer_freezes_everything_but_head(self):
         model = tiny_model(seed=0)
         ds = tiny_dataset()
-        sched = tiny_schedule()
         backbone_before = snapshot(model.backbone.params())
         proto_before = model.bank.vectors.data.copy()
         theta_before = model.theta.data.copy()
         rng = np.random.default_rng(0)
-        trainer.lastlayer_stage(model, ds, CFG_LOSS, WEIGHTS, sched, rng,
-                                trainer.TrainLog(), cycle=0)
+        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0)
         assert unchanged(model.backbone.params(), backbone_before)  # bitwise
         assert np.array_equal(model.bank.vectors.data, proto_before)
         assert not np.array_equal(model.theta.data, theta_before)
@@ -95,33 +89,32 @@ class TestFreezing:
         model = tiny_model(seed=0)
         ds = tiny_dataset()
         rng = np.random.default_rng(0)
-        trainer.lastlayer_stage(model, ds, CFG_LOSS, WEIGHTS, tiny_schedule(),
-                                rng, trainer.TrainLog(), cycle=0)
+        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0)
         assert all(p.requires_grad for p in model.params())
 
 
-def live_lastlayer(model, ds, sched, rng):
+def live_lastlayer(model, ds, cfg, rng):
     """The last-layer stage with a full forward pass per batch; per-epoch loss terms."""
-    opt = Adam([model.theta], sched.lr_head)
+    t, lo = cfg["train"], cfg["loss"]
+    opt = Adam([model.theta], t["lr_head"])
     frozen = model.backbone.params() + [model.bank.vectors]
     for p in frozen:
         p.requires_grad = False
     rows = []
-    for _ in range(sched.lastlayer_epochs):
+    for _ in range(t["lastlayer_epochs"]):
         order = rng.permutation(len(ds))
         sums, batches = np.zeros(3), 0
-        for start in range(0, len(ds), sched.batch_size):
-            idx = order[start : start + sched.batch_size]
+        for start in range(0, len(ds), t["batch_size"]):
+            idx = order[start : start + t["batch_size"]]
             images = ds.images[idx]
-            if sched.augment:
+            if cfg["data"]["augment"]:
                 images = augment_batch(images, rng)
             r = model.forward(Tensor(images))
             y = ds.y[idx]
             mse = losses.mse(r.y_hat, y)
-            clst = losses.cluster_loss(r.dmin, y, model.bank.labels, CFG_LOSS["k"],
-                                       CFG_LOSS["delta_l"])
+            clst = losses.cluster_loss(r.dmin, y, model.bank.labels, lo["k"], lo["delta_l"])
             psd = losses.psd_loss(r.dmin, model.bank.d_max)
-            losses.total_loss(mse, clst, psd, WEIGHTS).backward()
+            losses.total_loss(mse, clst, psd, lo).backward()
             opt.step()
             model.theta.grad = None
             sums += (mse.item(), clst.item(), psd.item())
@@ -151,21 +144,28 @@ class TestForwardNp:
         out = model.forward_np(images)
         with no_grad():
             r = model.forward(Tensor(images))
-        for a, b in zip(out, (r.latent, r.dmin, r.s, r.y_hat)):
+        for a, b in zip(out, (r.dmin, r.s, r.y_hat)):
             assert np.array_equal(a, b.data)
+        assert np.array_equal(model.latents_np(images), r.latent.data)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             tiny_model(seed=0).forward_np(np.zeros((0, 3, 8, 8)))
 
     def test_latents_and_dmin_match_forward_np(self):
+        from protoreg.engine import no_grad
+        from protoreg.model import _chunks
+
         model = tiny_model(seed=4)
         images = tiny_dataset(n=11, seed=2).images
         # size 5 and 10 fold a lone tail image into the chunk before it
         for size in (5, 10, 64):
             whole = model.forward_np(images, batch_size=size)
             latents = model.latents_np(images, batch_size=size)
-            assert latents.tobytes() == whole.latent.tobytes(), size
+            with no_grad():
+                forward = [model.forward(Tensor(images[chunk])).latent.data
+                           for chunk in _chunks(len(images), size)]
+            assert latents.tobytes() == np.concatenate(forward).tobytes(), size
             dmin = model.dmin_np(latents, batch_size=size)
             assert dmin.tobytes() == whole.dmin.tobytes(), size
 
@@ -177,10 +177,10 @@ class TestLastLayerCache:
     def test_matches_live_forward(self, augment, monkeypatch):
         # 14 samples in batches of 6: the tail batch holds 2
         ds = tiny_dataset(n=14, seed=2)
-        sched = tiny_schedule(lastlayer_epochs=3, lr_head=1e-2, augment=augment)
+        cfg = tiny_cfg(augment=augment, lastlayer_epochs=3, lr_head=1e-2)
         ref_model = tiny_model(seed=4)
         trainer.project_prototypes(ref_model, ds)
-        ref_rows = live_lastlayer(ref_model, ds, sched, np.random.default_rng(5))
+        ref_rows = live_lastlayer(ref_model, ds, cfg, np.random.default_rng(5))
 
         model = tiny_model(seed=4)
         trainer.project_prototypes(model, ds)
@@ -193,24 +193,23 @@ class TestLastLayerCache:
 
         monkeypatch.setattr(Backbone, "forward", counting)
         log = trainer.TrainLog()
-        trainer.lastlayer_stage(model, ds, CFG_LOSS, WEIGHTS, sched,
-                                np.random.default_rng(5), log, cycle=0)
+        trainer.lastlayer_stage(model, ds, cfg, np.random.default_rng(5), log, cycle=0)
         assert np.array_equal(model.theta.data, ref_model.theta.data)
         assert len(log.epochs) == len(ref_rows)
         for e, ref in zip(log.epochs, ref_rows):
             assert [e["mse"], e["clst"], e["psd"]] == ref.tolist()  # bitwise
         if augment:  # augmented images differ per epoch: one pass per batch
-            assert seen == [6, 6, 2] * sched.lastlayer_epochs
+            assert seen == [6, 6, 2] * cfg["train"]["lastlayer_epochs"]
         else:  # one pass over the split, before the first step
             assert seen == [len(ds)]
 
     def test_protocol_shares_the_projection_pass(self, monkeypatch):
         ds = tiny_dataset(n=14, seed=2)
-        sched = tiny_schedule(cycles=2)
+        cfg = tiny_cfg(cycles=2)
 
         def run():
             model = tiny_model(seed=4)
-            log = trainer.run_protocol(model, ds, CFG_LOSS, WEIGHTS, sched)
+            log = trainer.run_protocol(model, ds, cfg)
             return model.theta.data, [[e["mse"], e["clst"], e["psd"]] for e in log.epochs]
 
         # reference: the last-layer stage forwards the split itself
@@ -233,7 +232,8 @@ class TestLastLayerCache:
         assert rows == ref_rows
         # every joint epoch forwards the split once, and each cycle's
         # projection and last-layer cache share one more pass
-        assert sum(seen) == sched.cycles * (sched.joint_epochs + 1) * len(ds)
+        t = cfg["train"]
+        assert sum(seen) == t["cycles"] * (t["joint_epochs"] + 1) * len(ds)
 
 
 class TestProjection:
@@ -314,9 +314,8 @@ class TestProjection:
 class TestProtocol:
     def test_bookkeeping_counts(self):
         model = tiny_model(seed=0)
-        sched = tiny_schedule(cycles=2, joint_epochs=3, lastlayer_epochs=2,
-                              warmup_epochs=1)
-        log = trainer.run_protocol(model, tiny_dataset(), CFG_LOSS, WEIGHTS, sched)
+        cfg = tiny_cfg(cycles=2, joint_epochs=3, lastlayer_epochs=2, warmup_epochs=1)
+        log = trainer.run_protocol(model, tiny_dataset(), cfg)
         stages = [(e["cycle"], e["stage"]) for e in log.epochs]
         # cycle 0: 1 warmup + 2 joint + 2 lastlayer; cycle 1: 3 joint + 2 lastlayer
         assert stages.count((0, "warmup")) == 1
@@ -333,7 +332,7 @@ class TestProtocol:
         model = tiny_model(seed=0)
         calls = []
         trainer.run_protocol(
-            model, tiny_dataset(), CFG_LOSS, WEIGHTS, tiny_schedule(cycles=2),
+            model, tiny_dataset(), tiny_cfg(cycles=2),
             stage_callback=lambda stage, cycle, m: calls.append((cycle, stage)),
         )
         assert calls == [
@@ -345,8 +344,7 @@ class TestProtocol:
         runs = []
         for _ in range(2):
             model = tiny_model(seed=7)
-            trainer.run_protocol(model, tiny_dataset(seed=1), CFG_LOSS, WEIGHTS,
-                                 tiny_schedule(cycles=1, seed=3))
+            trainer.run_protocol(model, tiny_dataset(seed=1), tiny_cfg(cycles=1, seed=3))
             runs.append((
                 model.theta.data.copy(),
                 model.bank.vectors.data.copy(),
@@ -359,16 +357,14 @@ class TestProtocol:
 
     def test_training_reduces_total_loss(self):
         model = tiny_model(seed=0)
-        sched = tiny_schedule(cycles=1, joint_epochs=6, warmup_epochs=1,
-                              lastlayer_epochs=3)
-        log = trainer.run_protocol(model, tiny_dataset(n=24), CFG_LOSS, WEIGHTS, sched)
+        cfg = tiny_cfg(cycles=1, joint_epochs=6, warmup_epochs=1, lastlayer_epochs=3)
+        log = trainer.run_protocol(model, tiny_dataset(n=24), cfg)
         joint = [e["total"] for e in log.epochs if e["stage"] in ("warmup", "joint")]
         assert joint[-1] < joint[0]
 
     def test_csv_rows_shape(self):
         model = tiny_model(seed=0)
-        log = trainer.run_protocol(model, tiny_dataset(), CFG_LOSS, WEIGHTS,
-                                   tiny_schedule())
+        log = trainer.run_protocol(model, tiny_dataset(), tiny_cfg())
         rows = log.csv_rows()
         assert rows[0] == "cycle,stage,epoch,mse,clst,psd,total"
         assert len(rows) == 1 + len(log.epochs)
@@ -380,12 +376,7 @@ class TestProtocol:
             label_mode="categorical", split="train",
         )
         with pytest.raises(ValueError):
-            trainer.run_protocol(tiny_model(seed=0), empty, CFG_LOSS, WEIGHTS,
-                                 tiny_schedule())
-
-    def test_warmup_exceeding_joint_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_schedule(joint_epochs=2, warmup_epochs=3)
+            trainer.run_protocol(tiny_model(seed=0), empty, tiny_cfg())
 
 
 class TestBaseline:
