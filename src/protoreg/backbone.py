@@ -8,58 +8,9 @@ phase of training updates together with the prototypes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import ShapeError, Tensor
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    out_channels: int
-    kernel: int
-    stride: int
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    """Architecture of the extractor; validated to hit the latent grid exactly.
-
-    The last block's out_channels must equal c_z and its activation is a
-    sigmoid (not configurable). The final two blocks are treated as the
-    added block for warm-up purposes.
-    """
-
-    input_hw: tuple[int, int]
-    in_channels: int
-    blocks: tuple[ConvSpec, ...]
-    c_z: int
-    latent_hw: tuple[int, int]
-
-    def __post_init__(self):
-        if len(self.blocks) < 2:
-            raise ConfigError("backbone needs at least two conv blocks (added block)")
-        if self.blocks[-1].out_channels != self.c_z:
-            raise ConfigError(
-                f"last block has {self.blocks[-1].out_channels} channels, expected c_z={self.c_z}"
-            )
-        h, w = self.input_hw
-        for i, b in enumerate(self.blocks):
-            if b.kernel > h or b.kernel > w:
-                raise ConfigError(f"block {i}: kernel {b.kernel} exceeds map size ({h},{w})")
-            h = (h - b.kernel) // b.stride + 1
-            w = (w - b.kernel) // b.stride + 1
-        if (h, w) != tuple(self.latent_hw):
-            raise ConfigError(
-                f"block stack maps {self.input_hw} to ({h},{w}), configured latent grid is {self.latent_hw}"
-            )
-        if h <= 1 or w <= 1:
-            raise ConfigError(f"latent grid must be >1 in both dims, got ({h},{w})")
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -69,20 +20,23 @@ def _kaiming_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class Backbone:
-    """Trainable conv stack; forward() maps (N,C,H,W) images to latent volumes."""
+    """Trainable conv stack of a resolved config's model.backbone_blocks;
+    forward() maps (N,C,H,W) images to latent volumes."""
 
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
-        self.config = config
+    def __init__(self, cfg: dict, rng: np.random.Generator):
+        blocks = cfg["model"]["backbone_blocks"]
+        self.input_shape = (cfg["data"]["channels"], *cfg["data"]["image_hw"])
+        self.strides = [stride for _, _, stride in blocks]
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
-        in_ch = config.in_channels
-        for b in config.blocks:
-            w = Tensor(_kaiming_uniform(rng, (b.out_channels, in_ch, b.kernel, b.kernel)),
+        in_ch = self.input_shape[0]
+        for out_ch, kernel, _ in blocks:
+            w = Tensor(_kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel)),
                        requires_grad=True)
-            bias = Tensor(np.zeros(b.out_channels), requires_grad=True)
+            bias = Tensor(np.zeros(out_ch), requires_grad=True)
             self.weights.append(w)
             self.biases.append(bias)
-            in_ch = b.out_channels
+            in_ch = out_ch
 
     def params(self) -> list[Tensor]:
         out = []
@@ -99,19 +53,16 @@ class Backbone:
 
     def forward(self, images: Tensor) -> Tensor:
         """(N,C,H,W) -> (N,c_z,h_z,w_z), all values strictly in (0,1)."""
-        cfg = self.config
         if images.data.ndim != 4:
             raise ShapeError(f"expected (N,C,H,W) images, got shape {images.data.shape}")
-        n, c, h, w = images.data.shape
-        if (c, h, w) != (cfg.in_channels, *cfg.input_hw):
+        if images.data.shape[1:] != self.input_shape:
             raise ShapeError(
-                f"expected images of shape (N,{cfg.in_channels},{cfg.input_hw[0]},{cfg.input_hw[1]}), "
+                f"expected images of shape (N,{','.join(map(str, self.input_shape))}), "
                 f"got {images.data.shape}"
             )
         x = images
-        last = len(cfg.blocks) - 1
-        for i, spec in enumerate(cfg.blocks):
-            x = x.conv2d(self.weights[i], stride=spec.stride).add_channel_bias(self.biases[i])
+        last = len(self.strides) - 1
+        for i, stride in enumerate(self.strides):
+            x = x.conv2d(self.weights[i], stride=stride).add_channel_bias(self.biases[i])
             x = x.sigmoid() if i == last else x.relu()
         return x
-

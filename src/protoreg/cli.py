@@ -153,8 +153,7 @@ def cmd_explain(args) -> int:
             print(f"warning: checkpoint not projected, sample {sid} has no provenance",
                   file=sys.stderr)
         doc = exp.to_json_dict()
-        for r in doc["records"]:
-            rec = next(x for x in exp.records if x.index == r["prototype"])
+        for r, rec in zip(doc["records"], exp.records):
             map_name = f"sample{sid}_proto{r['prototype']}.pgm"
             (out / map_name).write_bytes(to_pgm_bytes(rec.activation_map))
             r["activation_map_file"] = map_name
@@ -199,6 +198,8 @@ ABLATION_VARIANTS = [
 
 
 def cmd_ablate(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _load_cfg(args.config)
     out = _out_dir(args.out)
     train_ds = data_mod.load_dataset(_resolve_split(args.data, "train"), split="train")

@@ -1,18 +1,24 @@
 """Run configuration: one JSON file covering every hyperparameter.
 
-Unknown keys are rejected, missing keys are filled from DEFAULTS, and the
-fully resolved config is echoed into every output directory so a run can
-always be reproduced from its artifacts. See README for the schema.
+Unknown keys are rejected, missing keys are filled from DEFAULTS, every
+value is checked against its row of RULES, and the fully resolved config is
+echoed into every output directory so a run can always be reproduced from
+its artifacts. See README for the schema.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from pathlib import Path
+from typing import NamedTuple
 
-from .backbone import BackboneConfig, ConfigError, ConvSpec
 from .data import SynthConfig
+
+
+class ConfigError(ValueError):
+    pass
 
 
 DEFAULTS: dict = {
@@ -32,14 +38,13 @@ DEFAULTS: dict = {
     },
     "model": {
         "m": 10,
-        "c_z": 16,
         "eps": 1e-5,
         "similarity": "reciprocal",
         "label_lo": 0.1,
         "label_hi": 5.9,
-        # (out_channels, kernel, stride) per conv block; ReLU between, sigmoid last
+        # (out_channels, kernel, stride) per conv block; ReLU between, sigmoid last.
+        # The last out_channels is the latent depth c_z; the latent grid is 6x6.
         "backbone_blocks": [[8, 3, 2], [16, 3, 2], [16, 2, 1], [16, 1, 1]],
-        "latent_hw": [6, 6],
         "seed": 1,
     },
     "loss": {
@@ -63,6 +68,61 @@ DEFAULTS: dict = {
 }
 
 
+class Rule(NamedTuple):
+    """A config value's JSON type (an integer counts as a float) and range,
+    [lo, hi] or (lo, hi] when lo_open, with None for no bound. shape gives
+    the lengths of the lists that hold it, outermost first; a pair is a range."""
+
+    kind: type
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    choices: tuple = ()
+    shape: tuple = ()
+
+
+# One row per leaf key of DEFAULTS. Sizes are bounded, and resolve_config caps
+# the dataset's bytes, so that no config can ask for a huge allocation.
+RULES = {
+    "data.image_hw": Rule(int, 2, 256, shape=(2,)),
+    "data.channels": Rule(int, choices=(1, 3)),
+    "data.grades": Rule(int, 2, 100),
+    "data.train_per_grade": Rule(int, 1, 100_000),
+    "data.test_per_grade": Rule(int, 1, 100_000),
+    "data.blobs_per_grade": Rule(int, 1, 100),
+    "data.blob_radius": Rule(float, 0, 128, lo_open=True, shape=(2,)),
+    "data.noise_sigma": Rule(float, 0),
+    "data.seed": Rule(int, 0, 2**32 - 1),
+    "data.continuous": Rule(bool),
+    "data.continuous_seed": Rule(int, 0, 2**32 - 1),
+    "data.augment": Rule(bool),
+    "model.m": Rule(int, 2, 1000),
+    "model.eps": Rule(float, 0, lo_open=True),
+    "model.similarity": Rule(str, choices=("reciprocal", "log")),
+    # positive, because the prediction divides by the prototype labels
+    "model.label_lo": Rule(float, 0, lo_open=True),
+    "model.label_hi": Rule(float, 0, lo_open=True),
+    "model.backbone_blocks": Rule(int, 1, 256, shape=((2, 16), 3)),
+    "model.seed": Rule(int, 0, 2**32 - 1),
+    "loss.alpha_mse": Rule(float, 0),
+    "loss.alpha_clst": Rule(float, 0),
+    "loss.alpha_psd": Rule(float, 0),
+    "loss.k": Rule(int, 1, 1000),
+    "loss.delta_l": Rule(float, 0, lo_open=True),
+    "train.cycles": Rule(int, 1, 1000),
+    "train.joint_epochs": Rule(int, 0, 10_000),
+    "train.lastlayer_epochs": Rule(int, 0, 10_000),
+    "train.warmup_epochs": Rule(int, 0, 10_000),
+    "train.lr_backbone": Rule(float, 0, lo_open=True),
+    "train.lr_protolayer": Rule(float, 0, lo_open=True),
+    "train.lr_head": Rule(float, 0, lo_open=True),
+    "train.batch_size": Rule(int, 1, 100_000),
+    "train.seed": Rule(int, 0, 2**32 - 1),
+}
+MAX_DATASET_BYTES = 1 << 30  # float64 images of both splits
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in override.items():
@@ -78,23 +138,54 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _check(key: str, value, rule: Rule, shape: tuple) -> None:
+    """Raise a ConfigError naming key (and list index) unless value fits the rule."""
+    if shape:
+        least, most = shape[0] if isinstance(shape[0], tuple) else (shape[0], shape[0])
+        if not isinstance(value, list) or not least <= len(value) <= most:
+            count = least if least == most else f"{least} to {most}"
+            raise ConfigError(f"{key} must be a list of {count} items, got {value!r}")
+        for i, item in enumerate(value):
+            _check(f"{key}[{i}]", item, rule, shape[1:])
+        return
+    # type(), so that true is no integer; abs() takes a huge integer, where float() overflows
+    kinds = (int, float) if rule.kind is float else (rule.kind,)
+    if type(value) not in kinds or rule.kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[rule.kind]}, got {value!r}")
+    if rule.choices and value not in rule.choices:
+        raise ConfigError(f"{key} must be one of {rule.choices}, got {value!r}")
+    if rule.lo is not None and (value < rule.lo or rule.lo_open and value == rule.lo):
+        raise ConfigError(f"{key} must be {'>' if rule.lo_open else '>='} {rule.lo}, got {value}")
+    if rule.hi is not None and value > rule.hi:
+        raise ConfigError(f"{key} must be <= {rule.hi}, got {value}")
+
+
 def resolve_config(overrides: dict | None = None) -> dict:
-    """Fill defaults, reject unknown keys, sanity-check values."""
+    """Fill defaults, reject unknown keys, check each value, then how values relate."""
     cfg = _merge(DEFAULTS, overrides or {})
-    # construct the derived objects once so bad values fail here, loudly
-    backbone_config_from(cfg)
-    synth_config_from(cfg)
-    if cfg["model"]["eps"] <= 0:
-        raise ConfigError(f"model.eps must be > 0, got {cfg['model']['eps']}")
-    if cfg["model"]["similarity"] not in ("reciprocal", "log"):
-        raise ConfigError(f"model.similarity must be 'reciprocal' or 'log'")
-    for key in ("alpha_mse", "alpha_clst", "alpha_psd"):
-        if cfg["loss"][key] < 0:
-            raise ConfigError(f"loss.{key} must be >= 0, got {cfg['loss'][key]}")
-    if cfg["train"]["warmup_epochs"] > cfg["train"]["joint_epochs"]:
+    for key, rule in RULES.items():
+        section, name = key.split(".")
+        _check(key, cfg[section][name], rule, rule.shape)
+    d, m, t = cfg["data"], cfg["model"], cfg["train"]
+    if t["warmup_epochs"] > t["joint_epochs"]:
         raise ConfigError("train.warmup_epochs cannot exceed train.joint_epochs")
-    if cfg["train"]["batch_size"] < 1:
-        raise ConfigError(f"train.batch_size must be >= 1, got {cfg['train']['batch_size']}")
+    if m["label_lo"] >= m["label_hi"]:
+        raise ConfigError(f"model.label_hi must be > model.label_lo, got {m['label_hi']}")
+    if d["blob_radius"][0] > d["blob_radius"][1]:
+        raise ConfigError(f"data.blob_radius must be [least, most], got {d['blob_radius']}")
+    h, w = d["image_hw"]
+    n_bytes = 8 * (d["train_per_grade"] + d["test_per_grade"]) * d["grades"] * d["channels"]
+    n_bytes *= h * w
+    if n_bytes > MAX_DATASET_BYTES:
+        raise ConfigError(f"data.train_per_grade and data.test_per_grade ask for a dataset of "
+                          f"{n_bytes} bytes, over the cap of {MAX_DATASET_BYTES}")
+    for i, (_, kernel, stride) in enumerate(m["backbone_blocks"]):
+        if kernel > min(h, w):
+            raise ConfigError(f"model.backbone_blocks[{i}] kernel {kernel} exceeds its {h}x{w} map")
+        h, w = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    if min(h, w) <= 1:
+        raise ConfigError(f"model.backbone_blocks maps {d['image_hw']} images to a {h}x{w} "
+                          "latent grid, which must be > 1 on both sides")
     return cfg
 
 
@@ -115,30 +206,16 @@ def save_config(cfg: dict, path) -> None:
     Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
-def backbone_config_from(cfg: dict) -> BackboneConfig:
-    m, d = cfg["model"], cfg["data"]
-    return BackboneConfig(
-        input_hw=tuple(d["image_hw"]),
-        in_channels=d["channels"],
-        blocks=tuple(ConvSpec(*b) for b in m["backbone_blocks"]),
-        c_z=m["c_z"],
-        latent_hw=tuple(m["latent_hw"]),
-    )
-
-
 def synth_config_from(cfg: dict) -> SynthConfig:
     d = cfg["data"]
-    try:
-        return SynthConfig(
-            image_hw=tuple(d["image_hw"]),
-            channels=d["channels"],
-            grades=d["grades"],
-            train_per_grade=d["train_per_grade"],
-            test_per_grade=d["test_per_grade"],
-            blobs_per_grade=d["blobs_per_grade"],
-            blob_radius=tuple(d["blob_radius"]),
-            noise_sigma=d["noise_sigma"],
-            seed=d["seed"],
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return SynthConfig(
+        image_hw=tuple(d["image_hw"]),
+        channels=d["channels"],
+        grades=d["grades"],
+        train_per_grade=d["train_per_grade"],
+        test_per_grade=d["test_per_grade"],
+        blobs_per_grade=d["blobs_per_grade"],
+        blob_radius=tuple(d["blob_radius"]),
+        noise_sigma=d["noise_sigma"],
+        seed=d["seed"],
+    )

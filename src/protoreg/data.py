@@ -54,16 +54,6 @@ class SynthConfig:
     noise_sigma: float
     seed: int
 
-    def __post_init__(self):
-        if self.grades < 2:
-            raise DataConfigError(f"need at least 2 grades, got {self.grades}")
-        if self.blobs_per_grade < 1:
-            raise DataConfigError("blobs_per_grade must be >= 1")
-        if self.blob_radius[0] > self.blob_radius[1] or self.blob_radius[0] <= 0:
-            raise DataConfigError(f"bad blob radius range {self.blob_radius}")
-        if self.channels not in (1, 3):
-            raise DataConfigError(f"channels must be 1 or 3, got {self.channels}")
-
 
 @dataclass
 class SynthDataset:

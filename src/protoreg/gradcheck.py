@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .config import backbone_config_from, resolve_config
+from .config import resolve_config
 from .engine import Tensor, grad_check
 from .model import Model
 
@@ -13,12 +13,10 @@ from .model import Model
 TINY_CFG = {
     "data": {"image_hw": [8, 8], "train_per_grade": 4, "test_per_grade": 2, "grades": 3,
              "blobs_per_grade": 1, "blob_radius": [1.5, 2.0]},
-    "model": {"m": 3, "c_z": 4, "eps": 1e-4, "latent_hw": [2, 2],
-              "backbone_blocks": [[4, 3, 2], [4, 2, 1], [4, 1, 1]]},
+    "model": {"m": 3, "eps": 1e-4, "backbone_blocks": [[4, 3, 2], [4, 2, 1], [4, 1, 1]]},
     "train": {"cycles": 1, "joint_epochs": 2, "lastlayer_epochs": 1, "warmup_epochs": 1,
               "batch_size": 6},
 }
-TINY_BACKBONE = backbone_config_from(resolve_config(TINY_CFG))
 
 
 def tiny_model(seed: int = 0, similarity_kind: str = "reciprocal") -> Model:

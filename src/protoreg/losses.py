@@ -39,10 +39,6 @@ def eligibility_masks(y: np.ndarray, labels: np.ndarray, delta_l: float) -> np.n
 def cluster_loss(dmat: Tensor, y: np.ndarray, labels: np.ndarray,
                  k: int, delta_l: float) -> Tensor:
     """Mean over samples of the min-k average distance to eligible prototypes."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if delta_l <= 0:
-        raise ValueError(f"delta_l must be > 0, got {delta_l}")
     masks = eligibility_masks(y, labels, delta_l)
     return dmat.masked_min_k_rows(masks, k)
 

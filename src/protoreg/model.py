@@ -25,7 +25,7 @@ import numpy as np
 
 from . import head as head_mod
 from .backbone import Backbone
-from .config import backbone_config_from, resolve_config
+from .config import ConfigError, resolve_config
 from .data import write_atomic
 from .engine import Tensor, no_grad
 from .prototypes import (
@@ -87,11 +87,10 @@ class Model:
     def from_config(cfg: dict) -> "Model":
         """The untrained model that a resolved config describes."""
         mc = cfg["model"]
-        backbone_config = backbone_config_from(cfg)
         rng = np.random.default_rng(mc["seed"])
-        backbone = Backbone(backbone_config, rng)
-        bank = PrototypeBank.create(mc["m"], backbone_config.c_z, rng,
-                                    mc["label_lo"], mc["label_hi"])
+        backbone = Backbone(cfg, rng)
+        c_z = mc["backbone_blocks"][-1][0]  # the last block's out_channels
+        bank = PrototypeBank.create(mc["m"], c_z, rng, mc["label_lo"], mc["label_hi"])
         return Model(
             backbone=backbone,
             bank=bank,
@@ -242,7 +241,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise CheckpointError(f"{path}: header config is not a JSON object")
     try:
         resolved = resolve_config(cfg)
-    except (ValueError, TypeError) as e:  # ConfigError, or a value of the wrong type
+    except ConfigError as e:
         raise CheckpointError(f"{path}: header config: {e}") from e
     if resolved != cfg:
         raise CheckpointError(f"{path}: header config lacks keys that resolving it fills in")

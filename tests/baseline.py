@@ -12,13 +12,15 @@ from protoreg.data import SynthDataset
 from protoreg.engine import Adam, Tensor, no_grad
 
 
-def train_baseline(backbone_config, data: SynthDataset, test: SynthDataset,
+def train_baseline(cfg: dict, data: SynthDataset, test: SynthDataset,
                    epochs: int = 30, lr: float = 3e-3, batch_size: int = 30,
                    seed: int = 0) -> tuple[float, float]:
-    """Train the baseline on data; returns (test MAE, train MSE at the last epoch)."""
+    """Train the baseline with the backbone of a resolved config on data;
+    returns (test MAE, train MSE at the last epoch)."""
     rng = np.random.default_rng(seed)
-    backbone = Backbone(backbone_config, rng)
-    w_lin = Tensor(rng.normal(0.0, 0.1, size=backbone_config.c_z), requires_grad=True)
+    backbone = Backbone(cfg, rng)
+    c_z = cfg["model"]["backbone_blocks"][-1][0]
+    w_lin = Tensor(rng.normal(0.0, 0.1, size=c_z), requires_grad=True)
     b_lin = Tensor(np.array([np.mean(data.y)]), requires_grad=True)
     params = backbone.params() + [w_lin, b_lin]
     opt = Adam(params, lr)

@@ -183,9 +183,8 @@ def test_criterion_05_projection_contract(desk_data, recip_runs):
 @pytest.fixture(scope="module")
 def baseline_fixture(desk_data):
     train_ds, test_ds = desk_data
-    cfg = C.resolve_config()
     mae, _ = train_baseline(
-        C.backbone_config_from(cfg), train_ds, test_ds,
+        C.resolve_config(), train_ds, test_ds,
         epochs=BASELINE_EPOCHS, lr=BASELINE_LR, seed=BASELINE_SEED,
     )
     return mae

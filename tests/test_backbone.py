@@ -1,13 +1,11 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from protoreg.backbone import Backbone, BackboneConfig, ConfigError, ConvSpec
-from protoreg.config import backbone_config_from, resolve_config
+from protoreg.backbone import Backbone
+from protoreg.config import ConfigError, resolve_config
 from protoreg.engine import ShapeError, Tensor
 
-DESK = backbone_config_from(resolve_config())  # 32x32x3 -> 6x6x16
+DESK = resolve_config()  # 32x32x3 -> 6x6x16
 
 
 def make_backbone(seed=0, config=DESK):
@@ -16,26 +14,29 @@ def make_backbone(seed=0, config=DESK):
 
 class TestConfig:
     def test_desk_stack_reaches_6x6(self):
-        # (32 -k3 s2-> 15 -k3 s2-> 7 -k2 s1-> 6 -k1 s1-> 6), asserted in ctor
-        replace(DESK, latent_hw=(6, 6))
+        # (32 -k3 s2-> 15 -k3 s2-> 7 -k2 s1-> 6 -k1 s1-> 6)
+        out = make_backbone().forward(Tensor(np.zeros((1, 3, 32, 32))))
+        assert out.data.shape == (1, 16, 6, 6)
 
     def test_wrong_latent_grid_rejected(self):
-        with pytest.raises(ConfigError, match=r"\(6,6\)|\(6, 6\)"):
-            replace(DESK, latent_hw=(9, 9))
+        # the grid is what the block stack computes; it cannot be stated apart
+        with pytest.raises(ConfigError, match="unknown config key: model.latent_hw"):
+            resolve_config({"model": {"latent_hw": [9, 9]}})
 
     def test_degenerate_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            BackboneConfig(
-                input_hw=(8, 8),
-                in_channels=3,
-                blocks=(ConvSpec(4, 3, 2), ConvSpec(4, 3, 1)),
-                c_z=4,
-                latent_hw=(1, 1),
-            )
+        # 8 -k3 s2-> 3 -k3 s1-> 1
+        with pytest.raises(ConfigError, match=r"model.backbone_blocks maps \[8, 8\] images "
+                                              r"to a 1x1 latent grid"):
+            resolve_config({"data": {"image_hw": [8, 8]},
+                            "model": {"backbone_blocks": [[4, 3, 2], [4, 3, 1]]}})
 
     def test_last_block_channels_must_match_c_z(self):
-        with pytest.raises(ConfigError):
-            replace(DESK, c_z=32)
+        # c_z is the last block's out_channels, so a disagreeing key cannot be stated
+        with pytest.raises(ConfigError, match="unknown config key: model.c_z"):
+            resolve_config({"model": {"c_z": 32}})
+        cfg = resolve_config({"model": {"backbone_blocks": [[8, 3, 2], [32, 3, 2]]}})
+        out = make_backbone(config=cfg).forward(Tensor(np.zeros((1, 3, 32, 32))))
+        assert out.data.shape == (1, 32, 7, 7)
 
 
 class TestForward:

@@ -36,9 +36,7 @@ TINY_CFG = {
     },
     "model": {
         "m": 3,
-        "c_z": 4,
         "backbone_blocks": [[4, 3, 2], [4, 2, 1], [4, 1, 1]],
-        "latent_hw": [2, 2],
     },
     "train": {
         "cycles": 1,
@@ -286,6 +284,39 @@ class TestErrors:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == "error: train.batch_size must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"data": {"image_hw": 32}}, "data.image_hw must be a list of 2 items, got 32"),
+        ({"model": {"eps": "x"}}, "model.eps must be a finite number, got 'x'"),
+        ({"model": {"m": "10"}}, "model.m must be an integer, got '10'"),
+        ({"model": {"m": 100000000}}, "model.m must be <= 1000, got 100000000"),
+        ({"train": {"cycles": -1}}, "train.cycles must be >= 1, got -1"),
+        ({"train": {"lr_head": -1.0}}, "train.lr_head must be > 0, got -1.0"),
+        ({"loss": {"k": 0}}, "loss.k must be >= 1, got 0"),
+        ({"train": {"joint_epochs": 1.5}}, "train.joint_epochs must be an integer, got 1.5"),
+        ({"model": {"backbone_blocks": [[8, 3, 2], [16, 3, 0]]}},
+         "model.backbone_blocks[1][2] must be >= 1, got 0"),
+        ({"train": {"batch_size": True}}, "train.batch_size must be an integer, got True"),
+        ({"data": {"augment": "yes"}}, "data.augment must be true or false, got 'yes'"),
+        ({"data": {"train_per_grade": 100000}},
+         "data.train_per_grade and data.test_per_grade ask for a dataset of 12294144000 bytes"),
+    ])
+    def test_bad_value_rejected_before_data_loads(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_ablate_seeds_below_one(self, tmp_path, capsys, seeds):
+        rc = main(["ablate", "--data", str(tmp_path / "nope"), "--seeds", seeds,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --seeds must be >= 1, got {seeds}\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_checkpoint(self, tmp_path, capsys):

@@ -1,15 +1,20 @@
 """Tests for config resolution and the checkpoint format."""
 
 import json
+import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from protoreg import config as C
 from protoreg import data as D
-from protoreg.cli import train_run
+from protoreg.cli import ABLATION_VARIANTS, main, train_run
+from protoreg.engine import Tensor
 from protoreg.gradcheck import TINY_CFG, tiny_model
 from protoreg.model import (
     CHECKPOINT_MAGIC,
@@ -68,21 +73,146 @@ class TestResolve:
         ({"loss": {"alpha_psd": -0.5}}, "loss.alpha_psd must be >= 0, got -0.5"),
         ({"train": {"batch_size": 0}}, "train.batch_size must be >= 1, got 0"),
         ({"train": {"batch_size": -3}}, "train.batch_size must be >= 1, got -3"),
+        # values that the data, prototype, loss and backbone code rejected on use
+        ({"data": {"blobs_per_grade": 0}}, "data.blobs_per_grade must be >= 1, got 0"),
+        ({"data": {"blob_radius": [0.0, 3.0]}}, "data.blob_radius[0] must be > 0, got 0.0"),
+        ({"model": {"m": 1}}, "model.m must be >= 2, got 1"),
+        ({"model": {"label_lo": 3.0, "label_hi": 3.0}},
+         "model.label_hi must be > model.label_lo, got 3.0"),
+        ({"model": {"backbone_blocks": [[8, 3, 2], [0, 3, 2]]}},
+         "model.backbone_blocks[1][0] must be >= 1, got 0"),
+        ({"model": {"backbone_blocks": [[16, 3, 2]]}},
+         "model.backbone_blocks must be a list of 2 to 16 items, got [[16, 3, 2]]"),
+        ({"model": {"backbone_blocks": [[8, 3, 0], [16, 3, 2]]}},
+         "model.backbone_blocks[0][2] must be >= 1, got 0"),
+        ({"loss": {"k": 0}}, "loss.k must be >= 1, got 0"),
+        ({"loss": {"delta_l": 0.0}}, "loss.delta_l must be > 0, got 0.0"),
     ])
     def test_out_of_range_value_names_its_key(self, override, message):
         with pytest.raises(C.ConfigError, match=re.escape(message)):
             C.resolve_config(override)
 
     def test_backbone_shape_mismatch_rejected(self):
-        # blocks that do not land on the declared latent size must fail loudly
-        with pytest.raises(C.ConfigError):
+        # the block stack alone sets the latent grid, and each kernel must fit its map
+        with pytest.raises(C.ConfigError, match="unknown config key: model.latent_hw"):
             C.resolve_config({"model": {"latent_hw": [7, 7]}})
+        # 32 -k3 s2-> 15 -k3 s2-> 7, then a kernel of 8
+        with pytest.raises(C.ConfigError, match=re.escape(
+                "model.backbone_blocks[2] kernel 8 exceeds its 7x7 map")):
+            C.resolve_config({"model": {"backbone_blocks": [[8, 3, 2], [16, 3, 2], [16, 8, 1]]}})
 
     def test_tiny_cfg_resolves(self):
         cfg = C.resolve_config(TINY_CFG)
         assert cfg["model"]["m"] == 3
-        bc = C.backbone_config_from(cfg)
-        assert bc.latent_hw == (2, 2)
+        latent = tiny_model().backbone.forward(Tensor(np.zeros((1, 3, 8, 8))))
+        assert latent.data.shape == (1, 4, 2, 2)
+
+    def test_dataset_byte_cap(self):
+        # 8688 + 50 images per grade fill the cap with 5 grades of 3x32x32 float64
+        # images; only resolve_config runs, so nothing of that size is allocated
+        assert 8 * (8688 + 50) * 5 * 3 * 32 * 32 <= C.MAX_DATASET_BYTES
+        C.resolve_config({"data": {"train_per_grade": 8688}})
+        with pytest.raises(C.ConfigError, match="^data.train_per_grade and data.test_per_grade "
+                                                "ask for a dataset of 1073848320 bytes"):
+            C.resolve_config({"data": {"train_per_grade": 8689}})
+
+
+JSON_VALUES = {int: st.integers(), float: st.floats(), bool: st.booleans(),
+               str: st.text(max_size=8)}
+
+
+def wrong_values(rule: C.Rule, default, shape: tuple) -> st.SearchStrategy:
+    """JSON values that rule must reject where default is valid: every wrong
+    type, lists of a wrong length or with one wrong item, and numbers past
+    each bound."""
+    others = [st.none(), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)]
+    if shape:
+        least, most = shape[0] if isinstance(shape[0], tuple) else (shape[0], shape[0])
+        lengths = st.integers(0, most + 2).filter(lambda n: not least <= n <= most)
+        one_wrong = st.tuples(st.integers(0, len(default) - 1),
+                              wrong_values(rule, default[0], shape[1:]))
+        return st.one_of(*others, *JSON_VALUES.values(),
+                         lengths.map(lambda n: [default[0]] * n),
+                         one_wrong.map(lambda t: default[:t[0]] + [t[1]] + default[t[0] + 1:]))
+    out = others + [st.lists(st.integers(), max_size=3)]
+    out += [values for kind, values in JSON_VALUES.items()
+            if kind is not rule.kind and (kind, rule.kind) != (int, float)]
+    if rule.choices:
+        out.append(JSON_VALUES[rule.kind].filter(lambda v: v not in rule.choices))
+    if rule.kind is float:
+        out.append(st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
+    below, above = just_past(rule)
+    if below is not None:
+        out.append(st.integers(max_value=below) if rule.kind is int else st.floats(max_value=below))
+    if above is not None:
+        out.append(st.integers(min_value=above) if rule.kind is int else st.floats(min_value=above))
+    return st.one_of(*out)
+
+
+def just_past(rule: C.Rule) -> tuple:
+    """The numbers just below rule's lower bound and just above its upper one
+    (None where there is no bound)."""
+    below = above = None
+    if rule.lo is not None:
+        below = (rule.lo - 1 if rule.kind is int else
+                 float(rule.lo) if rule.lo_open else math.nextafter(rule.lo, -math.inf))
+    if rule.hi is not None:
+        above = rule.hi + 1 if rule.kind is int else math.nextafter(rule.hi, math.inf)
+    return below, above
+
+
+def nest(value, default, shape: tuple):
+    """default with its first innermost item replaced by value."""
+    return [nest(value, default[0], shape[1:])] + default[1:] if shape else value
+
+
+class TestRules:
+    def test_one_rule_per_default_key(self):
+        assert set(C.RULES) == {f"{s}.{k}" for s, section in C.DEFAULTS.items() for k in section}
+
+    def test_every_config_the_project_runs_resolves(self):
+        # the defaults, the grad-check model, each ablation cell on the defaults and on
+        # the tiny model, and every config that a script under scripts/ writes
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        written = [json.loads(block) for path in sorted(scripts.glob("*.sh"))
+                   for block in re.findall(r"<<'EOF'\n(.*?)\nEOF", path.read_text(), re.S)]
+        assert len(written) == 3
+        for base in [C.DEFAULTS, TINY_CFG, *written]:
+            cfg = C.resolve_config(base)
+            for _, override in ABLATION_VARIANTS:
+                C.resolve_config(C._merge(cfg, override))
+
+    def test_values_just_past_each_bound(self):
+        # resolve_config alone: no test allocates what a size bound guards against
+        for key, rule in C.RULES.items():
+            section, name = key.split(".")
+            for value in filter(lambda v: v is not None, just_past(rule)):
+                override = {section: {name: nest(value, C.DEFAULTS[section][name], rule.shape)}}
+                with pytest.raises(C.ConfigError) as raised:
+                    C.resolve_config(override)
+                assert str(raised.value).startswith(key), raised.value
+                assert str(raised.value).endswith(f"got {value}"), raised.value
+
+    @pytest.mark.parametrize("key", sorted(C.RULES))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_value_names_its_key(self, key, data, tmp_path, capsys):
+        section, name = key.split(".")
+        rule = C.RULES[key]
+        override = {section: {name: data.draw(wrong_values(rule, C.DEFAULTS[section][name],
+                                                           rule.shape))}}
+        with pytest.raises(C.ConfigError) as raised:
+            C.resolve_config(override)
+        assert str(raised.value).startswith(key), raised.value
+        # the dataset path does not exist: only the config check can end the command
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(override))
+        rc = main(["train", "--config", str(path), "--data", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestLoadSave:
@@ -230,6 +360,18 @@ class TestCheckpoint:
             path.write_bytes(raw)
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
+
+    def test_header_config_of_wrong_type(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
+        header, _ = split_checkpoint(path.read_bytes())
+        header["config"]["model"]["m"] = "10"
+        path.write_bytes(with_header(path.read_bytes(), header))
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: header config: model.m must be an integer, got '10'\n")
 
     def test_config_builds_the_reloaded_model(self, tmp_path):
         overrides = json.loads(json.dumps(TINY_CFG))

@@ -177,12 +177,12 @@ class TestGeneration:
         assert ds.y.tobytes() == ref_y.tobytes()
 
     def test_config_validation(self):
-        with pytest.raises(D.DataConfigError):
-            small_cfg(grades=1)
-        with pytest.raises(D.DataConfigError):
-            small_cfg(blob_radius=(3.0, 2.0))
-        with pytest.raises(D.DataConfigError):
-            small_cfg(channels=2)
+        with pytest.raises(C.ConfigError, match="data.grades must be >= 2, got 1"):
+            C.resolve_config({"data": {"grades": 1}})
+        with pytest.raises(C.ConfigError, match=r"data.blob_radius must be \[least, most\]"):
+            C.resolve_config({"data": {"blob_radius": [3.0, 2.0]}})
+        with pytest.raises(C.ConfigError, match=r"data.channels must be one of \(1, 3\)"):
+            C.resolve_config({"data": {"channels": 2}})
 
 
 class TestLabels:

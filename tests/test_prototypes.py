@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from protoreg.config import ConfigError, resolve_config
 from protoreg.engine import ShapeError, Tensor
 from protoreg.prototypes import (
     PrototypeBank,
-    SimilarityConfigError,
     assign_prototype_labels,
     compute_d_max,
     distance_map,
@@ -95,8 +95,8 @@ class TestSimilarity:
         assert s.data[0] == pytest.approx(np.log(1.0 / 1e-4))
 
     def test_bad_eps_rejected(self):
-        with pytest.raises(SimilarityConfigError):
-            similarity(Tensor(np.array([0.0])), "reciprocal", eps=0.0, d_max=1.0)
+        with pytest.raises(ConfigError, match="model.eps must be > 0, got 0.0"):
+            resolve_config({"model": {"eps": 0.0}})
 
     @given(st.floats(0.0, 15.9), st.floats(0.001, 0.1))
     def test_strictly_decreasing_both_kinds(self, d, gap):
@@ -145,5 +145,5 @@ class TestLabels:
         assert np.all(np.diff(labels) > 0)
 
     def test_nonpositive_lo_rejected(self):
-        with pytest.raises(ValueError):
-            assign_prototype_labels(5, 0.0, 5.0)
+        with pytest.raises(ConfigError, match="model.label_lo must be > 0, got 0.0"):
+            resolve_config({"model": {"m": 5, "label_lo": 0.0, "label_hi": 5.0}})

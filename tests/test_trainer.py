@@ -8,7 +8,7 @@ from protoreg.backbone import Backbone
 from protoreg.config import resolve_config
 from protoreg.data import SynthDataset, augment_batch
 from protoreg.engine import Adam, Tensor
-from protoreg.gradcheck import TINY_BACKBONE, TINY_CFG, tiny_model
+from protoreg.gradcheck import TINY_CFG, tiny_model
 
 from baseline import train_baseline
 
@@ -384,14 +384,15 @@ class TestBaseline:
         # with n small and few epochs we only require finite sane outputs
         ds = tiny_dataset(n=16, seed=0)
         test = tiny_dataset(n=8, seed=1)
-        mae, train_mse = train_baseline(TINY_BACKBONE, ds, test, epochs=4, lr=3e-3, seed=0)
+        mae, train_mse = train_baseline(resolve_config(TINY_CFG), ds, test, epochs=4, lr=3e-3,
+                                        seed=0)
         assert np.isfinite(mae) and np.isfinite(train_mse)
         assert mae < 5.0
 
     def test_baseline_deterministic(self):
         ds = tiny_dataset(n=12, seed=0)
         test = tiny_dataset(n=6, seed=1)
-        a = train_baseline(TINY_BACKBONE, ds, test, epochs=2, seed=3)
-        b = train_baseline(TINY_BACKBONE, ds, test, epochs=2, seed=3)
+        a = train_baseline(resolve_config(TINY_CFG), ds, test, epochs=2, seed=3)
+        b = train_baseline(resolve_config(TINY_CFG), ds, test, epochs=2, seed=3)
         assert a == b
 
