@@ -138,7 +138,7 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _check(key: str, value, rule: Rule, shape: tuple) -> None:
+def check_value(key: str, value, rule: Rule, shape: tuple = ()) -> None:
     """Raise a ConfigError naming key (and list index) unless value fits the rule."""
     if shape:
         least, most = shape[0] if isinstance(shape[0], tuple) else (shape[0], shape[0])
@@ -146,7 +146,7 @@ def _check(key: str, value, rule: Rule, shape: tuple) -> None:
             count = least if least == most else f"{least} to {most}"
             raise ConfigError(f"{key} must be a list of {count} items, got {value!r}")
         for i, item in enumerate(value):
-            _check(f"{key}[{i}]", item, rule, shape[1:])
+            check_value(f"{key}[{i}]", item, rule, shape[1:])
         return
     # type(), so that true is no integer; abs() takes a huge integer, where float() overflows
     kinds = (int, float) if rule.kind is float else (rule.kind,)
@@ -165,7 +165,7 @@ def resolve_config(overrides: dict | None = None) -> dict:
     cfg = _merge(DEFAULTS, overrides or {})
     for key, rule in RULES.items():
         section, name = key.split(".")
-        _check(key, cfg[section][name], rule, rule.shape)
+        check_value(key, cfg[section][name], rule, rule.shape)
     d, m, t = cfg["data"], cfg["model"], cfg["train"]
     if t["warmup_epochs"] > t["joint_epochs"]:
         raise ConfigError("train.warmup_epochs cannot exceed train.joint_epochs")
@@ -195,7 +195,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         overrides = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from e
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {p} must contain a JSON object")

@@ -344,11 +344,9 @@ class Tensor:
                             (g_rows @ w_taps_t[i, j]).reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
                         )
                 x._accum(gx)
-            if w.requires_grad:
-                # rebuilt only if w started requiring a gradient after the forward pass
-                taps = x_taps or [_rows(tap(xd, i, j)) for i in range(kh) for j in range(kw)]
+            if w.requires_grad and x_taps:  # kept if w required a gradient in the forward
                 gw = np.empty_like(wdat)
-                for t, rows in enumerate(taps):
+                for t, rows in enumerate(x_taps):
                     gw[:, :, t // kw, t % kw] = (rows.T @ g_rows).T
                 w._accum(gw)
 

@@ -5,7 +5,9 @@ Checkpoint layout (little-endian):
     u32 format version (currently 1)
     u64 header length in bytes
     header: UTF-8 JSON with sorted keys — resolved config, stage cursor,
-            prototype labels, provenance, tensor manifest (name, shape)
+            similarity kind, eps, prototype labels, provenance, tensor
+            manifest (name, shape); all but the cursor and provenance are
+            what the config gives
     f64 tensor payloads in manifest order
 
 Loading a checkpoint rebuilds a model whose forward outputs are bitwise
@@ -15,17 +17,16 @@ identical to the saved one.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import head as head_mod
 from .backbone import Backbone
-from .config import ConfigError, resolve_config
+from .config import ConfigError, Rule, check_value, resolve_config
 from .data import write_atomic
 from .engine import Tensor, no_grad
 from .prototypes import (
@@ -38,7 +39,9 @@ from .prototypes import (
 
 CHECKPOINT_MAGIC = b"PRCK1"
 CHECKPOINT_VERSION = 1
-_HEADER_KEYS = ("config", "cursor", "eps", "labels", "provenance", "similarity_kind", "tensors")
+_STAGES = ("joint", "projection", "lastlayer")  # trainer.run_protocol's cursor stages
+_PROVENANCE_RULES = {"sample_id": Rule(int, 0), "row": Rule(int, 0), "col": Rule(int, 0),
+                     "moved_sq_dist": Rule(float, 0)}
 
 
 class CheckpointError(ValueError):
@@ -149,37 +152,32 @@ class Model:
 
 
 def _tensor_manifest(model: Model) -> list[tuple[str, Tensor]]:
-    entries = []
-    for i, (w, b) in enumerate(zip(model.backbone.weights, model.backbone.biases)):
-        entries.append((f"backbone.w{i}", w))
-        entries.append((f"backbone.b{i}", b))
-    entries.append(("prototypes", model.bank.vectors))
-    entries.append(("theta", model.theta))
-    return entries
+    """(name, tensor) of model.params(), in payload order."""
+    names = [f"backbone.{k}{i}" for i in range(len(model.backbone.weights)) for k in "wb"]
+    return list(zip(names + ["prototypes", "theta"], model.params()))
 
 
-def save_checkpoint(model: Model, path, resolved_config: dict) -> None:
-    manifest = _tensor_manifest(model)
-    header = {
+def _header(model: Model, resolved_config: dict) -> dict:
+    """The checkpoint header of a model built from resolved_config."""
+    return {
         "config": resolved_config,
         "cursor": model.cursor,
         "similarity_kind": model.similarity_kind,
         "eps": model.eps,
         "labels": model.bank.labels.tolist(),
-        "provenance": [
-            None if p is None else
-            {"sample_id": p.sample_id, "row": p.row, "col": p.col,
-             "moved_sq_dist": p.moved_sq_dist}
-            for p in model.bank.provenance
-        ],
-        "tensors": [{"name": n, "shape": list(t.data.shape)} for n, t in manifest],
+        "provenance": [None if p is None else asdict(p) for p in model.bank.provenance],
+        "tensors": [{"name": n, "shape": list(t.data.shape)} for n, t in _tensor_manifest(model)],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+
+
+def save_checkpoint(model: Model, path, resolved_config: dict) -> None:
+    blob = json.dumps(_header(model, resolved_config), sort_keys=True,
+                      separators=(",", ":")).encode()
     write_atomic(path, (
         CHECKPOINT_MAGIC,
         struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)),
         blob,
-        *(np.ascontiguousarray(t.data, dtype="<f8") for _, t in manifest),
+        *(np.ascontiguousarray(t.data, dtype="<f8") for _, t in _tensor_manifest(model)),
     ))
 
 
@@ -203,42 +201,45 @@ def _read_header(f, path) -> dict:
             f"{path}: header of {header_len} bytes is truncated to {remaining}")
     try:
         header = json.loads(f.read(header_len).decode())
-    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise CheckpointError(f"{path}: header is not UTF-8 JSON: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise CheckpointError(f"{path}: header has no {', '.join(missing)}")
     return header
 
 
+def _check_record(key: str, value, rules: dict) -> None:
+    if not isinstance(value, dict) or value.keys() != rules.keys():
+        raise ConfigError(f"{key} must be an object with keys {sorted(rules)}, got {value!r}")
+    for name, rule in rules.items():
+        check_value(f"{key}.{name}", value[name], rule)
+
+
+def _check_state(header: dict, cfg: dict) -> None:
+    """Raise a ConfigError unless the header's provenance and stage cursor fit cfg."""
+    provenance, cursor, m = header["provenance"], header["cursor"], cfg["model"]["m"]
+    if not isinstance(provenance, list) or len(provenance) != m:
+        raise ConfigError(f"provenance must be a list of {m} entries, got {provenance!r}")
+    for j, p in enumerate(provenance):
+        if p is not None:
+            _check_record(f"provenance[{j}]", p, _PROVENANCE_RULES)
+    if cursor != {}:
+        _check_record("cursor", cursor, {"cycle": Rule(int, 0, cfg["train"]["cycles"] - 1),
+                                         "stage": Rule(str, choices=_STAGES)})
+
+
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Rebuild (model, resolved_config) from a checkpoint file."""
+    """Rebuild (model, resolved_config) from a checkpoint file.
+
+    The header's config builds the model; every other header key except the
+    stage cursor and the provenance must equal what that model's header holds.
+    """
     with open(path, "rb") as f:
         header = _read_header(f, path)
         raw = f.read()
-    try:
-        expected = sum(math.prod(meta["shape"]) for meta in header["tensors"])
-    except (KeyError, TypeError) as e:
-        raise CheckpointError(f"{path}: malformed tensor manifest: {e!r}") from e
-    if len(raw) % 8:
-        raise CheckpointError(
-            f"{path}: payload of {len(raw)} bytes is not a whole number of float64 "
-            f"values; the tensor manifest expects {expected} values"
-        )
-    found = len(raw) // 8
-    if found != expected:
-        trailing = f", {found - expected} of them trailing" if found > expected else ""
-        raise CheckpointError(
-            f"{path}: payload holds {found} values{trailing}; "
-            f"the tensor manifest expects {expected}"
-        )
-    payload = np.frombuffer(raw, dtype="<f8")
-
-    cfg = header["config"]
+    cfg = header.get("config")
     if not isinstance(cfg, dict):
-        raise CheckpointError(f"{path}: header config is not a JSON object")
+        raise CheckpointError(f"{path}: header config is missing or not a JSON object")
     try:
         resolved = resolve_config(cfg)
     except ConfigError as e:
@@ -246,28 +247,37 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     if resolved != cfg:
         raise CheckpointError(f"{path}: header config lacks keys that resolving it fills in")
     model = Model.from_config(cfg)
-    mc = cfg["model"]
-    if (header["similarity_kind"], header["eps"]) != (mc["similarity"], mc["eps"]):
-        raise CheckpointError(
-            f"{path}: header similarity {header['similarity_kind']!r} with eps "
-            f"{header['eps']} disagrees with its config ({mc['similarity']!r}, {mc['eps']})"
-        )
-    offset = 0
-    tensors = _tensor_manifest(model)
-    if len(tensors) != len(header["tensors"]):
-        raise CheckpointError(f"{path}: tensor manifest mismatch")
-    for (name, t), meta in zip(tensors, header["tensors"]):
-        if name != meta["name"] or list(t.data.shape) != meta["shape"]:
+    derived = _header(model, cfg)
+    if header.keys() != derived.keys():
+        raise CheckpointError(f"{path}: header keys {sorted(header)} are not {sorted(derived)}")
+    for key in sorted(derived.keys() - {"cursor", "provenance"}):
+        if header[key] != derived[key]:
             raise CheckpointError(
-                f"{path}: tensor {meta['name']} shape {meta['shape']} does not "
-                f"match model tensor {name} {list(t.data.shape)}"
-            )
-        size = t.data.size
-        t.data = payload[offset : offset + size].reshape(t.data.shape).copy()
-        offset += size
-    model.bank.labels = np.array(header["labels"])
-    model.bank.provenance = [
-        None if p is None else ProvenanceRecord(**p) for p in header["provenance"]
-    ]
+                f"{path}: header {key} {json.dumps(header[key])} disagrees with its config, "
+                f"which gives {json.dumps(derived[key])}")
+    try:
+        _check_state(header, cfg)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: header {e}") from e
+
+    tensors = _tensor_manifest(model)
+    expected = sum(t.data.size for _, t in tensors)
+    extra = len(raw) - 8 * expected
+    if extra:
+        raise CheckpointError(
+            f"{path}: payload of {len(raw)} bytes has {abs(extra)} bytes "
+            f"{'trailing' if extra > 0 else 'missing'}; the tensor manifest expects "
+            f"{expected} float64 values")
+    payload = np.frombuffer(raw, dtype="<f8")
+    finite = np.isfinite(payload)
+    if not finite.all():
+        raise CheckpointError(f"{path}: {finite.size - finite.sum()} non-finite payload values, "
+                              f"the first at value {finite.argmin()}")
+    offset = 0
+    for _, t in tensors:
+        t.data = payload[offset : offset + t.data.size].reshape(t.data.shape).copy()
+        offset += t.data.size
+    model.bank.provenance = [None if p is None else ProvenanceRecord(**p)
+                             for p in header["provenance"]]
     model.cursor = header["cursor"]
     return model, cfg

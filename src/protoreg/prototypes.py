@@ -15,11 +15,6 @@ import numpy as np
 from .engine import ShapeError, Tensor
 
 
-def compute_d_max(c_z: int) -> float:
-    """Supremum of squared L2 distance between two points of (0,1)^c_z."""
-    return float(c_z)
-
-
 def assign_prototype_labels(m: int, lo: float, hi: float) -> np.ndarray:
     """Evenly spaced labels from lo to hi inclusive; for m >= 2 and lo < hi."""
     return np.linspace(lo, hi, m)
@@ -39,7 +34,6 @@ class ProvenanceRecord:
 class PrototypeBank:
     vectors: Tensor  # (m, c_z), trainable
     labels: np.ndarray  # (m,), fixed
-    d_max: float
     provenance: list[ProvenanceRecord | None] = field(default_factory=list)
 
     @property
@@ -51,6 +45,11 @@ class PrototypeBank:
         return self.vectors.data.shape[1]
 
     @property
+    def d_max(self) -> float:
+        """Supremum of squared L2 distance between two points of (0,1)^c_z."""
+        return float(self.c_z)
+
+    @property
     def projected(self) -> bool:
         return bool(self.provenance) and all(p is not None for p in self.provenance)
 
@@ -60,8 +59,7 @@ class PrototypeBank:
         # init in the interior of the latent range, away from sigmoid saturation
         vectors = Tensor(rng.uniform(0.2, 0.8, size=(m, c_z)), requires_grad=True)
         labels = assign_prototype_labels(m, label_lo, label_hi)
-        return PrototypeBank(vectors=vectors, labels=labels,
-                             d_max=compute_d_max(c_z), provenance=[None] * m)
+        return PrototypeBank(vectors=vectors, labels=labels, provenance=[None] * m)
 
 
 def distance_map(latent: Tensor, bank: PrototypeBank) -> Tensor:

@@ -124,37 +124,30 @@ def joint_stage(model: Model, data: SynthDataset, cfg: dict, rng: np.random.Gene
 
 
 def lastlayer_stage(model: Model, data: SynthDataset, cfg: dict, rng: np.random.Generator,
-                    log: TrainLog, cycle: int, latents: np.ndarray | None = None):
+                    log: TrainLog, cycle: int, latents: np.ndarray):
     """Train theta only; backbone and prototypes stay bitwise fixed.
 
     Without augmentation every epoch sees the same images through the same
     frozen layers, so their min-pooled distances are computed once and each
-    step runs only the head and the loss terms on them. latents, when given,
-    is model.latents_np(data.images) for the current backbone (projection's
+    step runs only the head and the loss terms on them. latents is
+    model.latents_np(data.images) for the current backbone (projection's
     pass), and the distances come from it without another backbone pass.
     """
     opt_head = Adam([model.theta], cfg["train"]["lr_head"])
-    inputs = None
-    if not cfg["data"]["augment"]:
-        if latents is None:
-            latents = model.latents_np(data.images)
-        inputs = model.dmin_np(latents)
+    inputs = None if cfg["data"]["augment"] else model.dmin_np(latents)
     _run_epochs(model, data, cfg, [opt_head], epochs=cfg["train"]["lastlayer_epochs"],
                 rng=rng, log=log, cycle=cycle, stage="lastlayer", inputs=inputs)
 
 
-def project_prototypes(model: Model, data: SynthDataset,
-                       latents: np.ndarray | None = None) -> list[dict]:
+def project_prototypes(model: Model, data: SynthDataset, latents: np.ndarray) -> list[dict]:
     """Replace each prototype by its nearest training latent patch.
 
     Ties resolve to the earliest (sample, row, col) in scan order. Labels
-    are untouched. latents, when given, is model.latents_np(data.images).
+    are untouched. latents is model.latents_np(data.images), (N, c_z, h, w).
     Returns one report entry per prototype.
     """
     if len(data) == 0:
         raise ValueError("cannot project prototypes onto an empty training set")
-    if latents is None:
-        latents = model.latents_np(data.images)  # (N, c_z, h, w)
     n, c_z, h, w = latents.shape
     # (N*h*w, c_z), sample-major then row-major spatial: scan order for ties
     patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)

@@ -96,7 +96,6 @@ def test_criterion_02_distance_layer_oracle():
         bank = PrototypeBank(
             vectors=Tensor(protos.copy(), requires_grad=True),
             labels=np.linspace(0.1, 5.9, m),
-            d_max=float(c),
             provenance=[None] * m,
         )
         with no_grad():
@@ -169,7 +168,7 @@ def test_criterion_05_projection_contract(desk_data, recip_runs):
         exact_zero = exact_zero and (dmin == 0.0)
     vec_before = model.bank.vectors.data.copy()
     prov_before = [(p.sample_id, p.row, p.col) for p in model.bank.provenance]
-    trainer.project_prototypes(model, train_ds)
+    trainer.project_prototypes(model, train_ds, latents)
     noop = (np.array_equal(model.bank.vectors.data, vec_before)
             and [(p.sample_id, p.row, p.col) for p in model.bank.provenance]
             == prov_before)

@@ -19,6 +19,7 @@ from protoreg.gradcheck import TINY_CFG, tiny_model
 from protoreg.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
+    _tensor_manifest,
     load_checkpoint,
     save_checkpoint,
 )
@@ -235,6 +236,12 @@ class TestLoadSave:
         with pytest.raises(C.ConfigError, match="JSON"):
             C.load_config(path)
 
+    def test_json_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(C.ConfigError, match="JSON"):
+            C.load_config(path)
+
     def test_non_object_json(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -273,7 +280,8 @@ def damaged_checkpoints(raw: bytes, damage: str) -> list[bytes]:
     if damage == "not_utf8":
         return [raw[:17] + b"\xff" + raw[18:]]
     if damage == "not_json":
-        return [raw[:17] + b"[" + raw[18:]]
+        deep = b"[" * 100_000 + b"]" * 100_000
+        return [raw[:17] + b"[" + raw[18:], raw[:9] + struct.pack("<Q", len(deep)) + deep]
     if damage == "missing_key":
         headers = [{k: v for k, v in header.items() if k != key} for key in header]
         headers += [{**header, "config": {k: v for k, v in header["config"].items()
@@ -395,3 +403,73 @@ class TestCheckpoint:
         path.write_bytes(with_header(raw, header))
         with pytest.raises(CheckpointError, match="disagrees with its config"):
             load_checkpoint(path)
+
+    def eval_error(self, path, capsys, tmp_path) -> str:
+        """stderr of protoreg eval on the checkpoint at path; it must exit 2."""
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("labels", [1.0, 1.0, 1.0]),
+        ("eps", 1e-5),
+        ("similarity_kind", "log"),
+        ("tensors", 5),
+        ("tensors", [{"name": "theta", "shape": [3]}]),
+    ])
+    def test_header_disagrees_with_config(self, tmp_path, capsys, key, value):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
+        header, _ = split_checkpoint(path.read_bytes())
+        path.write_bytes(with_header(path.read_bytes(), {**header, key: value}))
+        assert self.eval_error(path, capsys, tmp_path).startswith(
+            f"error: {path}: header {key} {json.dumps(value)} disagrees with its config, "
+            "which gives ")
+
+    def test_unknown_header_key(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
+        header, _ = split_checkpoint(path.read_bytes())
+        path.write_bytes(with_header(path.read_bytes(), {**header, "checksum": 0}))
+        assert self.eval_error(path, capsys, tmp_path).startswith(
+            f"error: {path}: header keys ['checksum', 'config', ")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("provenance", 5, "provenance must be a list of 3 entries, got 5"),
+        ("provenance", [None, None], "provenance must be a list of 3 entries, got [None, None]"),
+        ("provenance", [{"x": 1}, None, None], "provenance[0] must be an object with keys "
+         "['col', 'moved_sq_dist', 'row', 'sample_id'], got {'x': 1}"),
+        ("provenance", [None, {"sample_id": 0, "row": -1, "col": 0, "moved_sq_dist": 0.0}, None],
+         "provenance[1].row must be >= 0, got -1"),
+        ("provenance", [None, None, {"sample_id": True, "row": 0, "col": 0, "moved_sq_dist": 0}],
+         "provenance[2].sample_id must be an integer, got True"),
+        ("provenance", [None, None, {"sample_id": 0, "row": 0, "col": 0, "moved_sq_dist": math.inf}],
+         "provenance[2].moved_sq_dist must be a finite number, got inf"),
+        ("cursor", "x", "cursor must be an object with keys ['cycle', 'stage'], got 'x'"),
+        ("cursor", {"cycle": 1, "stage": "joint"}, "cursor.cycle must be <= 0, got 1"),
+        ("cursor", {"cycle": 0, "stage": "warmup"},
+         "cursor.stage must be one of ('joint', 'projection', 'lastlayer'), got 'warmup'"),
+    ])
+    def test_bad_provenance_or_cursor(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
+        header, _ = split_checkpoint(path.read_bytes())
+        path.write_bytes(with_header(path.read_bytes(), {**header, key: value}))
+        assert self.eval_error(path, capsys, tmp_path) == f"error: {path}: header {message}\n"
+
+    @pytest.mark.parametrize("name, bad", [("theta", np.nan), ("backbone.w0", np.inf)])
+    def test_non_finite_payload_rejected(self, tmp_path, capsys, name, bad):
+        model = tiny_model(seed=0)
+        names = [n for n, _ in _tensor_manifest(model)]
+        sizes = [t.data.size for t in model.params()]
+        dict(_tensor_manifest(model))[name].data.flat[1] = bad
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path, tiny_resolved_cfg())
+        first = sum(sizes[:names.index(name)]) + 1
+        for command in ("eval", "embed"):
+            rc = main([command, "--checkpoint", str(path), "--data", str(tmp_path / "missing"),
+                       "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: 1 non-finite payload values, the first at value {first}\n")

@@ -8,7 +8,6 @@ from protoreg.engine import ShapeError, Tensor
 from protoreg.prototypes import (
     PrototypeBank,
     assign_prototype_labels,
-    compute_d_max,
     distance_map,
     min_pool,
     similarity,
@@ -16,13 +15,12 @@ from protoreg.prototypes import (
 
 
 def bank_with(vectors, labels=None):
-    m, c_z = vectors.shape
+    m = vectors.shape[0]
     if labels is None:
         labels = assign_prototype_labels(m, 0.1, 5.9)
     return PrototypeBank(
         vectors=Tensor(vectors, requires_grad=True),
         labels=labels,
-        d_max=compute_d_max(c_z),
         provenance=[None] * m,
     )
 
@@ -116,17 +114,17 @@ class TestSimilarity:
 
 class TestDMax:
     def test_paper_depth(self):
-        assert compute_d_max(128) == 128.0
+        assert bank_with(np.zeros((2, 128))).d_max == 128.0
 
     def test_unit_interval(self):
-        assert compute_d_max(1) == 1.0
+        assert bank_with(np.zeros((2, 1))).d_max == 1.0
 
     def test_random_pairs_never_exceed_bound(self):
         rng = np.random.default_rng(7)
         c_z = 16
         a = rng.uniform(size=(10**5, c_z))
         b = rng.uniform(size=(10**5, c_z))
-        assert np.max(np.sum((a - b) ** 2, axis=1)) <= compute_d_max(c_z)
+        assert np.max(np.sum((a - b) ** 2, axis=1)) <= bank_with(np.zeros((2, c_z))).d_max
 
 
 class TestLabels:

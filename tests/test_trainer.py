@@ -34,6 +34,10 @@ def tiny_cfg(augment=False, **train):
                            "loss": {"k": 2, "delta_l": 1.0}, "train": train})
 
 
+def project(model, ds):
+    return trainer.project_prototypes(model, ds, model.latents_np(ds.images))
+
+
 def snapshot(tensors):
     return [t.data.copy() for t in tensors]
 
@@ -80,7 +84,8 @@ class TestFreezing:
         proto_before = model.bank.vectors.data.copy()
         theta_before = model.theta.data.copy()
         rng = np.random.default_rng(0)
-        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0)
+        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0,
+                                latents=model.latents_np(ds.images))
         assert unchanged(model.backbone.params(), backbone_before)  # bitwise
         assert np.array_equal(model.bank.vectors.data, proto_before)
         assert not np.array_equal(model.theta.data, theta_before)
@@ -89,7 +94,8 @@ class TestFreezing:
         model = tiny_model(seed=0)
         ds = tiny_dataset()
         rng = np.random.default_rng(0)
-        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0)
+        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0,
+                                latents=model.latents_np(ds.images))
         assert all(p.requires_grad for p in model.params())
 
 
@@ -179,11 +185,12 @@ class TestLastLayerCache:
         ds = tiny_dataset(n=14, seed=2)
         cfg = tiny_cfg(augment=augment, lastlayer_epochs=3, lr_head=1e-2)
         ref_model = tiny_model(seed=4)
-        trainer.project_prototypes(ref_model, ds)
+        project(ref_model, ds)
         ref_rows = live_lastlayer(ref_model, ds, cfg, np.random.default_rng(5))
 
         model = tiny_model(seed=4)
-        trainer.project_prototypes(model, ds)
+        project(model, ds)
+        latents = model.latents_np(ds.images)
         seen = []
         forward = Backbone.forward
 
@@ -193,15 +200,16 @@ class TestLastLayerCache:
 
         monkeypatch.setattr(Backbone, "forward", counting)
         log = trainer.TrainLog()
-        trainer.lastlayer_stage(model, ds, cfg, np.random.default_rng(5), log, cycle=0)
+        trainer.lastlayer_stage(model, ds, cfg, np.random.default_rng(5), log, cycle=0,
+                                latents=latents)
         assert np.array_equal(model.theta.data, ref_model.theta.data)
         assert len(log.epochs) == len(ref_rows)
         for e, ref in zip(log.epochs, ref_rows):
             assert [e["mse"], e["clst"], e["psd"]] == ref.tolist()  # bitwise
         if augment:  # augmented images differ per epoch: one pass per batch
             assert seen == [6, 6, 2] * cfg["train"]["lastlayer_epochs"]
-        else:  # one pass over the split, before the first step
-            assert seen == [len(ds)]
+        else:  # no backbone pass: the distances come from the given latents
+            assert seen == []
 
     def test_protocol_shares_the_projection_pass(self, monkeypatch):
         ds = tiny_dataset(n=14, seed=2)
@@ -215,7 +223,8 @@ class TestLastLayerCache:
         # reference: the last-layer stage forwards the split itself
         stage = trainer.lastlayer_stage
         monkeypatch.setattr(trainer, "lastlayer_stage",
-                            lambda *args, latents=None: stage(*args))
+                            lambda model, data, *args, latents: stage(
+                                model, data, *args, latents=model.latents_np(data.images)))
         ref_theta, ref_rows = run()
         monkeypatch.setattr(trainer, "lastlayer_stage", stage)
 
@@ -242,7 +251,7 @@ class TestProjection:
         ds = tiny_dataset(n=6, seed=3)
         latents = model.latents_np(ds.images)
         n, c_z, h, w = latents.shape
-        report = trainer.project_prototypes(model, ds)
+        report = project(model, ds)
         for j in range(model.bank.m):
             best, best_pos = np.inf, None
             for i in range(n):
@@ -267,7 +276,7 @@ class TestProjection:
 
         model = tiny_model(seed=2)
         ds = tiny_dataset(n=5, seed=4)
-        trainer.project_prototypes(model, ds)
+        project(model, ds)
         with no_grad():
             result = model.forward(Tensor(ds.images))
         for j, rec in enumerate(model.bank.provenance):
@@ -278,12 +287,12 @@ class TestProjection:
     def test_idempotent(self):
         model = tiny_model(seed=3)
         ds = tiny_dataset(n=5, seed=5)
-        trainer.project_prototypes(model, ds)
+        project(model, ds)
         first = model.bank.vectors.data.copy()
         first_prov = [
             (r.sample_id, r.row, r.col) for r in model.bank.provenance
         ]
-        report = trainer.project_prototypes(model, ds)
+        report = project(model, ds)
         assert np.array_equal(model.bank.vectors.data, first)
         second_prov = [(r["sample_id"], r["row"], r["col"]) for r in report]
         assert second_prov == first_prov
@@ -292,13 +301,13 @@ class TestProjection:
     def test_labels_untouched(self):
         model = tiny_model(seed=0)
         labels_before = model.bank.labels.copy()
-        trainer.project_prototypes(model, tiny_dataset(n=4))
+        project(model, tiny_dataset(n=4))
         assert np.array_equal(model.bank.labels, labels_before)
 
     def test_marks_bank_projected(self):
         model = tiny_model(seed=0)
         assert not model.bank.projected
-        trainer.project_prototypes(model, tiny_dataset(n=4))
+        project(model, tiny_dataset(n=4))
         assert model.bank.projected
 
     def test_empty_dataset_rejected(self):
@@ -307,8 +316,8 @@ class TestProjection:
             images=np.zeros((0, 3, 8, 8)), y=np.zeros(0), y_categorical=np.zeros(0),
             label_mode="categorical", split="train",
         )
-        with pytest.raises(ValueError):
-            trainer.project_prototypes(model, empty)
+        with pytest.raises(ValueError, match="empty"):
+            trainer.project_prototypes(model, empty, np.zeros((0, 4, 2, 2)))
 
 
 class TestProtocol:
