@@ -404,12 +404,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="disagrees with its config"):
             load_checkpoint(path)
 
-    def eval_error(self, path, capsys, tmp_path) -> str:
-        """stderr of protoreg eval on the checkpoint at path; it must exit 2."""
+    def eval_error(self, tmp_path, capsys, **edits) -> tuple[Path, str]:
+        """(path, stderr) of protoreg eval on a tiny checkpoint whose header has
+        the keys of edits replaced; it must exit 2."""
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
+        header, _ = split_checkpoint(path.read_bytes())
+        path.write_bytes(with_header(path.read_bytes(), {**header, **edits}))
         rc = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "missing"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        return capsys.readouterr().err
+        return path, capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("labels", [1.0, 1.0, 1.0]),
@@ -419,21 +424,13 @@ class TestCheckpoint:
         ("tensors", [{"name": "theta", "shape": [3]}]),
     ])
     def test_header_disagrees_with_config(self, tmp_path, capsys, key, value):
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
-        header, _ = split_checkpoint(path.read_bytes())
-        path.write_bytes(with_header(path.read_bytes(), {**header, key: value}))
-        assert self.eval_error(path, capsys, tmp_path).startswith(
-            f"error: {path}: header {key} {json.dumps(value)} disagrees with its config, "
-            "which gives ")
+        path, err = self.eval_error(tmp_path, capsys, **{key: value})
+        assert err.startswith(f"error: {path}: header {key} {json.dumps(value)} disagrees "
+                              "with its config, which gives ")
 
     def test_unknown_header_key(self, tmp_path, capsys):
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
-        header, _ = split_checkpoint(path.read_bytes())
-        path.write_bytes(with_header(path.read_bytes(), {**header, "checksum": 0}))
-        assert self.eval_error(path, capsys, tmp_path).startswith(
-            f"error: {path}: header keys ['checksum', 'config', ")
+        path, err = self.eval_error(tmp_path, capsys, checksum=0)
+        assert err.startswith(f"error: {path}: header keys ['checksum', 'config', ")
 
     @pytest.mark.parametrize("key, value, message", [
         ("provenance", 5, "provenance must be a list of 3 entries, got 5"),
@@ -452,11 +449,8 @@ class TestCheckpoint:
          "cursor.stage must be one of ('joint', 'projection', 'lastlayer'), got 'warmup'"),
     ])
     def test_bad_provenance_or_cursor(self, tmp_path, capsys, key, value, message):
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
-        header, _ = split_checkpoint(path.read_bytes())
-        path.write_bytes(with_header(path.read_bytes(), {**header, key: value}))
-        assert self.eval_error(path, capsys, tmp_path) == f"error: {path}: header {message}\n"
+        path, err = self.eval_error(tmp_path, capsys, **{key: value})
+        assert err == f"error: {path}: header {message}\n"
 
     @pytest.mark.parametrize("name, bad", [("theta", np.nan), ("backbone.w0", np.inf)])
     def test_non_finite_payload_rejected(self, tmp_path, capsys, name, bad):
