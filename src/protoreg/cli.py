@@ -25,7 +25,7 @@ from .model import Model, load_checkpoint, save_checkpoint
 
 
 # glibc mallopt parameters, and the size from which numpy asks for huge pages
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _LARGE_BLOCK = 4 << 20
 # the largest trim threshold glibc's moving rule reaches, twice its 32 MiB
 # mmap ceiling; a lower one shrinks and regrows the heap's top during training
@@ -33,7 +33,8 @@ _TRIM_THRESHOLD = 64 << 20
 
 
 def pin_malloc_thresholds() -> bool:
-    """Give every block of 4 MiB or more its own mapping, returned on free.
+    """Give every block of 4 MiB or more its own mapping, returned on free,
+    and keep every thread's smaller blocks in one heap.
 
     By default glibc raises its mmap threshold to the largest block freed so
     far, so once a dataset-sized array is freed, later ones come from the
@@ -41,7 +42,10 @@ def pin_malloc_thresholds() -> bool:
     around them keeps 2 MiB pages for whatever lands there later, and a
     command's peak memory depended on the order of earlier frees and on how
     many huge pages the kernel had to spare. Fixed thresholds keep large
-    arrays out of the heap. Returns False where the C library has no mallopt.
+    arrays out of the heap. The workers of the no-grad passes (model._map_chunks)
+    would each get an arena of their own, which holds its freed blocks and
+    raised peak memory by a fifth; one arena keeps it where one thread had it.
+    Returns False where the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -49,7 +53,8 @@ def pin_malloc_thresholds() -> bool:
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     return bool(mallopt(_M_MMAP_THRESHOLD, _LARGE_BLOCK)
-                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+                and mallopt(_M_ARENA_MAX, 1))
 
 
 def _out_dir(path: str) -> Path:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -119,12 +120,16 @@ RULES = {
     "train.batch_size": Rule(int, 1, 100_000),
     "train.seed": Rule(int, 0, 2**32 - 1),
 }
-MAX_DATASET_BYTES = 1 << 30  # float64 images of both splits
+# float64 images of both splits, and each per-batch tensor of a pass
+MAX_DATASET_BYTES = 1 << 30
+INFERENCE_CHUNK = 64  # images per chunk of a no-grad pass (Model.forward_np)
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(defaults)
+    """defaults with override's values in place; each value of defaults that
+    stays is copied once, and override's own values are not copied."""
+    out = {}
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
@@ -132,10 +137,10 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where} must be a section (object)")
-            out[key] = _merge(defaults[key], value, where)
-        else:
-            out[key] = value
-    return out
+            value = _merge(defaults[key], value, where)
+        out[key] = value
+    return {key: out[key] if key in out else copy.deepcopy(value)
+            for key, value in defaults.items()}
 
 
 def check_value(key: str, value, rule: Rule, shape: tuple = ()) -> None:
@@ -179,14 +184,25 @@ def resolve_config(overrides: dict | None = None) -> dict:
     if n_bytes > MAX_DATASET_BYTES:
         raise ConfigError(f"data.train_per_grade and data.test_per_grade ask for a dataset of "
                           f"{n_bytes} bytes, over the cap of {MAX_DATASET_BYTES}")
-    for i, (_, kernel, stride) in enumerate(m["backbone_blocks"]):
+    # every worker of a no-grad pass holds one chunk's tensors at a time
+    batch = max(t["batch_size"], INFERENCE_CHUNK)
+    for i, (out_c, kernel, stride) in enumerate(m["backbone_blocks"]):
         if kernel > min(h, w):
             raise ConfigError(f"model.backbone_blocks[{i}] kernel {kernel} exceeds its {h}x{w} map")
         h, w = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+        _check_batch_bytes(f"model.backbone_blocks[{i}]", "block output", (batch, out_c, h, w))
     if min(h, w) <= 1:
         raise ConfigError(f"model.backbone_blocks maps {d['image_hw']} images to a {h}x{w} "
                           "latent grid, which must be > 1 on both sides")
+    _check_batch_bytes("model.m", "distance map", (batch, m["m"], h, w))
     return cfg
+
+
+def _check_batch_bytes(key: str, what: str, shape: tuple) -> None:
+    n_bytes = 8 * math.prod(shape)
+    if n_bytes > MAX_DATASET_BYTES:
+        raise ConfigError(f"{key} gives a {what} of shape {shape} per batch of {shape[0]} "
+                          f"images: {n_bytes} bytes, over the cap of {MAX_DATASET_BYTES}")
 
 
 def load_config(path) -> dict:

@@ -17,6 +17,7 @@ File format (little-endian):
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -40,6 +41,7 @@ _BACKGROUND = 0.85
 _BLOB_VALUE = 0.15
 _PLACEMENT_TRIES = 300
 _IMAGE_RESTARTS = 50
+_DRAW_BLOCK = 3 * 96  # placement values per rng.random call: 96 attempts' worth
 
 
 @dataclass(frozen=True)
@@ -67,29 +69,47 @@ class SynthDataset:
         return self.images.shape[0]
 
 
+def _uniform_triples(rng: np.random.Generator):
+    """(radius, row, column) uniforms in the order single rng.random() calls
+    give them, drawn _DRAW_BLOCK at a time."""
+    while True:
+        v = rng.random(_DRAW_BLOCK).tolist()
+        yield from zip(v[0::3], v[1::3], v[2::3])
+
+
 def _place_blobs(cfg: SynthConfig, n_blobs: int,
                  rng: np.random.Generator) -> list[tuple[float, float, float]] | None:
     h, w = cfg.image_hw
     r_lo, r_hi = cfg.blob_radius
-    placed: list[tuple[float, float, float]] = []
+    state = rng.bit_generator.state
+    triples = _uniform_triples(rng)
+    placed: list[tuple[float, float, float]] | None = []
+    taken = 0
     for _ in range(n_blobs):
-        for _attempt in range(_PLACEMENT_TRIES):
+        for u_r, u_y, u_x in itertools.islice(triples, _PLACEMENT_TRIES):
+            taken += 1
             # lo + (hi - lo) * random() is Generator.uniform's own arithmetic,
             # so each value keeps its bits without the per-call overhead
-            r = r_lo + (r_hi - r_lo) * rng.random()
+            r = r_lo + (r_hi - r_lo) * u_r
             cy_hi, cx_hi = h - 1 - r, w - 1 - r
             if cy_hi < r or cx_hi < r:
                 raise DataConfigError(f"a blob of radius {r} does not fit in a "
                                       f"{h}x{w} image")
-            cy = r + (cy_hi - r) * rng.random()
-            cx = r + (cx_hi - r) * rng.random()
+            cy = r + (cy_hi - r) * u_y
+            cx = r + (cx_hi - r) * u_x
             # keep blobs from touching so component counting stays exact
-            if all((cy - py) ** 2 + (cx - px) ** 2 > (r + pr + 2.0) ** 2
-                   for py, px, pr in placed):
+            for py, px, pr in placed:
+                if (cy - py) ** 2 + (cx - px) ** 2 <= (r + pr + 2.0) ** 2:
+                    break
+            else:
                 placed.append((cy, cx, r))
                 break
         else:
-            return None  # greedy placement painted itself into a corner
+            placed = None  # greedy placement painted itself into a corner
+            break
+    # leave the generator where 3 * taken single rng.random() calls would
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(3 * taken)
     return placed
 
 

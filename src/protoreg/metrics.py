@@ -15,6 +15,7 @@ from itertools import chain
 
 import numpy as np
 
+from .config import INFERENCE_CHUNK
 from .data import LABEL_SHIFT, SynthDataset
 from .explain import contribution_order
 from .head import contribution_weights, first_bad_row, importance
@@ -137,18 +138,11 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
     keep = np.sort(order[rank < per_sample_select])
     cloud = np.vstack([patches[keep], protos])
     coords, _, evr = pca_2d(cloud)
-    points = []
-    for row, p in enumerate(keep):
-        points.append((
-            f"sample{int(patch_sample_ids[p])}_patch{int(p)}", "sample",
-            float(coords[row, 0]), float(coords[row, 1]), float(patch_labels[p]),
-        ))
-    for j in range(bank.m):
-        row = len(keep) + j
-        points.append((
-            f"prototype{j}", "prototype",
-            float(coords[row, 0]), float(coords[row, 1]), float(bank.labels[j]),
-        ))
+    ids = [f"sample{s}_patch{p}" for s, p in zip(patch_sample_ids[keep].tolist(), keep.tolist())]
+    ids += [f"prototype{j}" for j in range(bank.m)]
+    kinds = ["sample"] * len(keep) + ["prototype"] * bank.m
+    labels = np.concatenate([patch_labels[keep], bank.labels], dtype=float).tolist()
+    points = list(zip(ids, kinds, coords[:, 0].tolist(), coords[:, 1].tolist(), labels))
     return EmbeddingReport(
         points=points,
         explained_variance=(float(evr[0]), float(evr[1])),
@@ -162,7 +156,7 @@ def contribution_matrix(model: Model, s: np.ndarray) -> np.ndarray:
 
 
 def per_sample_weights(model: Model, dataset: SynthDataset,
-                       batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+                       batch_size: int = INFERENCE_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """(y_hat, W) where W[i] holds sample i's contribution weights."""
     out = model.forward_np(dataset.images, batch_size)
     return out.y_hat, contribution_matrix(model, out.s)

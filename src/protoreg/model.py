@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import head as head_mod
 from .backbone import Backbone
-from .config import ConfigError, Rule, check_value, resolve_config
+from .config import INFERENCE_CHUNK, ConfigError, Rule, check_value, resolve_config
 from .data import write_atomic
 from .engine import Tensor, no_grad
 from .prototypes import (
@@ -77,6 +79,27 @@ def _chunks(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+_POOL: ThreadPoolExecutor | None = None  # made on first use, one worker per usable CPU
+_POOL_LOCK = threading.Lock()
+
+
+def _map_chunks(fn, chunks: list[slice]) -> list:
+    """[fn(chunk) for chunk in chunks], run on every CPU the process may use.
+
+    Each chunk is computed on its own, so its bits do not depend on the worker
+    that runs it; numpy drops the GIL in the matmuls and array loops. The
+    engine's grad flag is process-global, so no_grad is entered here, once, on
+    the calling thread, and never by a worker.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0))
+                                       if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    with no_grad():
+        return list(_POOL.map(fn, chunks))
+
+
 @dataclass
 class Model:
     backbone: Backbone
@@ -118,37 +141,34 @@ class Model:
         s = similarity(dmin, self.similarity_kind, self.eps, self.bank.d_max)
         return s, head_mod.predict(s, self.theta, self.bank.labels)
 
-    def forward_np(self, images: np.ndarray, batch_size: int = 64) -> ForwardArrays:
+    def forward_np(self, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> ForwardArrays:
         """One no-grad pass over a raw image array, in chunks (see _chunks)."""
         if images.shape[0] == 0:
             raise ValueError("forward pass over an empty image array")
-        parts = []
-        with no_grad():
-            for chunk in _chunks(images.shape[0], batch_size):
-                r = self.forward(Tensor(images[chunk]))
-                parts.append((r.dmin.data, r.s.data, r.y_hat.data))
+
+        def run(chunk):
+            r = self.forward(Tensor(images[chunk]))
+            return r.dmin.data, r.s.data, r.y_hat.data
+
+        parts = _map_chunks(run, _chunks(images.shape[0], batch_size))
         return ForwardArrays(*(np.concatenate(a) for a in zip(*parts)))
 
-    def predict_np(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    def predict_np(self, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
         """Batched no-grad prediction on a raw image array."""
         return self.forward_np(images, batch_size).y_hat
 
-    def latents_np(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    def latents_np(self, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
         """(N, c_z, h_z, w_z) backbone output of a raw image array, in the chunks
         of forward_np, so each image's latent has the bits of forward_np's pass."""
-        with no_grad():
-            return np.concatenate([self.backbone.forward(Tensor(images[chunk])).data
-                                   for chunk in _chunks(images.shape[0], batch_size)])
+        return np.concatenate(_map_chunks(lambda c: self.backbone.forward(Tensor(images[c])).data,
+                                          _chunks(images.shape[0], batch_size)))
 
-    def dmin_np(self, latents: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    def dmin_np(self, latents: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
         """(N, m) min-pooled distances of latents_np's output, in the chunks of
         forward_np, so they equal forward_np's dmin bit for bit."""
-        parts = []
-        with no_grad():
-            for chunk in _chunks(latents.shape[0], batch_size):
-                dmin, _ = min_pool(distance_map(Tensor(latents[chunk]), self.bank))
-                parts.append(dmin.data)
-        return np.concatenate(parts)
+        return np.concatenate(_map_chunks(
+            lambda c: min_pool(distance_map(Tensor(latents[c]), self.bank))[0].data,
+            _chunks(latents.shape[0], batch_size)))
 
 
 def _tensor_manifest(model: Model) -> list[tuple[str, Tensor]]:

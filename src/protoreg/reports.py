@@ -8,10 +8,8 @@ from .metrics import EmbeddingReport
 
 
 def embedding_csv(report: EmbeddingReport) -> str:
-    lines = ["id,kind,x,y,label"]
-    for pid, kind, x, y, label in report.points:
-        lines.append(f"{pid},{kind},{x!r},{y!r},{label!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(["id,kind,x,y,label\n", *(f"{pid},{kind},{x!r},{y!r},{label!r}\n"
+                                              for pid, kind, x, y, label in report.points)])
 
 
 def _svg_header(w, h):
@@ -28,35 +26,32 @@ def _label_color(label: float, lo: float, hi: float) -> str:
 
 def embedding_svg(report: EmbeddingReport, size: int = 480) -> str:
     """Scatter of sample patches (stars -> small crosses) and prototypes (circles)."""
-    xs = np.array([p[2] for p in report.points])
-    ys = np.array([p[3] for p in report.points])
-    labels = [p[4] for p in report.points]
-    lo, hi = min(labels), max(labels)
+    pids, kinds, xs, ys, labels = zip(*report.points)
+    xs, ys = np.array(xs), np.array(ys)
     pad = 30
     x_lo, y_lo = xs.min(), ys.min()
     span_x = max(xs.max() - x_lo, 1e-12)
     span_y = max(ys.max() - y_lo, 1e-12)
-
-    def to_px(x, y):
-        px = pad + (x - x_lo) / span_x * (size - 2 * pad)
-        py = size - pad - (y - y_lo) / span_y * (size - 2 * pad)
-        return px, py
+    pxs = (pad + (xs - x_lo) / span_x * (size - 2 * pad)).tolist()
+    pys = (size - pad - (ys - y_lo) / span_y * (size - 2 * pad)).tolist()
+    lo, hi = min(labels), max(labels)
+    styles = {label: (_label_color(label, lo, hi), f"{label:.2f}") for label in set(labels)}
 
     parts = [_svg_header(size, size)]
     ev1, ev2 = report.explained_variance
     parts.append(f'<text x="{pad}" y="18" font-size="12">latent 2-D PCA '
                  f'(explained variance {ev1:.2f} / {ev2:.2f})</text>\n')
-    for pid, kind, x, y, label in report.points:
-        px, py = to_px(x, y)
-        color = _label_color(label, lo, hi)
+    for pid, kind, px, py, label in zip(pids, kinds, pxs, pys, labels):
+        color, text = styles[label]
+        x, y = f"{px:.1f}", f"{py:.1f}"
         if kind == "prototype":
-            parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="6" fill="{color}" '
-                         f'stroke="black"><title>{pid} label={label:.2f}</title></circle>\n')
+            parts.append(f'<circle cx="{x}" cy="{y}" r="6" fill="{color}" '
+                         f'stroke="black"><title>{pid} label={text}</title></circle>\n')
         else:
             parts.append(
-                f'<path d="M {px - 3:.1f} {py:.1f} L {px + 3:.1f} {py:.1f} '
-                f'M {px:.1f} {py - 3:.1f} L {px:.1f} {py + 3:.1f}" stroke="{color}" '
-                f'stroke-width="1.5"><title>{pid} label={label:.2f}</title></path>\n')
+                f'<path d="M {px - 3:.1f} {y} L {px + 3:.1f} {y} '
+                f'M {x} {py - 3:.1f} L {x} {py + 3:.1f}" stroke="{color}" '
+                f'stroke-width="1.5"><title>{pid} label={text}</title></path>\n')
     parts.append("</svg>\n")
     return "".join(parts)
 

@@ -1,10 +1,12 @@
 """End-to-end tests of the command line surface on a tiny configuration."""
 
 import json
+import os
 import platform
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import protoreg
 from protoreg import metrics
 from protoreg.backbone import Backbone
 from protoreg.cli import main
-from protoreg.data import load_dataset
+from protoreg.data import load_dataset, save_dataset
 from protoreg.model import load_checkpoint
 
 
@@ -144,6 +146,47 @@ class TestEval:
                      "--data", str(workdir / "data"), "--out", str(out2)]) == 0
         assert (out2 / "metrics.json").read_bytes() == \
             (workdir / "eval" / "metrics.json").read_bytes()
+
+    def test_wrong_image_shape_exits_2(self, workdir, tmp_path, capsys):
+        test = load_dataset(workdir / "data" / "test.insd")
+        # 130 images of the wrong size, so the pass has three chunks
+        save_dataset(replace(test, images=np.zeros((130, 3, 9, 9)), y=np.ones(130),
+                             y_categorical=np.ones(130)), tmp_path / "test.insd")
+        rc = main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                   "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: expected")
+
+
+# Sets the process's CPUs (a comma-separated list) and then runs the command line.
+_ON_CPUS = """
+import os, sys
+os.sched_setaffinity(0, [int(c) for c in sys.argv[1].split(",")])
+from protoreg.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs the process may use")
+def test_eval_bytes_do_not_depend_on_the_worker_count(workdir, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CFG, "data": {**TINY_CFG["data"],
+                                                         "test_per_grade": 70}}))
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
+    src = str(Path(protoreg.__file__).resolve().parents[1])
+    cpus = sorted(os.sched_getaffinity(0))
+    outputs = []
+    for on in (cpus[:1], cpus[:2]):  # one worker, then two
+        out = tmp_path / f"eval_{len(on)}"
+        subprocess.run([sys.executable, "-c", _ON_CPUS, ",".join(map(str, on)), "eval",
+                        "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                        "--data", str(tmp_path / "data"), "--out", str(out)],
+                       check=True, capture_output=True,
+                       env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        outputs.append([(out / name).read_bytes() for name in ("metrics.json", "per_sample.csv")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["n_samples"] == 140
 
 
 @pytest.fixture
@@ -301,6 +344,14 @@ class TestErrors:
         ({"data": {"augment": "yes"}}, "data.augment must be true or false, got 'yes'"),
         ({"data": {"train_per_grade": 100000}},
          "data.train_per_grade and data.test_per_grade ask for a dataset of 12294144000 bytes"),
+        ({"data": {"image_hw": [256, 256], "channels": 1, "grades": 2, "train_per_grade": 1,
+                   "test_per_grade": 1},
+          "model": {"m": 1000, "backbone_blocks": [[256, 1, 1], [256, 1, 1]]}},
+         "model.backbone_blocks[0] gives a block output of shape (64, 256, 256, 256)"),
+        ({"data": {"image_hw": [256, 256], "channels": 1, "grades": 2, "train_per_grade": 1,
+                   "test_per_grade": 1},
+          "model": {"m": 1000, "backbone_blocks": [[2, 1, 1], [2, 3, 3]]}},
+         "model.m gives a distance map of shape (64, 1000, 85, 85)"),
     ])
     def test_bad_value_rejected_before_data_loads(self, tmp_path, capsys, override, message):
         cfg = tmp_path / "cfg.json"
@@ -373,6 +424,35 @@ print(lo <= addr < hi)
 def test_pinned_thresholds_keep_large_arrays_out_of_the_heap(mode, in_heap):
     src = str(Path(protoreg.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode], capture_output=True,
+                         text=True, check=True,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.stdout.strip() == in_heap
+
+
+# Prints whether a small array made on a second thread lies inside the brk heap,
+# which only the main arena uses.
+_THREAD_PROBE = """
+import sys, threading
+import numpy as np
+from protoreg.cli import pin_malloc_thresholds
+if sys.argv[1] == "pin":
+    assert pin_malloc_thresholds()
+addrs = []
+t = threading.Thread(target=lambda: addrs.append(np.ones(1000).__array_interface__["data"][0]))
+t.start()
+t.join()
+lo, hi = next([int(x, 16) for x in line.split()[0].split("-")]
+              for line in open("/proc/self/maps") if line.rstrip().endswith("[heap]"))
+print(lo <= addrs[0] < hi)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/maps").exists(),
+                    reason="glibc heap layout")
+@pytest.mark.parametrize("mode, in_heap", [("default", "False"), ("pin", "True")])
+def test_pinned_arena_cap_keeps_thread_blocks_in_the_heap(mode, in_heap):
+    src = str(Path(protoreg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _THREAD_PROBE, mode], capture_output=True,
                          text=True, check=True,
                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
     assert out.stdout.strip() == in_heap

@@ -117,6 +117,29 @@ class TestResolve:
                                                 "ask for a dataset of 1073848320 bytes"):
             C.resolve_config({"data": {"train_per_grade": 8689}})
 
+    def test_batch_tensor_byte_cap(self):
+        # the default first block's output is 8x15x15 float64 values, 14400 bytes an image;
+        # only resolve_config runs, so nothing of that size is allocated
+        assert 74565 * 14400 <= C.MAX_DATASET_BYTES < 74566 * 14400
+        C.resolve_config({"train": {"batch_size": 74565}})
+        with pytest.raises(C.ConfigError, match=re.escape(
+                "model.backbone_blocks[0] gives a block output of shape (74566, 8, 15, 15) "
+                "per batch of 74566 images: 1073750400 bytes")):
+            C.resolve_config({"train": {"batch_size": 74566}})
+        # 1000 prototypes on the 6x6 grid: 288000 bytes of distances an image
+        assert 3728 * 288000 <= C.MAX_DATASET_BYTES < 3729 * 288000
+        C.resolve_config({"model": {"m": 1000}, "train": {"batch_size": 3728}})
+        with pytest.raises(C.ConfigError, match=re.escape(
+                "model.m gives a distance map of shape (3729, 1000, 6, 6)")):
+            C.resolve_config({"model": {"m": 1000}, "train": {"batch_size": 3729}})
+        # a training batch below the inference chunk is capped at the chunk's size
+        with pytest.raises(C.ConfigError, match=re.escape(
+                f"per batch of {C.INFERENCE_CHUNK} images")):
+            C.resolve_config({"data": {"image_hw": [256, 256], "train_per_grade": 1,
+                                       "test_per_grade": 1},
+                              "model": {"backbone_blocks": [[256, 1, 1], [256, 1, 1]]},
+                              "train": {"batch_size": 1}})
+
 
 JSON_VALUES = {int: st.integers(), float: st.floats(), bool: st.booleans(),
                str: st.text(max_size=8)}

@@ -165,8 +165,34 @@ class TestGeneration:
         # image bytes hide a last-bit change of a radius or centre; the draws do not
         cfg = small_cfg(**kw)
         for seed in range(5):
-            got = D._place_blobs(cfg, 6, np.random.default_rng(seed))
-            assert got == reference_place(cfg, 6, np.random.default_rng(seed))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert D._place_blobs(cfg, 6, rng) == reference_place(cfg, 6, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kw, restarts", [
+        ({}, False),
+        ({"image_hw": (20, 37), "blob_radius": (0.5, 5.0), "blobs_per_grade": 1}, False),
+        # crowded: some images give up on a placement and start it again
+        ({"image_hw": (16, 16), "grades": 2}, True),
+    ])
+    def test_generator_ends_where_scalar_draws_leave_it(self, kw, restarts, monkeypatch):
+        # placement draws its values in blocks and then moves the generator back
+        cfg, outcomes, place = small_cfg(**kw), [], D._place_blobs
+
+        def recording(*args):
+            placed = place(*args)
+            outcomes.append(placed is not None)
+            return placed
+
+        monkeypatch.setattr(D, "_place_blobs", recording)
+        for seed in range(4):
+            # default_rng hands a Generator back as it is, so both ends can be read
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            images, _ = reference_generate(cfg, per_grade=3, seed=ref_rng)
+            ds = D.generate(cfg, per_grade=3, split="train", seed=rng)
+            assert ds.images.tobytes() == images.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (False in outcomes) == restarts
 
     def test_continuous_labels_match_reference(self):
         cfg = small_cfg()

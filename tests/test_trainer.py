@@ -176,6 +176,60 @@ class TestForwardNp:
             assert dmin.tobytes() == whole.dmin.tobytes(), size
 
 
+class TestChunkPool:
+    """forward_np, latents_np and dmin_np map their chunks over a thread pool."""
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 1000])
+    def test_matches_plain_chunk_loop(self, n):
+        from protoreg import engine
+        from protoreg.model import _chunks
+
+        model = tiny_model(seed=4)
+        images = np.random.default_rng(n).uniform(size=(n, 3, 8, 8))
+        with engine.no_grad():
+            rs = [model.forward(Tensor(images[chunk])) for chunk in _chunks(n, 64)]
+        plain = [np.concatenate([getattr(r, k).data for r in rs])
+                 for k in ("dmin", "s", "y_hat", "latent")]
+        latents = model.latents_np(images)
+        pooled = [*model.forward_np(images), latents]
+        for a, b in zip(pooled, plain):
+            assert a.tobytes() == b.tobytes()
+        assert model.dmin_np(latents).tobytes() == plain[0].tobytes()
+        assert engine._GRAD_ENABLED is True
+
+    def test_workers_record_no_graph(self):
+        from protoreg import engine
+        from protoreg.model import _chunks, _map_chunks
+
+        model = tiny_model(seed=4)
+        images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
+        results = _map_chunks(lambda chunk: model.forward(Tensor(images[chunk])).y_hat,
+                              _chunks(129, 64))
+        assert [r.data.shape[0] for r in results] == [64, 65]
+        assert all(r._parents == () and not r.requires_grad for r in results)
+        assert engine._GRAD_ENABLED is True
+        with engine.no_grad():
+            model.forward_np(images)
+            assert engine._GRAD_ENABLED is False
+        assert engine._GRAD_ENABLED is True
+
+    def test_shape_error_raised_through_the_pool(self):
+        from protoreg import engine
+        from protoreg.engine import ShapeError
+
+        model = tiny_model(seed=4)
+        bad = np.zeros((129, 1, 8, 8))
+        with engine.no_grad(), pytest.raises(ShapeError) as plain:
+            model.forward(Tensor(bad[:64]))
+        for run in (model.forward_np, model.latents_np):
+            with pytest.raises(ShapeError) as pooled:
+                run(bad)
+            assert str(pooled.value) == str(plain.value)
+        with pytest.raises(ShapeError):
+            model.dmin_np(np.zeros((129, 5, 2, 2)))
+        assert engine._GRAD_ENABLED is True
+
+
 class TestLastLayerCache:
     """The stage reads cached distances; it must train exactly as a live forward does."""
 
