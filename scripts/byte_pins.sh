@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Byte pins of the default pipeline: gen-data, train, eval, explain and embed on
 # the default config with one BLAS thread, then a short training run with
-# augmentation and continuous labels, a small ablation matrix and an
-# eval and embed on a 1000-image test split, then the sha256 of every output
+# augmentation and continuous labels, a small ablation matrix, an eval and
+# embed on a 1000-image test split and a dataset off the default sizes, then
+# the sha256 of every output
 # that the numerics decide. A change that leaves the
 # numerics alone prints the same lines before and after it. Runs the code of
 # the checkout the script is in.
@@ -64,6 +65,16 @@ protoreg eval --checkpoint "$OUT/large/run/checkpoint.bin" --data "$OUT/large/da
 protoreg embed --checkpoint "$OUT/large/run/checkpoint.bin" --data "$OUT/large/data" \
   --out "$OUT/large/embed"
 
+# a dataset off the defaults that every run above keeps: a non-square image,
+# one channel, other grade and blob counts, a narrower radius and no noise
+mkdir -p "$OUT/offdefault"
+cat > "$OUT/offdefault/config.json" <<'EOF'
+{"data": {"image_hw": [24, 40], "channels": 1, "grades": 4, "train_per_grade": 10,
+          "test_per_grade": 5, "blobs_per_grade": 3, "blob_radius": [1.5, 2.5],
+          "noise_sigma": 0.0, "seed": 5}}
+EOF
+protoreg gen-data --config "$OUT/offdefault/config.json" --out "$OUT/offdefault/data"
+
 cd "$OUT"
 sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sample.csv \
   explain/explanation_*.json explain/*.pgm \
@@ -73,4 +84,5 @@ sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sam
   large/embed/embedding.csv large/embed/embedding.svg large/embed/usage_histogram.svg \
   data/*.insd ablate/data/*.insd large/data/*.insd \
   explain_all/explanation_*.json explain_all/*.pgm \
-  augment/run/checkpoint.bin augment/run/training_log.csv
+  augment/run/checkpoint.bin augment/run/training_log.csv \
+  offdefault/data/*.insd

@@ -100,8 +100,7 @@ def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trai
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args.config)
     out = _out_dir(args.out)
-    scfg = config_mod.synth_config_from(cfg)
-    train_ds, test_ds = data_mod.make_splits(scfg)
+    train_ds, test_ds = data_mod.make_splits(cfg["data"])
     if cfg["data"]["continuous"]:
         train_ds = data_mod.continuous_labels(train_ds, cfg["data"]["continuous_seed"])
     data_mod.save_dataset(train_ds, out / "train.insd")

@@ -15,8 +15,6 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .data import SynthConfig
-
 
 class ConfigError(ValueError):
     pass
@@ -122,7 +120,7 @@ RULES = {
 }
 # float64 images of both splits, and each per-batch tensor of a pass
 MAX_DATASET_BYTES = 1 << 30
-INFERENCE_CHUNK = 64  # images per chunk of a no-grad pass (Model.forward_np)
+INFERENCE_CHUNK = 64  # images per chunk of every no-grad pass: forward_np, latents_np, dmin_np
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
@@ -179,6 +177,10 @@ def resolve_config(overrides: dict | None = None) -> dict:
     if d["blob_radius"][0] > d["blob_radius"][1]:
         raise ConfigError(f"data.blob_radius must be [least, most], got {d['blob_radius']}")
     h, w = d["image_hw"]
+    # a blob's centre lies in [r, side - 1 - r] on both axes
+    if 2 * d["blob_radius"][1] > min(h, w) - 1:
+        raise ConfigError(f"data.blob_radius most {d['blob_radius'][1]} does not fit a {h}x{w} "
+                          f"image: twice it must be <= {min(h, w) - 1}")
     n_bytes = 8 * (d["train_per_grade"] + d["test_per_grade"]) * d["grades"] * d["channels"]
     n_bytes *= h * w
     if n_bytes > MAX_DATASET_BYTES:
@@ -222,16 +224,7 @@ def save_config(cfg: dict, path) -> None:
     Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
-def synth_config_from(cfg: dict) -> SynthConfig:
-    d = cfg["data"]
-    return SynthConfig(
-        image_hw=tuple(d["image_hw"]),
-        channels=d["channels"],
-        grades=d["grades"],
-        train_per_grade=d["train_per_grade"],
-        test_per_grade=d["test_per_grade"],
-        blobs_per_grade=d["blobs_per_grade"],
-        blob_radius=tuple(d["blob_radius"]),
-        noise_sigma=d["noise_sigma"],
-        seed=d["seed"],
-    )
+def synth_config_from(cfg: dict) -> dict:
+    """The data section that data.make_splits reads; perfbench builds its splits
+    with make_splits(synth_config_from(cfg))."""
+    return cfg["data"]

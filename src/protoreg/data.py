@@ -44,19 +44,6 @@ _IMAGE_RESTARTS = 50
 _DRAW_BLOCK = 3 * 96  # placement values per rng.random call: 96 attempts' worth
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    image_hw: tuple[int, int]
-    channels: int
-    grades: int
-    train_per_grade: int
-    test_per_grade: int
-    blobs_per_grade: int
-    blob_radius: tuple[float, float]
-    noise_sigma: float
-    seed: int
-
-
 @dataclass
 class SynthDataset:
     images: np.ndarray  # (N, C, H, W) float64 in [0,1]
@@ -77,10 +64,10 @@ def _uniform_triples(rng: np.random.Generator):
         yield from zip(v[0::3], v[1::3], v[2::3])
 
 
-def _place_blobs(cfg: SynthConfig, n_blobs: int,
+def _place_blobs(d: dict, n_blobs: int,
                  rng: np.random.Generator) -> list[tuple[float, float, float]] | None:
-    h, w = cfg.image_hw
-    r_lo, r_hi = cfg.blob_radius
+    h, w = d["image_hw"]
+    r_lo, r_hi = d["blob_radius"]
     state = rng.bit_generator.state
     triples = _uniform_triples(rng)
     placed: list[tuple[float, float, float]] | None = []
@@ -91,10 +78,8 @@ def _place_blobs(cfg: SynthConfig, n_blobs: int,
             # lo + (hi - lo) * random() is Generator.uniform's own arithmetic,
             # so each value keeps its bits without the per-call overhead
             r = r_lo + (r_hi - r_lo) * u_r
+            # resolve_config has checked that the widest blob fits the image
             cy_hi, cx_hi = h - 1 - r, w - 1 - r
-            if cy_hi < r or cx_hi < r:
-                raise DataConfigError(f"a blob of radius {r} does not fit in a "
-                                      f"{h}x{w} image")
             cy = r + (cy_hi - r) * u_y
             cx = r + (cx_hi - r) * u_x
             # keep blobs from touching so component counting stays exact
@@ -113,21 +98,21 @@ def _place_blobs(cfg: SynthConfig, n_blobs: int,
     return placed
 
 
-def _draw_image(cfg: SynthConfig, n_blobs: int, rng: np.random.Generator,
+def _draw_image(d: dict, n_blobs: int, rng: np.random.Generator,
                 yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
     """Draw one (H, W) image; yy, xx are its pixel grid."""
-    h, w = cfg.image_hw
+    h, w = d["image_hw"]
     img = np.full((h, w), _BACKGROUND)
-    if cfg.noise_sigma > 0:
-        img += rng.normal(0.0, cfg.noise_sigma, size=(h, w))
+    if d["noise_sigma"] > 0:
+        img += rng.normal(0.0, d["noise_sigma"], size=(h, w))
     for _restart in range(_IMAGE_RESTARTS):
-        placed = _place_blobs(cfg, n_blobs, rng)
+        placed = _place_blobs(d, n_blobs, rng)
         if placed is not None:
             break
     else:
         raise DataConfigError(
             f"could not place {n_blobs} non-touching blobs of radius "
-            f"{cfg.blob_radius} in a {h}x{w} image"
+            f"{d['blob_radius']} in a {h}x{w} image"
         )
     for cy, cx, r in placed:
         # the blob's bounding box widened by one pixel holds every painted pixel
@@ -138,16 +123,17 @@ def _draw_image(cfg: SynthConfig, n_blobs: int, rng: np.random.Generator,
     return img
 
 
-def generate(cfg: SynthConfig, per_grade: int, split: str, seed: int) -> SynthDataset:
-    """Balanced dataset: per_grade images of every internal grade 1..grades."""
+def generate(d: dict, per_grade: int, split: str, seed: int) -> SynthDataset:
+    """Balanced dataset: per_grade images of every internal grade 1..grades,
+    drawn as a resolved config's data section d describes."""
     rng = np.random.default_rng(seed)
-    h, w = cfg.image_hw
+    h, w = d["image_hw"]
     yy, xx = np.mgrid[0:h, 0:w]
-    images = np.empty((cfg.grades * per_grade, cfg.channels, h, w))
-    y = np.repeat(np.arange(1.0, cfg.grades + 1), per_grade)
+    images = np.empty((d["grades"] * per_grade, d["channels"], h, w))
+    y = np.repeat(np.arange(1.0, d["grades"] + 1), per_grade)
     for i, g in enumerate(y):
         # every channel holds the same image
-        images[i] = _draw_image(cfg, int(g) * cfg.blobs_per_grade, rng, yy, xx)
+        images[i] = _draw_image(d, int(g) * d["blobs_per_grade"], rng, yy, xx)
     return SynthDataset(
         images=images,
         y=y,
@@ -157,9 +143,10 @@ def generate(cfg: SynthConfig, per_grade: int, split: str, seed: int) -> SynthDa
     )
 
 
-def make_splits(cfg: SynthConfig) -> tuple[SynthDataset, SynthDataset]:
-    train = generate(cfg, cfg.train_per_grade, "train", cfg.seed)
-    test = generate(cfg, cfg.test_per_grade, "test", cfg.seed + 1)
+def make_splits(d: dict) -> tuple[SynthDataset, SynthDataset]:
+    """(train, test) splits of a resolved config's data section d."""
+    train = generate(d, d["train_per_grade"], "train", d["seed"])
+    test = generate(d, d["test_per_grade"], "test", d["seed"] + 1)
     return train, test
 
 

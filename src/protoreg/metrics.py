@@ -15,7 +15,6 @@ from itertools import chain
 
 import numpy as np
 
-from .config import INFERENCE_CHUNK
 from .data import LABEL_SHIFT, SynthDataset
 from .explain import contribution_order
 from .head import contribution_weights, first_bad_row, importance
@@ -155,10 +154,9 @@ def contribution_matrix(model: Model, s: np.ndarray) -> np.ndarray:
     return contribution_weights(s, importance(model.theta.data, model.bank.labels))[0]
 
 
-def per_sample_weights(model: Model, dataset: SynthDataset,
-                       batch_size: int = INFERENCE_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+def per_sample_weights(model: Model, dataset: SynthDataset) -> tuple[np.ndarray, np.ndarray]:
     """(y_hat, W) where W[i] holds sample i's contribution weights."""
-    out = model.forward_np(dataset.images, batch_size)
+    out = model.forward_np(dataset.images)
     return out.y_hat, contribution_matrix(model, out.s)
 
 

@@ -66,14 +66,17 @@ class ForwardArrays(NamedTuple):
     y_hat: np.ndarray  # (N,)
 
 
-def _chunks(n: int, size: int) -> list[slice]:
-    """Consecutive slices of at most size + 1 rows, none of one row unless n == 1.
+def _chunks(n: int) -> list[slice]:
+    """Consecutive slices of at most INFERENCE_CHUNK + 1 rows, none of one row
+    unless n == 1.
 
     A lone sample gets distances up to 1.8e-15 away from the same sample in a
     larger batch (the distance matmul takes another path at one row); batches
     of two or more agree bitwise, so a tail of one joins the chunk before it.
     """
-    starts = list(range(0, n, size))
+    if n == 0:
+        raise ValueError("no-grad pass over an empty image array")
+    starts = list(range(0, n, INFERENCE_CHUNK))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
@@ -141,34 +144,31 @@ class Model:
         s = similarity(dmin, self.similarity_kind, self.eps, self.bank.d_max)
         return s, head_mod.predict(s, self.theta, self.bank.labels)
 
-    def forward_np(self, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> ForwardArrays:
+    def forward_np(self, images: np.ndarray) -> ForwardArrays:
         """One no-grad pass over a raw image array, in chunks (see _chunks)."""
-        if images.shape[0] == 0:
-            raise ValueError("forward pass over an empty image array")
-
         def run(chunk):
             r = self.forward(Tensor(images[chunk]))
             return r.dmin.data, r.s.data, r.y_hat.data
 
-        parts = _map_chunks(run, _chunks(images.shape[0], batch_size))
+        parts = _map_chunks(run, _chunks(images.shape[0]))
         return ForwardArrays(*(np.concatenate(a) for a in zip(*parts)))
 
-    def predict_np(self, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
+    def predict_np(self, images: np.ndarray) -> np.ndarray:
         """Batched no-grad prediction on a raw image array."""
-        return self.forward_np(images, batch_size).y_hat
+        return self.forward_np(images).y_hat
 
-    def latents_np(self, images: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
+    def latents_np(self, images: np.ndarray) -> np.ndarray:
         """(N, c_z, h_z, w_z) backbone output of a raw image array, in the chunks
         of forward_np, so each image's latent has the bits of forward_np's pass."""
         return np.concatenate(_map_chunks(lambda c: self.backbone.forward(Tensor(images[c])).data,
-                                          _chunks(images.shape[0], batch_size)))
+                                          _chunks(images.shape[0])))
 
-    def dmin_np(self, latents: np.ndarray, batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
+    def dmin_np(self, latents: np.ndarray) -> np.ndarray:
         """(N, m) min-pooled distances of latents_np's output, in the chunks of
         forward_np, so they equal forward_np's dmin bit for bit."""
         return np.concatenate(_map_chunks(
             lambda c: min_pool(distance_map(Tensor(latents[c]), self.bank))[0].data,
-            _chunks(latents.shape[0], batch_size)))
+            _chunks(latents.shape[0])))
 
 
 def _tensor_manifest(model: Model) -> list[tuple[str, Tensor]]:

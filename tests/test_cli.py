@@ -352,6 +352,8 @@ class TestErrors:
                    "test_per_grade": 1},
           "model": {"m": 1000, "backbone_blocks": [[2, 1, 1], [2, 3, 3]]}},
          "model.m gives a distance map of shape (64, 1000, 85, 85)"),
+        ({"data": {"image_hw": [6, 32], "blob_radius": [3.0, 3.0]}},
+         "data.blob_radius most 3.0 does not fit a 6x32 image: twice it must be <= 5"),
     ])
     def test_bad_value_rejected_before_data_loads(self, tmp_path, capsys, override, message):
         cfg = tmp_path / "cfg.json"
@@ -361,6 +363,28 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("radius", [[2.0, 16.0], [15.6, 15.6]])
+    def test_blob_wider_than_image_rejected_before_data_is_drawn(self, tmp_path, capsys,
+                                                                 radius):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"blob_radius": radius}}))
+        rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: data.blob_radius most {radius[1]} does not fit a 32x32 image: "
+            "twice it must be <= 31\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_empty_test_split_exits_2(self, workdir, tmp_path, capsys, command):
+        test = load_dataset(workdir / "data" / "test.insd")
+        save_dataset(replace(test, images=np.zeros((0, 3, 8, 8)), y=np.ones(0),
+                             y_categorical=np.ones(0)), tmp_path / "test.insd")
+        rc = main([command, "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                   "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no-grad pass over an empty image array\n"
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_ablate_seeds_below_one(self, tmp_path, capsys, seeds):

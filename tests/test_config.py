@@ -102,6 +102,17 @@ class TestResolve:
                 "model.backbone_blocks[2] kernel 8 exceeds its 7x7 map")):
             C.resolve_config({"model": {"backbone_blocks": [[8, 3, 2], [16, 3, 2], [16, 8, 1]]}})
 
+    def test_blob_radius_must_fit_the_narrower_side(self):
+        # a centre lies in [r, side - 1 - r], so 2 * r may reach side - 1 and no further
+        C.resolve_config({"data": {"blob_radius": [2.0, 15.5]}})
+        C.resolve_config({"data": {"image_hw": [24, 40], "blob_radius": [1.0, 11.5]}})
+        for image_hw, radius in (([32, 32], [2.0, 15.6]), ([24, 40], [1.0, 11.6]),
+                                 ([40, 24], [11.6, 11.6])):
+            with pytest.raises(C.ConfigError, match=re.escape(
+                    f"data.blob_radius most {radius[1]} does not fit a "
+                    f"{image_hw[0]}x{image_hw[1]} image")):
+                C.resolve_config({"data": {"image_hw": image_hw, "blob_radius": radius}})
+
     def test_tiny_cfg_resolves(self):
         cfg = C.resolve_config(TINY_CFG)
         assert cfg["model"]["m"] == 3
@@ -200,7 +211,7 @@ class TestRules:
         scripts = Path(__file__).resolve().parents[1] / "scripts"
         written = [json.loads(block) for path in sorted(scripts.glob("*.sh"))
                    for block in re.findall(r"<<'EOF'\n(.*?)\nEOF", path.read_text(), re.S)]
-        assert len(written) == 3
+        assert len(written) == 4
         for base in [C.DEFAULTS, TINY_CFG, *written]:
             cfg = C.resolve_config(base)
             for _, override in ABLATION_VARIANTS:

@@ -132,13 +132,17 @@ def live_lastlayer(model, ds, cfg, rng):
 
 
 class TestForwardNp:
-    def test_chunk_size_does_not_change_bits(self):
+    def test_chunk_size_does_not_change_bits(self, monkeypatch):
+        from protoreg.model import _chunks
+
         model = tiny_model(seed=4)
         images = tiny_dataset(n=11, seed=2).images
-        whole = model.forward_np(images, batch_size=11)
+        whole = model.forward_np(images)  # one chunk of all 11
         # sizes 2, 5 and 10 would leave image 10 alone, where its distances differ
         for size in range(2, 11):
-            out = model.forward_np(images, batch_size=size)
+            monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
+            assert max(c.stop - c.start for c in _chunks(len(images))) <= size + 1
+            out = model.forward_np(images)
             for a, b in zip(out, whole):
                 assert a.tobytes() == b.tobytes(), size
 
@@ -155,10 +159,13 @@ class TestForwardNp:
         assert np.array_equal(model.latents_np(images), r.latent.data)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            tiny_model(seed=0).forward_np(np.zeros((0, 3, 8, 8)))
+        model = tiny_model(seed=0)
+        # all three passes share model._chunks, which makes the check
+        for run in (model.forward_np, model.latents_np, model.dmin_np):
+            with pytest.raises(ValueError, match="^no-grad pass over an empty image array$"):
+                run(np.zeros((0, 3, 8, 8)))
 
-    def test_latents_and_dmin_match_forward_np(self):
+    def test_latents_and_dmin_match_forward_np(self, monkeypatch):
         from protoreg.engine import no_grad
         from protoreg.model import _chunks
 
@@ -166,13 +173,14 @@ class TestForwardNp:
         images = tiny_dataset(n=11, seed=2).images
         # size 5 and 10 fold a lone tail image into the chunk before it
         for size in (5, 10, 64):
-            whole = model.forward_np(images, batch_size=size)
-            latents = model.latents_np(images, batch_size=size)
+            monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
+            whole = model.forward_np(images)
+            latents = model.latents_np(images)
             with no_grad():
                 forward = [model.forward(Tensor(images[chunk])).latent.data
-                           for chunk in _chunks(len(images), size)]
+                           for chunk in _chunks(len(images))]
             assert latents.tobytes() == np.concatenate(forward).tobytes(), size
-            dmin = model.dmin_np(latents, batch_size=size)
+            dmin = model.dmin_np(latents)
             assert dmin.tobytes() == whole.dmin.tobytes(), size
 
 
@@ -187,7 +195,7 @@ class TestChunkPool:
         model = tiny_model(seed=4)
         images = np.random.default_rng(n).uniform(size=(n, 3, 8, 8))
         with engine.no_grad():
-            rs = [model.forward(Tensor(images[chunk])) for chunk in _chunks(n, 64)]
+            rs = [model.forward(Tensor(images[chunk])) for chunk in _chunks(n)]
         plain = [np.concatenate([getattr(r, k).data for r in rs])
                  for k in ("dmin", "s", "y_hat", "latent")]
         latents = model.latents_np(images)
@@ -204,7 +212,7 @@ class TestChunkPool:
         model = tiny_model(seed=4)
         images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
         results = _map_chunks(lambda chunk: model.forward(Tensor(images[chunk])).y_hat,
-                              _chunks(129, 64))
+                              _chunks(129))
         assert [r.data.shape[0] for r in results] == [64, 65]
         assert all(r._parents == () and not r.requires_grad for r in results)
         assert engine._GRAD_ENABLED is True
