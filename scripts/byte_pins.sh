@@ -7,10 +7,15 @@
 # that the numerics decide. A change that leaves the
 # numerics alone prints the same lines before and after it. Runs the code of
 # the checkout the script is in.
-# Usage: scripts/byte_pins.sh [out-root]
+# Usage: scripts/byte_pins.sh [out-root], where out-root is new or empty.
 set -euo pipefail
 
 OUT="${1:-runs/byte_pins}"
+# the globs below would also hash files that an earlier run left there
+if [ -e "$OUT" ] && [ -n "$(ls -A "$OUT")" ]; then
+  echo "error: out-root $OUT is not empty; give a new or empty one" >&2
+  exit 2
+fi
 SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
 export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
 export OPENBLAS_NUM_THREADS=1

@@ -19,7 +19,6 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from . import gradcheck, metrics, reports, trainer
-from .engine import Tensor, no_grad
 from .explain import explain, to_pgm_bytes
 from .model import Model, load_checkpoint, save_checkpoint
 
@@ -173,9 +172,7 @@ def cmd_embed(args) -> int:
     out = _out_dir(args.out)
     test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
     latents = model.latents_np(test_ds.images)
-    with no_grad():
-        s, _ = model.head(Tensor(model.dmin_np(latents)))
-    weights = metrics.contribution_matrix(model, s.data)
+    weights = metrics.contribution_matrix(model, model.head_np(latents)[0])
     n, c_z, h, w = latents.shape
     patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)
     del latents  # the PCA needs only patches, usually a copy of the latents: free them
@@ -205,26 +202,30 @@ def cmd_ablate(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _load_cfg(args.config)
+    # every cell's config, its seed offsets included, is checked before anything trains
+    cells = []
+    for name, override in ABLATION_VARIANTS:
+        for s in range(args.seeds):
+            cell_cfg = config_mod._merge(cfg, override)  # new section dicts, safe to edit
+            cell_cfg["train"]["seed"] += s
+            cell_cfg["model"]["seed"] += s
+            cells.append((name, config_mod.resolve_config(cell_cfg)))
     out = _out_dir(args.out)
     train_ds = data_mod.load_dataset(_resolve_split(args.data, "train"), split="train")
     test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
     rows = []
-    for name, override in ABLATION_VARIANTS:
-        for s in range(args.seeds):
-            cell_cfg = config_mod.resolve_config(config_mod._merge(cfg, override))
-            cell_cfg["train"]["seed"] = cfg["train"]["seed"] + s
-            cell_cfg["model"]["seed"] = cfg["model"]["seed"] + s
-            model, _ = train_run(cell_cfg, train_ds)
-            result = metrics.evaluate(model, test_ds, grades=cell_cfg["data"]["grades"])
-            rows.append({
-                "variant": name,
-                "similarity": cell_cfg["model"]["similarity"],
-                "alpha_clst": cell_cfg["loss"]["alpha_clst"],
-                "alpha_psd": cell_cfg["loss"]["alpha_psd"],
-                "k": cell_cfg["loss"]["k"],
-                "seed": cell_cfg["train"]["seed"],
-                **{k: result[k] for k in ("mae", "accuracy", "s_spars_mean", "diversity")},
-            })
+    for name, cell_cfg in cells:
+        model, _ = train_run(cell_cfg, train_ds)
+        result = metrics.evaluate(model, test_ds, grades=cell_cfg["data"]["grades"])
+        rows.append({
+            "variant": name,
+            "similarity": cell_cfg["model"]["similarity"],
+            "alpha_clst": cell_cfg["loss"]["alpha_clst"],
+            "alpha_psd": cell_cfg["loss"]["alpha_psd"],
+            "k": cell_cfg["loss"]["k"],
+            "seed": cell_cfg["train"]["seed"],
+            **{k: result[k] for k in ("mae", "accuracy", "s_spars_mean", "diversity")},
+        })
     (out / "ablation.csv").write_text(reports.ablation_csv(rows))
     (out / "ablation.md").write_text(reports.ablation_markdown(rows))
     config_mod.save_config(cfg, out / "resolved_config.json")

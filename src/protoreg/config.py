@@ -120,7 +120,7 @@ RULES = {
 }
 # float64 images of both splits, and each per-batch tensor of a pass
 MAX_DATASET_BYTES = 1 << 30
-INFERENCE_CHUNK = 64  # images per chunk of every no-grad pass: forward_np, latents_np, dmin_np
+INFERENCE_CHUNK = 64  # images per chunk of the no-grad passes: model.latents_np, dmin_np
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
@@ -186,8 +186,9 @@ def resolve_config(overrides: dict | None = None) -> dict:
     if n_bytes > MAX_DATASET_BYTES:
         raise ConfigError(f"data.train_per_grade and data.test_per_grade ask for a dataset of "
                           f"{n_bytes} bytes, over the cap of {MAX_DATASET_BYTES}")
-    # every worker of a no-grad pass holds one chunk's tensors at a time
-    batch = max(t["batch_size"], INFERENCE_CHUNK)
+    # every worker of a no-grad pass holds one chunk's tensors at a time, and
+    # model._chunks adds a tail of one image to the chunk before it
+    batch = max(t["batch_size"], INFERENCE_CHUNK + 1)
     for i, (out_c, kernel, stride) in enumerate(m["backbone_blocks"]):
         if kernel > min(h, w):
             raise ConfigError(f"model.backbone_blocks[{i}] kernel {kernel} exceeds its {h}x{w} map")

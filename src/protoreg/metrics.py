@@ -156,8 +156,8 @@ def contribution_matrix(model: Model, s: np.ndarray) -> np.ndarray:
 
 def per_sample_weights(model: Model, dataset: SynthDataset) -> tuple[np.ndarray, np.ndarray]:
     """(y_hat, W) where W[i] holds sample i's contribution weights."""
-    out = model.forward_np(dataset.images)
-    return out.y_hat, contribution_matrix(model, out.s)
+    s, y_hat = model.head_np(model.latents_np(dataset.images))
+    return y_hat, contribution_matrix(model, s)
 
 
 def evaluate(model: Model, dataset: SynthDataset, grades: int = 5,

@@ -22,7 +22,6 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class CheckpointError(ValueError):
 
 @dataclass
 class ForwardResult:
-    latent: Tensor  # (N, c_z, h_z, w_z) backbone output
     dmap: Tensor  # (N, m, h_z, w_z) squared distances
     dmin: Tensor  # (N, m) min-pooled distances
     argmin: np.ndarray  # (N, m, 2) spatial argmin positions
@@ -60,14 +58,9 @@ class ForwardResult:
     y_hat: Tensor  # (N,) predictions
 
 
-class ForwardArrays(NamedTuple):
-    dmin: np.ndarray  # (N, m)
-    s: np.ndarray  # (N, m)
-    y_hat: np.ndarray  # (N,)
-
-
 def _chunks(n: int) -> list[slice]:
-    """Consecutive slices of at most INFERENCE_CHUNK + 1 rows, none of one row
+    """The chunks of every no-grad pass over n images (latents_np, dmin_np):
+    consecutive slices of at most INFERENCE_CHUNK + 1 rows, none of one row
     unless n == 1.
 
     A lone sample gets distances up to 1.8e-15 away from the same sample in a
@@ -136,39 +129,38 @@ class Model:
         dmap = distance_map(latent, self.bank)
         dmin, argmin = min_pool(dmap)
         s, y_hat = self.head(dmin)
-        return ForwardResult(latent=latent, dmap=dmap, dmin=dmin, argmin=argmin, s=s,
-                             y_hat=y_hat)
+        return ForwardResult(dmap=dmap, dmin=dmin, argmin=argmin, s=s, y_hat=y_hat)
 
     def head(self, dmin: Tensor) -> tuple[Tensor, Tensor]:
         """(similarities, predictions) from (N, m) min-pooled distances."""
         s = similarity(dmin, self.similarity_kind, self.eps, self.bank.d_max)
         return s, head_mod.predict(s, self.theta, self.bank.labels)
 
-    def forward_np(self, images: np.ndarray) -> ForwardArrays:
-        """One no-grad pass over a raw image array, in chunks (see _chunks)."""
-        def run(chunk):
-            r = self.forward(Tensor(images[chunk]))
-            return r.dmin.data, r.s.data, r.y_hat.data
-
-        parts = _map_chunks(run, _chunks(images.shape[0]))
-        return ForwardArrays(*(np.concatenate(a) for a in zip(*parts)))
-
-    def predict_np(self, images: np.ndarray) -> np.ndarray:
-        """Batched no-grad prediction on a raw image array."""
-        return self.forward_np(images).y_hat
-
     def latents_np(self, images: np.ndarray) -> np.ndarray:
-        """(N, c_z, h_z, w_z) backbone output of a raw image array, in the chunks
-        of forward_np, so each image's latent has the bits of forward_np's pass."""
+        """(N, c_z, h_z, w_z) backbone output of a raw image array, one chunk
+        (see _chunks) at a time."""
         return np.concatenate(_map_chunks(lambda c: self.backbone.forward(Tensor(images[c])).data,
                                           _chunks(images.shape[0])))
 
     def dmin_np(self, latents: np.ndarray) -> np.ndarray:
-        """(N, m) min-pooled distances of latents_np's output, in the chunks of
-        forward_np, so they equal forward_np's dmin bit for bit."""
+        """(N, m) min-pooled distances of latents_np's output, in latents_np's
+        chunks, so each row has the bits that Model.forward on its chunk gives."""
         return np.concatenate(_map_chunks(
             lambda c: min_pool(distance_map(Tensor(latents[c]), self.bank))[0].data,
             _chunks(latents.shape[0])))
+
+    def head_np(self, latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, m) similarities and (N,) predictions of latents_np's output: dmin_np,
+        then one head call on all rows. The head works row by row, so each row has
+        the bits that a forward of its chunk gives."""
+        dmin = self.dmin_np(latents)
+        with no_grad():
+            s, y_hat = self.head(Tensor(dmin))
+        return s.data, y_hat.data
+
+    def predict_np(self, images: np.ndarray) -> np.ndarray:
+        """Batched no-grad prediction on a raw image array."""
+        return self.head_np(self.latents_np(images))[1]
 
 
 def _tensor_manifest(model: Model) -> list[tuple[str, Tensor]]:

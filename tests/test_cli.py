@@ -347,11 +347,11 @@ class TestErrors:
         ({"data": {"image_hw": [256, 256], "channels": 1, "grades": 2, "train_per_grade": 1,
                    "test_per_grade": 1},
           "model": {"m": 1000, "backbone_blocks": [[256, 1, 1], [256, 1, 1]]}},
-         "model.backbone_blocks[0] gives a block output of shape (64, 256, 256, 256)"),
+         "model.backbone_blocks[0] gives a block output of shape (65, 256, 256, 256)"),
         ({"data": {"image_hw": [256, 256], "channels": 1, "grades": 2, "train_per_grade": 1,
                    "test_per_grade": 1},
           "model": {"m": 1000, "backbone_blocks": [[2, 1, 1], [2, 3, 3]]}},
-         "model.m gives a distance map of shape (64, 1000, 85, 85)"),
+         "model.m gives a distance map of shape (65, 1000, 85, 85)"),
         ({"data": {"image_hw": [6, 32], "blob_radius": [3.0, 3.0]}},
          "data.blob_radius most 3.0 does not fit a 6x32 image: twice it must be <= 5"),
     ])
@@ -392,6 +392,22 @@ class TestErrors:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: --seeds must be >= 1, got {seeds}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["train.seed", "model.seed"])
+    def test_ablate_seed_offset_past_its_range(self, workdir, tmp_path, capsys, monkeypatch,
+                                               key):
+        section, name = key.split(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CFG, section: {**TINY_CFG[section], name: 2**32 - 1}}))
+        trained = []
+        monkeypatch.setattr("protoreg.cli.train_run", lambda *a: trained.append(a))
+        # the second seed of every cell is the config's seed + 1
+        rc = main(["ablate", "--config", str(cfg), "--data", str(workdir / "data"),
+                   "--seeds", "2", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {key} must be <= 4294967295, got 4294967296\n"
+        assert trained == []
         assert not (tmp_path / "out").exists()
 
     def test_bad_checkpoint(self, tmp_path, capsys):

@@ -121,7 +121,8 @@ class TestRowForms:
 
     def test_contribution_matrix_matches_row_loop(self):
         model = tiny_model(seed=3)
-        s = model.forward_np(np.random.default_rng(4).uniform(size=(9, 3, 8, 8))).s
+        images = np.random.default_rng(4).uniform(size=(9, 3, 8, 8))
+        s, _ = model.head_np(model.latents_np(images))
         r = model.theta.data**2 / model.bank.labels
         loop = np.vstack([s_row * r for s_row in s])
         assert metrics.contribution_matrix(model, s).tobytes() == loop.tobytes()

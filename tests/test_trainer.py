@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from protoreg import losses, trainer
+from protoreg import losses, metrics, trainer
 from protoreg.backbone import Backbone
 from protoreg.config import resolve_config
 from protoreg.data import SynthDataset, augment_batch
-from protoreg.engine import Adam, Tensor
+from protoreg.engine import Adam, Tensor, no_grad
 from protoreg.gradcheck import TINY_CFG, tiny_model
 
 from baseline import train_baseline
@@ -131,42 +131,62 @@ def live_lastlayer(model, ds, cfg, rng):
     return rows
 
 
+def no_grad_outputs(model, ds):
+    """dmin, s and y_hat of the chain latents_np -> dmin_np -> head_np, predict_np's
+    y_hat, and per_sample_weights' (y_hat, W), all over ds.images."""
+    latents = model.latents_np(ds.images)
+    return [model.dmin_np(latents), *model.head_np(latents), model.predict_np(ds.images),
+            *metrics.per_sample_weights(model, ds)]
+
+
+def chunk_loop(model, images, chunks):
+    """dmin, s, y_hat and W of a plain Model.forward per chunk, and the latents of a
+    plain Backbone.forward per chunk."""
+    with no_grad():
+        rs = [model.forward(Tensor(images[chunk])) for chunk in chunks]
+        latents = [model.backbone.forward(Tensor(images[chunk])).data for chunk in chunks]
+    dmin, s, y_hat = (np.concatenate([getattr(r, k).data for r in rs])
+                      for k in ("dmin", "s", "y_hat"))
+    return dmin, s, y_hat, metrics.contribution_matrix(model, s), np.concatenate(latents)
+
+
 class TestForwardNp:
+    """The no-grad passes over a raw image array: latents_np, dmin_np, head_np,
+    predict_np, and metrics.per_sample_weights on top of them."""
+
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
         from protoreg.model import _chunks
 
         model = tiny_model(seed=4)
-        images = tiny_dataset(n=11, seed=2).images
-        whole = model.forward_np(images)  # one chunk of all 11
+        ds = tiny_dataset(n=11, seed=2)
+        whole = no_grad_outputs(model, ds)  # one chunk of all 11
         # sizes 2, 5 and 10 would leave image 10 alone, where its distances differ
         for size in range(2, 11):
             monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
-            assert max(c.stop - c.start for c in _chunks(len(images))) <= size + 1
-            out = model.forward_np(images)
-            for a, b in zip(out, whole):
+            assert max(c.stop - c.start for c in _chunks(len(ds))) <= size + 1
+            out = no_grad_outputs(model, ds)
+            for a, b in zip(out, whole, strict=True):
                 assert a.tobytes() == b.tobytes(), size
 
     def test_matches_forward(self):
-        from protoreg.engine import no_grad
-
         model = tiny_model(seed=4)
-        images = tiny_dataset(n=5, seed=2).images
-        out = model.forward_np(images)
-        with no_grad():
-            r = model.forward(Tensor(images))
-        for a, b in zip(out, (r.dmin, r.s, r.y_hat)):
-            assert np.array_equal(a, b.data)
-        assert np.array_equal(model.latents_np(images), r.latent.data)
+        ds = tiny_dataset(n=5, seed=2)
+        dmin, s, y_hat, weights, latents = chunk_loop(model, ds.images, [slice(0, 5)])
+        expected = [dmin, s, y_hat, y_hat, y_hat, weights]
+        for a, b in zip(no_grad_outputs(model, ds), expected, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(model.latents_np(ds.images), latents)
 
     def test_empty_rejected(self):
         model = tiny_model(seed=0)
-        # all three passes share model._chunks, which makes the check
-        for run in (model.forward_np, model.latents_np, model.dmin_np):
+        empty = tiny_dataset(n=0)
+        # every pass goes through model._chunks, which makes the check
+        for run in (model.latents_np, model.dmin_np, model.head_np, model.predict_np,
+                    lambda images: metrics.per_sample_weights(model, empty)):
             with pytest.raises(ValueError, match="^no-grad pass over an empty image array$"):
-                run(np.zeros((0, 3, 8, 8)))
+                run(empty.images)
 
-    def test_latents_and_dmin_match_forward_np(self, monkeypatch):
-        from protoreg.engine import no_grad
+    def test_latents_and_dmin_match_forward(self, monkeypatch):
         from protoreg.model import _chunks
 
         model = tiny_model(seed=4)
@@ -174,18 +194,14 @@ class TestForwardNp:
         # size 5 and 10 fold a lone tail image into the chunk before it
         for size in (5, 10, 64):
             monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
-            whole = model.forward_np(images)
+            dmin, *_, forward = chunk_loop(model, images, _chunks(len(images)))
             latents = model.latents_np(images)
-            with no_grad():
-                forward = [model.forward(Tensor(images[chunk])).latent.data
-                           for chunk in _chunks(len(images))]
-            assert latents.tobytes() == np.concatenate(forward).tobytes(), size
-            dmin = model.dmin_np(latents)
-            assert dmin.tobytes() == whole.dmin.tobytes(), size
+            assert latents.tobytes() == forward.tobytes(), size
+            assert model.dmin_np(latents).tobytes() == dmin.tobytes(), size
 
 
 class TestChunkPool:
-    """forward_np, latents_np and dmin_np map their chunks over a thread pool."""
+    """latents_np and dmin_np map their chunks over a thread pool."""
 
     @pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 1000])
     def test_matches_plain_chunk_loop(self, n):
@@ -193,16 +209,12 @@ class TestChunkPool:
         from protoreg.model import _chunks
 
         model = tiny_model(seed=4)
-        images = np.random.default_rng(n).uniform(size=(n, 3, 8, 8))
-        with engine.no_grad():
-            rs = [model.forward(Tensor(images[chunk])) for chunk in _chunks(n)]
-        plain = [np.concatenate([getattr(r, k).data for r in rs])
-                 for k in ("dmin", "s", "y_hat", "latent")]
-        latents = model.latents_np(images)
-        pooled = [*model.forward_np(images), latents]
-        for a, b in zip(pooled, plain):
+        ds = tiny_dataset(n=n, seed=n)
+        dmin, s, y_hat, weights, latents = chunk_loop(model, ds.images, _chunks(n))
+        assert model.latents_np(ds.images).tobytes() == latents.tobytes()
+        expected = [dmin, s, y_hat, y_hat, y_hat, weights]
+        for a, b in zip(no_grad_outputs(model, ds), expected, strict=True):
             assert a.tobytes() == b.tobytes()
-        assert model.dmin_np(latents).tobytes() == plain[0].tobytes()
         assert engine._GRAD_ENABLED is True
 
     def test_workers_record_no_graph(self):
@@ -217,7 +229,7 @@ class TestChunkPool:
         assert all(r._parents == () and not r.requires_grad for r in results)
         assert engine._GRAD_ENABLED is True
         with engine.no_grad():
-            model.forward_np(images)
+            model.predict_np(images)
             assert engine._GRAD_ENABLED is False
         assert engine._GRAD_ENABLED is True
 
@@ -229,7 +241,7 @@ class TestChunkPool:
         bad = np.zeros((129, 1, 8, 8))
         with engine.no_grad(), pytest.raises(ShapeError) as plain:
             model.forward(Tensor(bad[:64]))
-        for run in (model.forward_np, model.latents_np):
+        for run in (model.predict_np, model.latents_np):
             with pytest.raises(ShapeError) as pooled:
                 run(bad)
             assert str(pooled.value) == str(plain.value)
