@@ -174,6 +174,9 @@ def resolve_config(overrides: dict | None = None) -> dict:
         raise ConfigError("train.warmup_epochs cannot exceed train.joint_epochs")
     if m["label_lo"] >= m["label_hi"]:
         raise ConfigError(f"model.label_hi must be > model.label_lo, got {m['label_hi']}")
+    # log((d+1)/(d+eps)) is <= 0 at every distance d once eps >= 1
+    if m["similarity"] == "log" and m["eps"] >= 1:
+        raise ConfigError(f"model.eps must be < 1 when model.similarity is \"log\", got {m['eps']}")
     if d["blob_radius"][0] > d["blob_radius"][1]:
         raise ConfigError(f"data.blob_radius must be [least, most], got {d['blob_radius']}")
     h, w = d["image_hw"]

@@ -21,6 +21,8 @@ from .head import contribution_weights, first_bad_row, importance
 from .model import Model
 from .prototypes import PrototypeBank
 
+TOP_SET_SIZE = 5  # prototypes in a sample's top contributor set (capped at m)
+
 
 def sparsity_rows(weights: np.ndarray) -> np.ndarray:
     """(N,) sparsities of an (N, m) weight matrix: per row, the smallest count
@@ -43,13 +45,14 @@ def sparsity(w: np.ndarray) -> int:
     return int(sparsity_rows(w[None])[0])
 
 
-def top_contributor_rows(weights: np.ndarray, size: int = 5) -> np.ndarray:
-    """(N, min(size, m)) indices of each row's largest weights, in contribution order."""
-    return contribution_order(weights)[:, :size]
+def top_contributor_rows(weights: np.ndarray) -> np.ndarray:
+    """(N, min(TOP_SET_SIZE, m)) indices of each row's largest weights, in
+    contribution order."""
+    return contribution_order(weights)[:, :TOP_SET_SIZE]
 
 
-def top_contributor_set(w: np.ndarray, size: int = 5) -> frozenset[int]:
-    return frozenset(top_contributor_rows(w[None], size)[0].tolist())
+def top_contributor_set(w: np.ndarray) -> frozenset[int]:
+    return frozenset(top_contributor_rows(w[None])[0].tolist())
 
 
 def _membership_counts(top5: list[frozenset[int]] | np.ndarray, m: int) -> np.ndarray:
@@ -74,8 +77,7 @@ def diversity(top5_sets: list[frozenset[int]] | np.ndarray, m: int,
 def usage_histogram(top5_sets: list[frozenset[int]] | np.ndarray, m: int) -> np.ndarray:
     """Per-prototype frequency of top-5 membership, normalized to sum to 1."""
     counts = _membership_counts(top5_sets, m)
-    set_size = min(5, m)
-    return counts / (set_size * len(top5_sets))
+    return counts / (min(TOP_SET_SIZE, m) * len(top5_sets))
 
 
 @dataclass

@@ -1,11 +1,12 @@
-"""Three-stage training protocol and prototype projection.
+"""The training protocol, run by run_protocol, and prototype projection.
 
 Each cycle runs: joint training of the backbone and prototypes with the
 head frozen (the first cycle starts with warm-up epochs that only touch
-the prototypes and the final conv block), then projection of every
+the prototypes and the final two conv layers), then projection of every
 prototype onto its nearest training patch, then head-only training.
-Freezing is bitwise: a frozen group has requires_grad cleared for the
-stage, so it neither receives gradients nor moves.
+Each epoch loop freezes the parameters that none of its optimizers holds:
+requires_grad is cleared for the loop, so they neither receive gradients
+nor move.
 """
 
 from __future__ import annotations
@@ -101,44 +102,6 @@ def _run_epochs(model: Model, data: SynthDataset, cfg: dict, optimizers: list[Ad
             })
 
 
-def joint_stage(model: Model, data: SynthDataset, cfg: dict, rng: np.random.Generator,
-                log: TrainLog, cycle: int):
-    """Train backbone + prototypes with theta frozen; the first cycle's
-    warm-up epochs touch only the prototypes and the final conv block."""
-    t = cfg["train"]
-    added = model.backbone.added_block_params()
-    added_ids = {id(p) for p in added}
-    trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
-    opt_trunk = Adam(trunk, t["lr_backbone"])
-    # Adam updates each element on its own, so one optimizer for both groups
-    # moves them exactly as one per group would
-    opt_proto = Adam(added + [model.bank.vectors], t["lr_protolayer"])
-    warmup = t["warmup_epochs"] if cycle == 0 else 0
-    if warmup > 0:
-        _run_epochs(model, data, cfg, [opt_proto], epochs=warmup, rng=rng, log=log,
-                    cycle=cycle, stage="warmup")
-    if t["joint_epochs"] > warmup:
-        _run_epochs(model, data, cfg, [opt_trunk, opt_proto],
-                    epochs=t["joint_epochs"] - warmup, rng=rng, log=log, cycle=cycle,
-                    stage="joint", epoch_offset=warmup)
-
-
-def lastlayer_stage(model: Model, data: SynthDataset, cfg: dict, rng: np.random.Generator,
-                    log: TrainLog, cycle: int, latents: np.ndarray):
-    """Train theta only; backbone and prototypes stay bitwise fixed.
-
-    Without augmentation every epoch sees the same images through the same
-    frozen layers, so their min-pooled distances are computed once and each
-    step runs only the head and the loss terms on them. latents is
-    model.latents_np(data.images) for the current backbone (projection's
-    pass), and the distances come from it without another backbone pass.
-    """
-    opt_head = Adam([model.theta], cfg["train"]["lr_head"])
-    inputs = None if cfg["data"]["augment"] else model.dmin_np(latents)
-    _run_epochs(model, data, cfg, [opt_head], epochs=cfg["train"]["lastlayer_epochs"],
-                rng=rng, log=log, cycle=cycle, stage="lastlayer", inputs=inputs)
-
-
 def project_prototypes(model: Model, data: SynthDataset, latents: np.ndarray) -> list[dict]:
     """Replace each prototype by its nearest training latent patch.
 
@@ -146,8 +109,6 @@ def project_prototypes(model: Model, data: SynthDataset, latents: np.ndarray) ->
     are untouched. latents is model.latents_np(data.images), (N, c_z, h, w).
     Returns one report entry per prototype.
     """
-    if len(data) == 0:
-        raise ValueError("cannot project prototypes onto an empty training set")
     n, c_z, h, w = latents.shape
     # (N*h*w, c_z), sample-major then row-major spatial: scan order for ties
     patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)
@@ -178,25 +139,42 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
     stage_callback(stage_name, cycle, model), when given, fires after each
     completed stage (used by the CLI to write per-stage checkpoints).
     """
-    cycles = cfg["train"]["cycles"]
-    if len(data) == 0 and cycles > 0:
+    if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
-    rng = np.random.default_rng(cfg["train"]["seed"])
+    t = cfg["train"]
+    rng = np.random.default_rng(t["seed"])
     log = TrainLog()
+    added = model.backbone.added_block_params()
+    added_ids = {id(p) for p in added}
+    trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
 
     def finished(stage: str, cycle: int):
         model.cursor = {"cycle": cycle, "stage": stage}
         if stage_callback:
             stage_callback(stage, cycle, model)
 
-    for cycle in range(cycles):
-        joint_stage(model, data, cfg, rng, log, cycle)
+    for cycle in range(t["cycles"]):
+        opt_trunk = Adam(trunk, t["lr_backbone"])
+        # Adam updates each element on its own, so one optimizer for both groups
+        # moves them exactly as one per group would
+        opt_proto = Adam(added + [model.bank.vectors], t["lr_protolayer"])
+        # only the first cycle warms up: the prototypes and the added block move
+        warmup = t["warmup_epochs"] if cycle == 0 else 0
+        _run_epochs(model, data, cfg, [opt_proto], epochs=warmup, rng=rng, log=log,
+                    cycle=cycle, stage="warmup")
+        _run_epochs(model, data, cfg, [opt_trunk, opt_proto], epochs=t["joint_epochs"] - warmup,
+                    rng=rng, log=log, cycle=cycle, stage="joint", epoch_offset=warmup)
         finished("joint", cycle)
         # one backbone pass serves projection and the last-layer cache
         latents = model.latents_np(data.images)
         report = project_prototypes(model, data, latents)
         log.projections.append({"cycle": cycle, "prototypes": report})
         finished("projection", cycle)
-        lastlayer_stage(model, data, cfg, rng, log, cycle, latents=latents)
+        # without augmentation every epoch sees the same images through the same
+        # frozen layers, so each step runs only the head on their cached distances
+        inputs = None if cfg["data"]["augment"] else model.dmin_np(latents)
+        _run_epochs(model, data, cfg, [Adam([model.theta], t["lr_head"])],
+                    epochs=t["lastlayer_epochs"], rng=rng, log=log, cycle=cycle,
+                    stage="lastlayer", inputs=inputs)
         finished("lastlayer", cycle)
     return log

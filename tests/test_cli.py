@@ -354,6 +354,8 @@ class TestErrors:
          "model.m gives a distance map of shape (65, 1000, 85, 85)"),
         ({"data": {"image_hw": [6, 32], "blob_radius": [3.0, 3.0]}},
          "data.blob_radius most 3.0 does not fit a 6x32 image: twice it must be <= 5"),
+        ({"model": {"similarity": "log", "eps": 1.0}},
+         'model.eps must be < 1 when model.similarity is "log", got 1.0'),
     ])
     def test_bad_value_rejected_before_data_loads(self, tmp_path, capsys, override, message):
         cfg = tmp_path / "cfg.json"

@@ -102,6 +102,15 @@ class TestResolve:
                 "model.backbone_blocks[2] kernel 8 exceeds its 7x7 map")):
             C.resolve_config({"model": {"backbone_blocks": [[8, 3, 2], [16, 3, 2], [16, 8, 1]]}})
 
+    def test_log_similarity_needs_eps_below_one(self):
+        # log((d+1)/(d+eps)) is <= 0 at every d once eps >= 1; reciprocal stays positive
+        C.resolve_config({"model": {"similarity": "log", "eps": 0.999}})
+        C.resolve_config({"model": {"similarity": "reciprocal", "eps": 2.0}})
+        for eps in (1.0, 2.0):
+            with pytest.raises(C.ConfigError, match=re.escape(
+                    f'model.eps must be < 1 when model.similarity is "log", got {eps}')):
+                C.resolve_config({"model": {"similarity": "log", "eps": eps}})
+
     def test_blob_radius_must_fit_the_narrower_side(self):
         # a centre lies in [r, side - 1 - r], so 2 * r may reach side - 1 and no further
         C.resolve_config({"data": {"blob_radius": [2.0, 15.5]}})

@@ -1,4 +1,6 @@
-"""Tests for the three-stage training protocol, projection, and freezing."""
+"""Tests for the training protocol, projection, and freezing."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from protoreg.config import resolve_config
 from protoreg.data import SynthDataset, augment_batch
 from protoreg.engine import Adam, Tensor, no_grad
 from protoreg.gradcheck import TINY_CFG, tiny_model
+from protoreg.model import Model
 
 from baseline import train_baseline
 
@@ -38,64 +41,65 @@ def project(model, ds):
     return trainer.project_prototypes(model, ds, model.latents_np(ds.images))
 
 
-def snapshot(tensors):
-    return [t.data.copy() for t in tensors]
+def groups(model):
+    """The parameter groups that the protocol's stages train."""
+    added = model.backbone.added_block_params()
+    added_ids = {id(p) for p in added}
+    trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
+    return {"trunk": trunk, "added": added, "prototypes": [model.bank.vectors],
+            "theta": [model.theta]}
 
 
-def unchanged(tensors, snap):
-    return all(np.array_equal(t.data, s) for t, s in zip(tensors, snap))
+def snapshot(model):
+    return {name: [p.data.copy() for p in params] for name, params in groups(model).items()}
+
+
+def moved(before, after):
+    """Names of the groups whose bytes differ between two snapshots."""
+    return {name for name in before
+            if any(a.tobytes() != b.tobytes() for a, b in zip(before[name], after[name]))}
+
+
+def protocol_snapshots(model, ds, cfg):
+    """run_protocol with a snapshot before training ("start") and after each
+    stage, keyed (cycle, stage) in the order the stages finished; returns the
+    snapshots, whether every parameter required grad at each stage's end, and
+    the log."""
+    snaps, grads = {"start": snapshot(model)}, []
+
+    def callback(stage, cycle, m):
+        snaps[cycle, stage] = snapshot(m)
+        grads.append(all(p.requires_grad for p in m.params()))
+
+    log = trainer.run_protocol(model, ds, cfg, stage_callback=callback)
+    return snaps, grads, log
 
 
 class TestFreezing:
+    """Each stage moves exactly its own groups, bitwise."""
+
     def test_joint_stage_freezes_head(self):
-        model = tiny_model(seed=0)
-        ds = tiny_dataset()
-        theta_before = model.theta.data.copy()
-        trunk_before = snapshot(model.backbone.params())
-        proto_before = model.bank.vectors.data.copy()
-        rng = np.random.default_rng(0)
-        # a cycle after the first has no warm-up epochs
-        trainer.joint_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=1)
-        assert np.array_equal(model.theta.data, theta_before)
-        assert not unchanged(model.backbone.params(), trunk_before)
-        assert not np.array_equal(model.bank.vectors.data, proto_before)
+        snaps, _, _ = protocol_snapshots(tiny_model(seed=0), tiny_dataset(), tiny_cfg(cycles=2))
+        # cycle 0 warms up first; a cycle after the first has no warm-up epochs
+        assert moved(snaps["start"], snaps[0, "joint"]) == {"trunk", "added", "prototypes"}
+        assert moved(snaps[0, "lastlayer"], snaps[1, "joint"]) == {"trunk", "added", "prototypes"}
 
     def test_warmup_freezes_trunk(self):
-        model = tiny_model(seed=0)
-        ds = tiny_dataset()
         # all epochs are warm-up: only the added block and prototypes move
         cfg = tiny_cfg(joint_epochs=2, warmup_epochs=2)
-        added = model.backbone.added_block_params()
-        added_ids = {id(p) for p in added}
-        trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
-        trunk_before = snapshot(trunk)
-        added_before = snapshot(added)
-        proto_before = model.bank.vectors.data.copy()
-        rng = np.random.default_rng(0)
-        trainer.joint_stage(model, ds, cfg, rng, trainer.TrainLog(), cycle=0)
-        assert unchanged(trunk, trunk_before)  # bitwise
-        assert not unchanged(added, added_before)
-        assert not np.array_equal(model.bank.vectors.data, proto_before)
+        snaps, _, _ = protocol_snapshots(tiny_model(seed=0), tiny_dataset(), cfg)
+        assert moved(snaps["start"], snaps[0, "joint"]) == {"added", "prototypes"}
 
     def test_lastlayer_freezes_everything_but_head(self):
-        model = tiny_model(seed=0)
-        ds = tiny_dataset()
-        backbone_before = snapshot(model.backbone.params())
-        proto_before = model.bank.vectors.data.copy()
-        theta_before = model.theta.data.copy()
-        rng = np.random.default_rng(0)
-        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0,
-                                latents=model.latents_np(ds.images))
-        assert unchanged(model.backbone.params(), backbone_before)  # bitwise
-        assert np.array_equal(model.bank.vectors.data, proto_before)
-        assert not np.array_equal(model.theta.data, theta_before)
+        snaps, _, _ = protocol_snapshots(tiny_model(seed=0), tiny_dataset(), tiny_cfg(cycles=2))
+        for cycle in range(2):
+            assert moved(snaps[cycle, "joint"], snaps[cycle, "projection"]) == {"prototypes"}
+            assert moved(snaps[cycle, "projection"], snaps[cycle, "lastlayer"]) == {"theta"}
 
     def test_requires_grad_restored_after_stage(self):
         model = tiny_model(seed=0)
-        ds = tiny_dataset()
-        rng = np.random.default_rng(0)
-        trainer.lastlayer_stage(model, ds, tiny_cfg(), rng, trainer.TrainLog(), cycle=0,
-                                latents=model.latents_np(ds.images))
+        _, grads, _ = protocol_snapshots(model, tiny_dataset(), tiny_cfg(cycles=2))
+        assert grads == [True] * 6
         assert all(p.requires_grad for p in model.params())
 
 
@@ -255,16 +259,16 @@ class TestLastLayerCache:
 
     @pytest.mark.parametrize("augment", [False, True])
     def test_matches_live_forward(self, augment, monkeypatch):
-        # 14 samples in batches of 6: the tail batch holds 2
+        # 14 samples in batches of 6: the tail batch holds 2. With no joint
+        # epochs the protocol is projection and then the last-layer stage.
         ds = tiny_dataset(n=14, seed=2)
-        cfg = tiny_cfg(augment=augment, lastlayer_epochs=3, lr_head=1e-2)
+        cfg = tiny_cfg(augment=augment, lastlayer_epochs=3, lr_head=1e-2, joint_epochs=0,
+                       warmup_epochs=0, seed=5)
         ref_model = tiny_model(seed=4)
         project(ref_model, ds)
         ref_rows = live_lastlayer(ref_model, ds, cfg, np.random.default_rng(5))
 
         model = tiny_model(seed=4)
-        project(model, ds)
-        latents = model.latents_np(ds.images)
         seen = []
         forward = Backbone.forward
 
@@ -273,17 +277,17 @@ class TestLastLayerCache:
             return forward(self, x)
 
         monkeypatch.setattr(Backbone, "forward", counting)
-        log = trainer.TrainLog()
-        trainer.lastlayer_stage(model, ds, cfg, np.random.default_rng(5), log, cycle=0,
-                                latents=latents)
+        log = trainer.run_protocol(model, ds, cfg)
+        assert np.array_equal(model.bank.vectors.data, ref_model.bank.vectors.data)
         assert np.array_equal(model.theta.data, ref_model.theta.data)
-        assert len(log.epochs) == len(ref_rows)
+        assert [e["stage"] for e in log.epochs] == ["lastlayer"] * len(ref_rows)
         for e, ref in zip(log.epochs, ref_rows):
             assert [e["mse"], e["clst"], e["psd"]] == ref.tolist()  # bitwise
+        # the first pass is projection's
         if augment:  # augmented images differ per epoch: one pass per batch
-            assert seen == [6, 6, 2] * cfg["train"]["lastlayer_epochs"]
-        else:  # no backbone pass: the distances come from the given latents
-            assert seen == []
+            assert seen == [14] + [6, 6, 2] * cfg["train"]["lastlayer_epochs"]
+        else:  # no backbone pass: the distances come from projection's latents
+            assert seen == [14]
 
     def test_protocol_shares_the_projection_pass(self, monkeypatch):
         ds = tiny_dataset(n=14, seed=2)
@@ -294,13 +298,12 @@ class TestLastLayerCache:
             log = trainer.run_protocol(model, ds, cfg)
             return model.theta.data, [[e["mse"], e["clst"], e["psd"]] for e in log.epochs]
 
-        # reference: the last-layer stage forwards the split itself
-        stage = trainer.lastlayer_stage
-        monkeypatch.setattr(trainer, "lastlayer_stage",
-                            lambda model, data, *args, latents: stage(
-                                model, data, *args, latents=model.latents_np(data.images)))
+        # reference: the last-layer cache forwards the split itself
+        dmin_np = Model.dmin_np
+        monkeypatch.setattr(Model, "dmin_np",
+                            lambda self, latents: dmin_np(self, self.latents_np(ds.images)))
         ref_theta, ref_rows = run()
-        monkeypatch.setattr(trainer, "lastlayer_stage", stage)
+        monkeypatch.setattr(Model, "dmin_np", dmin_np)
 
         seen = []
         forward = Backbone.forward
@@ -460,6 +463,26 @@ class TestProtocol:
         )
         with pytest.raises(ValueError):
             trainer.run_protocol(tiny_model(seed=0), empty, tiny_cfg())
+
+    @pytest.mark.parametrize("train, rows", [
+        ({"joint_epochs": 2, "warmup_epochs": 2, "lastlayer_epochs": 1},
+         {(0, "warmup"): 2, (0, "lastlayer"): 1, (1, "joint"): 2, (1, "lastlayer"): 1}),
+        ({"joint_epochs": 2, "warmup_epochs": 1, "lastlayer_epochs": 0},
+         {(0, "warmup"): 1, (0, "joint"): 1, (1, "joint"): 2}),
+        ({"joint_epochs": 0, "warmup_epochs": 0, "lastlayer_epochs": 0}, {}),
+    ])
+    def test_empty_stages(self, train, rows):
+        snaps, _, log = protocol_snapshots(tiny_model(seed=0), tiny_dataset(),
+                                           tiny_cfg(cycles=2, **train))
+        # every stage still finishes, in order, and an empty one logs no rows
+        assert list(snaps)[1:] == [(cycle, stage) for cycle in range(2)
+                                   for stage in ("joint", "projection", "lastlayer")]
+        assert Counter((e["cycle"], e["stage"]) for e in log.epochs) == rows
+        if train["lastlayer_epochs"] == 0:
+            for cycle in range(2):
+                assert moved(snaps[cycle, "projection"], snaps[cycle, "lastlayer"]) == set()
+        if not rows:  # no epochs at all: only projection moves anything
+            assert moved(snaps["start"], snaps[1, "lastlayer"]) == {"prototypes"}
 
 
 class TestBaseline:
