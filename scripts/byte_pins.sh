@@ -19,7 +19,6 @@ fi
 SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
 export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
 export OPENBLAS_NUM_THREADS=1
-unset PROTOREG_OUT_ROOT
 
 protoreg() { python3 -m protoreg.cli "$@" > /dev/null; }
 

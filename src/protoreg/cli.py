@@ -2,7 +2,6 @@
 
 Subcommands: gen-data, train, eval, explain, embed, ablate, grad-check.
 Every command echoes the fully resolved config into its output directory.
-Relative --out paths are placed under $PROTOREG_OUT_ROOT when it is set.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -58,9 +56,6 @@ def pin_malloc_thresholds() -> bool:
 
 def _out_dir(path: str) -> Path:
     p = Path(path)
-    root = os.environ.get("PROTOREG_OUT_ROOT")
-    if root and not p.is_absolute():
-        p = Path(root) / p
     p.mkdir(parents=True, exist_ok=True)
     return p
 

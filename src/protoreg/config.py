@@ -1,9 +1,10 @@
 """Run configuration: one JSON file covering every hyperparameter.
 
-Unknown keys are rejected, missing keys are filled from DEFAULTS, every
-value is checked against its row of RULES, and the fully resolved config is
-echoed into every output directory so a run can always be reproduced from
-its artifacts. See README for the schema.
+Each key is one row of RULES: its default, JSON type and range; DEFAULTS
+is the nested config those defaults make. Unknown keys are rejected,
+missing keys take their row's default, every value is checked against its
+row, and the fully resolved config is echoed into every output directory so
+a run can always be reproduced from its artifacts. See README for the schema.
 """
 
 from __future__ import annotations
@@ -20,57 +21,11 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS: dict = {
-    "data": {
-        "image_hw": [32, 32],
-        "channels": 3,
-        "grades": 5,
-        "train_per_grade": 100,
-        "test_per_grade": 50,
-        "blobs_per_grade": 2,
-        "blob_radius": [2.0, 3.0],
-        "noise_sigma": 0.05,
-        "seed": 7,
-        "continuous": False,
-        "continuous_seed": 11,
-        "augment": False,
-    },
-    "model": {
-        "m": 10,
-        "eps": 1e-5,
-        "similarity": "reciprocal",
-        "label_lo": 0.1,
-        "label_hi": 5.9,
-        # (out_channels, kernel, stride) per conv block; ReLU between, sigmoid last.
-        # The last out_channels is the latent depth c_z; the latent grid is 6x6.
-        "backbone_blocks": [[8, 3, 2], [16, 3, 2], [16, 2, 1], [16, 1, 1]],
-        "seed": 1,
-    },
-    "loss": {
-        "alpha_mse": 1.0,
-        "alpha_clst": 1.0,
-        "alpha_psd": 10.0,
-        "k": 3,
-        "delta_l": 0.7,
-    },
-    "train": {
-        "cycles": 2,
-        "joint_epochs": 10,
-        "lastlayer_epochs": 5,
-        "warmup_epochs": 3,
-        "lr_backbone": 5e-3,
-        "lr_protolayer": 5e-3,
-        "lr_head": 5e-3,
-        "batch_size": 30,
-        "seed": 3,
-    },
-}
-
-
 class Rule(NamedTuple):
     """A config value's JSON type (an integer counts as a float) and range,
     [lo, hi] or (lo, hi] when lo_open, with None for no bound. shape gives
-    the lengths of the lists that hold it, outermost first; a pair is a range."""
+    the lengths of the lists that hold it, outermost first; a pair is a range.
+    default is what a config that leaves the key out gets."""
 
     kind: type
     lo: float | None = None
@@ -78,46 +33,55 @@ class Rule(NamedTuple):
     lo_open: bool = False
     choices: tuple = ()
     shape: tuple = ()
+    default: object = None
 
 
-# One row per leaf key of DEFAULTS. Sizes are bounded, and resolve_config caps
-# the dataset's bytes, so that no config can ask for a huge allocation.
+# One row per config key. Sizes are bounded, and resolve_config caps the
+# dataset's bytes, so that no config can ask for a huge allocation.
 RULES = {
-    "data.image_hw": Rule(int, 2, 256, shape=(2,)),
-    "data.channels": Rule(int, choices=(1, 3)),
-    "data.grades": Rule(int, 2, 100),
-    "data.train_per_grade": Rule(int, 1, 100_000),
-    "data.test_per_grade": Rule(int, 1, 100_000),
-    "data.blobs_per_grade": Rule(int, 1, 100),
-    "data.blob_radius": Rule(float, 0, 128, lo_open=True, shape=(2,)),
-    "data.noise_sigma": Rule(float, 0),
-    "data.seed": Rule(int, 0, 2**32 - 1),
-    "data.continuous": Rule(bool),
-    "data.continuous_seed": Rule(int, 0, 2**32 - 1),
-    "data.augment": Rule(bool),
-    "model.m": Rule(int, 2, 1000),
-    "model.eps": Rule(float, 0, lo_open=True),
-    "model.similarity": Rule(str, choices=("reciprocal", "log")),
+    "data.image_hw": Rule(int, 2, 256, shape=(2,), default=[32, 32]),
+    "data.channels": Rule(int, choices=(1, 3), default=3),
+    "data.grades": Rule(int, 2, 100, default=5),
+    "data.train_per_grade": Rule(int, 1, 100_000, default=100),
+    "data.test_per_grade": Rule(int, 1, 100_000, default=50),
+    "data.blobs_per_grade": Rule(int, 1, 100, default=2),
+    "data.blob_radius": Rule(float, 0, 128, lo_open=True, shape=(2,), default=[2.0, 3.0]),
+    "data.noise_sigma": Rule(float, 0, default=0.05),
+    "data.seed": Rule(int, 0, 2**32 - 1, default=7),
+    "data.continuous": Rule(bool, default=False),
+    "data.continuous_seed": Rule(int, 0, 2**32 - 1, default=11),
+    "data.augment": Rule(bool, default=False),
+    "model.m": Rule(int, 2, 1000, default=10),
+    "model.eps": Rule(float, 0, lo_open=True, default=1e-5),
+    "model.similarity": Rule(str, choices=("reciprocal", "log"), default="reciprocal"),
     # positive, because the prediction divides by the prototype labels
-    "model.label_lo": Rule(float, 0, lo_open=True),
-    "model.label_hi": Rule(float, 0, lo_open=True),
-    "model.backbone_blocks": Rule(int, 1, 256, shape=((2, 16), 3)),
-    "model.seed": Rule(int, 0, 2**32 - 1),
-    "loss.alpha_mse": Rule(float, 0),
-    "loss.alpha_clst": Rule(float, 0),
-    "loss.alpha_psd": Rule(float, 0),
-    "loss.k": Rule(int, 1, 1000),
-    "loss.delta_l": Rule(float, 0, lo_open=True),
-    "train.cycles": Rule(int, 1, 1000),
-    "train.joint_epochs": Rule(int, 0, 10_000),
-    "train.lastlayer_epochs": Rule(int, 0, 10_000),
-    "train.warmup_epochs": Rule(int, 0, 10_000),
-    "train.lr_backbone": Rule(float, 0, lo_open=True),
-    "train.lr_protolayer": Rule(float, 0, lo_open=True),
-    "train.lr_head": Rule(float, 0, lo_open=True),
-    "train.batch_size": Rule(int, 1, 100_000),
-    "train.seed": Rule(int, 0, 2**32 - 1),
+    "model.label_lo": Rule(float, 0, lo_open=True, default=0.1),
+    "model.label_hi": Rule(float, 0, lo_open=True, default=5.9),
+    # (out_channels, kernel, stride) per conv block; ReLU between, sigmoid last.
+    # The last out_channels is the latent depth c_z; the latent grid is 6x6.
+    "model.backbone_blocks": Rule(int, 1, 256, shape=((2, 16), 3),
+                                  default=[[8, 3, 2], [16, 3, 2], [16, 2, 1], [16, 1, 1]]),
+    "model.seed": Rule(int, 0, 2**32 - 1, default=1),
+    "loss.alpha_mse": Rule(float, 0, default=1.0),
+    "loss.alpha_clst": Rule(float, 0, default=1.0),
+    "loss.alpha_psd": Rule(float, 0, default=10.0),
+    "loss.k": Rule(int, 1, 1000, default=3),
+    "loss.delta_l": Rule(float, 0, lo_open=True, default=0.7),
+    "train.cycles": Rule(int, 1, 1000, default=2),
+    "train.joint_epochs": Rule(int, 0, 10_000, default=10),
+    "train.lastlayer_epochs": Rule(int, 0, 10_000, default=5),
+    "train.warmup_epochs": Rule(int, 0, 10_000, default=3),
+    "train.lr_backbone": Rule(float, 0, lo_open=True, default=5e-3),
+    "train.lr_protolayer": Rule(float, 0, lo_open=True, default=5e-3),
+    "train.lr_head": Rule(float, 0, lo_open=True, default=5e-3),
+    "train.batch_size": Rule(int, 1, 100_000, default=30),
+    "train.seed": Rule(int, 0, 2**32 - 1, default=3),
 }
+# {section: {name: default}}, in RULES order
+DEFAULTS: dict = {}
+for _key, _rule in RULES.items():
+    _section, _name = _key.split(".")
+    DEFAULTS.setdefault(_section, {})[_name] = _rule.default
 # float64 images of both splits, and each per-batch tensor of a pass
 MAX_DATASET_BYTES = 1 << 30
 INFERENCE_CHUNK = 64  # images per chunk of the no-grad passes: model.latents_np, dmin_np

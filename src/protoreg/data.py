@@ -196,6 +196,28 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
+def read_payload(f, path, count: int, error: type[Exception]) -> np.ndarray:
+    """The rest of the open file f as count finite little-endian float64 values.
+
+    The size is checked before anything is allocated, so a corrupt header
+    cannot ask for a huge buffer. Raises error, naming path, otherwise.
+    """
+    found = os.fstat(f.fileno()).st_size - f.tell()
+    extra = found - 8 * count
+    if extra:
+        raise error(f"{path}: payload of {found} bytes has {abs(extra)} bytes "
+                    f"{'trailing' if extra > 0 else 'missing'}; the header expects "
+                    f"{count} payload values")
+    body = np.empty(count, dtype="<f8")
+    if f.readinto(body) != found:
+        raise error(f"{path}: payload changed while it was read")
+    finite = np.isfinite(body)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise error(f"{path}: {bad.size} non-finite payload values, the first at value {bad[0]}")
+    return body
+
+
 def save_dataset(ds: SynthDataset, path) -> None:
     n, c, h, w = ds.images.shape
     mode = 1 if ds.label_mode == "continuous" else 0
@@ -219,20 +241,7 @@ def load_dataset(path, split: str = "unknown") -> SynthDataset:
             raise DataFormatError(f"{path}: label mode {mode}, expected 0 (categorical) "
                                   "or 1 (continuous)")
         n_pixels = n * c * h * w
-        expected = n_pixels + 2 * n
-        # checked before allocating, so corrupt sizes cannot ask for a huge buffer
-        found = os.fstat(f.fileno()).st_size - f.tell()
-        if found != 8 * expected:
-            raise DataFormatError(f"{path}: expected {expected} payload values "
-                                  f"({8 * expected} bytes), got {found} bytes")
-        body = np.empty(expected, dtype="<f8")
-        if f.readinto(body) != found:
-            raise DataFormatError(f"{path}: payload changed while it was read")
-    finite = np.isfinite(body)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        raise DataFormatError(f"{path}: {bad.size} non-finite payload values, "
-                              f"the first at value {bad[0]}")
+        body = read_payload(f, path, n_pixels + 2 * n, DataFormatError)
     return SynthDataset(
         images=body[:n_pixels].reshape(n, c, h, w),
         y=body[n_pixels : n_pixels + n],

@@ -28,7 +28,7 @@ import numpy as np
 from . import head as head_mod
 from .backbone import Backbone
 from .config import INFERENCE_CHUNK, ConfigError, Rule, check_value, resolve_config
-from .data import write_atomic
+from .data import read_payload, write_atomic
 from .engine import Tensor, no_grad
 from .prototypes import (
     PrototypeBank,
@@ -248,43 +248,30 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """
     with open(path, "rb") as f:
         header = _read_header(f, path)
-        raw = f.read()
-    cfg = header.get("config")
-    if not isinstance(cfg, dict):
-        raise CheckpointError(f"{path}: header config is missing or not a JSON object")
-    try:
-        resolved = resolve_config(cfg)
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: header config: {e}") from e
-    if resolved != cfg:
-        raise CheckpointError(f"{path}: header config lacks keys that resolving it fills in")
-    model = Model.from_config(cfg)
-    derived = _header(model, cfg)
-    if header.keys() != derived.keys():
-        raise CheckpointError(f"{path}: header keys {sorted(header)} are not {sorted(derived)}")
-    for key in sorted(derived.keys() - {"cursor", "provenance"}):
-        if header[key] != derived[key]:
-            raise CheckpointError(
-                f"{path}: header {key} {json.dumps(header[key])} disagrees with its config, "
-                f"which gives {json.dumps(derived[key])}")
-    try:
-        _check_state(header, cfg)
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: header {e}") from e
-
-    tensors = _tensor_manifest(model)
-    expected = sum(t.data.size for _, t in tensors)
-    extra = len(raw) - 8 * expected
-    if extra:
-        raise CheckpointError(
-            f"{path}: payload of {len(raw)} bytes has {abs(extra)} bytes "
-            f"{'trailing' if extra > 0 else 'missing'}; the tensor manifest expects "
-            f"{expected} float64 values")
-    payload = np.frombuffer(raw, dtype="<f8")
-    finite = np.isfinite(payload)
-    if not finite.all():
-        raise CheckpointError(f"{path}: {finite.size - finite.sum()} non-finite payload values, "
-                              f"the first at value {finite.argmin()}")
+        cfg = header.get("config")
+        if not isinstance(cfg, dict):
+            raise CheckpointError(f"{path}: header config is missing or not a JSON object")
+        try:
+            resolved = resolve_config(cfg)
+        except ConfigError as e:
+            raise CheckpointError(f"{path}: header config: {e}") from e
+        if resolved != cfg:
+            raise CheckpointError(f"{path}: header config lacks keys that resolving it fills in")
+        model = Model.from_config(cfg)
+        derived = _header(model, cfg)
+        if header.keys() != derived.keys():
+            raise CheckpointError(f"{path}: header keys {sorted(header)} are not {sorted(derived)}")
+        for key in sorted(derived.keys() - {"cursor", "provenance"}):
+            if header[key] != derived[key]:
+                raise CheckpointError(
+                    f"{path}: header {key} {json.dumps(header[key])} disagrees with its config, "
+                    f"which gives {json.dumps(derived[key])}")
+        try:
+            _check_state(header, cfg)
+        except ConfigError as e:
+            raise CheckpointError(f"{path}: header {e}") from e
+        tensors = _tensor_manifest(model)
+        payload = read_payload(f, path, sum(t.data.size for _, t in tensors), CheckpointError)
     offset = 0
     for _, t in tensors:
         t.data = payload[offset : offset + t.data.size].reshape(t.data.shape).copy()

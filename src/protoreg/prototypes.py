@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ShapeError, Tensor
+from .engine import Tensor
 
 
 def assign_prototype_labels(m: int, lo: float, hi: float) -> np.ndarray:
@@ -64,10 +64,6 @@ class PrototypeBank:
 
 def distance_map(latent: Tensor, bank: PrototypeBank) -> Tensor:
     """(N,c_z,h,w) latent vs (m,c_z) prototypes -> (N,m,h,w) squared distances."""
-    if latent.data.shape[1] != bank.c_z:
-        raise ShapeError(
-            f"latent depth {latent.data.shape[1]} != prototype depth {bank.c_z}"
-        )
     return latent.proto_sqdist(bank.vectors)
 
 

@@ -102,11 +102,11 @@ def _run_epochs(model: Model, data: SynthDataset, cfg: dict, optimizers: list[Ad
             })
 
 
-def project_prototypes(model: Model, data: SynthDataset, latents: np.ndarray) -> list[dict]:
+def project_prototypes(model: Model, latents: np.ndarray) -> list[dict]:
     """Replace each prototype by its nearest training latent patch.
 
     Ties resolve to the earliest (sample, row, col) in scan order. Labels
-    are untouched. latents is model.latents_np(data.images), (N, c_z, h, w).
+    are untouched. latents is model.latents_np(train images), (N, c_z, h, w).
     Returns one report entry per prototype.
     """
     n, c_z, h, w = latents.shape
@@ -167,7 +167,7 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
         finished("joint", cycle)
         # one backbone pass serves projection and the last-layer cache
         latents = model.latents_np(data.images)
-        report = project_prototypes(model, data, latents)
+        report = project_prototypes(model, latents)
         log.projections.append({"cycle": cycle, "prototypes": report})
         finished("projection", cycle)
         # without augmentation every epoch sees the same images through the same

@@ -168,7 +168,7 @@ def test_criterion_05_projection_contract(desk_data, recip_runs):
         exact_zero = exact_zero and (dmin == 0.0)
     vec_before = model.bank.vectors.data.copy()
     prov_before = [(p.sample_id, p.row, p.col) for p in model.bank.provenance]
-    trainer.project_prototypes(model, train_ds, latents)
+    trainer.project_prototypes(model, latents)
     noop = (np.array_equal(model.bank.vectors.data, vec_before)
             and [(p.sample_id, p.row, p.col) for p in model.bank.provenance]
             == prov_before)

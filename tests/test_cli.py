@@ -440,7 +440,7 @@ class TestErrors:
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {ckpt}: "), err
-            assert "the tensor manifest expects" in err, err
+            assert "the header expects" in err, err
 
 
 # Frees a 16 MiB array, which raises glibc's default mmap threshold, then

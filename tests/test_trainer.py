@@ -38,7 +38,7 @@ def tiny_cfg(augment=False, **train):
 
 
 def project(model, ds):
-    return trainer.project_prototypes(model, ds, model.latents_np(ds.images))
+    return trainer.project_prototypes(model, model.latents_np(ds.images))
 
 
 def groups(model):
@@ -388,13 +388,8 @@ class TestProjection:
         assert model.bank.projected
 
     def test_empty_dataset_rejected(self):
-        model = tiny_model(seed=0)
-        empty = SynthDataset(
-            images=np.zeros((0, 3, 8, 8)), y=np.zeros(0), y_categorical=np.zeros(0),
-            label_mode="categorical", split="train",
-        )
         with pytest.raises(ValueError, match="empty"):
-            trainer.project_prototypes(model, empty, np.zeros((0, 4, 2, 2)))
+            trainer.project_prototypes(tiny_model(seed=0), np.zeros((0, 4, 2, 2)))
 
 
 class TestProtocol:
