@@ -2,8 +2,8 @@
 # Byte pins of the default pipeline: gen-data, train, eval, explain and embed on
 # the default config with one BLAS thread, then a short training run with
 # augmentation and continuous labels, a small ablation matrix, an eval and
-# embed on a 1000-image test split and a dataset off the default sizes, then
-# the sha256 of every output
+# embed on a 1000-image test split, a dataset off the default sizes and the
+# grad-check suites, then the sha256 of every output
 # that the numerics decide. A change that leaves the
 # numerics alone prints the same lines before and after it. Runs the code of
 # the checkout the script is in.
@@ -79,6 +79,9 @@ cat > "$OUT/offdefault/config.json" <<'EOF'
 EOF
 protoreg gen-data --config "$OUT/offdefault/config.json" --out "$OUT/offdefault/data"
 
+# the finite-difference suites' report, so the ops and losses they run are pinned too
+python3 -m protoreg.cli grad-check > "$OUT/grad_check.txt"
+
 cd "$OUT"
 sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sample.csv \
   explain/explanation_*.json explain/*.pgm \
@@ -89,4 +92,4 @@ sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sam
   data/*.insd ablate/data/*.insd large/data/*.insd \
   explain_all/explanation_*.json explain_all/*.pgm \
   augment/run/checkpoint.bin augment/run/training_log.csv \
-  offdefault/data/*.insd
+  offdefault/data/*.insd grad_check.txt

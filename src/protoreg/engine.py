@@ -6,7 +6,10 @@ tensor with requires_grad set. No broadcasting: binary elementwise ops
 require identical shapes, and the few shape-changing ops (expand_rows,
 channel bias) are explicit. Argmin-style subgradients always route to the
 earliest index in row-major scan order, so repeated backward passes on
-identical inputs are bitwise identical.
+identical inputs are bitwise identical. Each elementwise and single-input
+shape op gives only its value and local derivative to Tensor._unary or
+Tensor._binary, which record the node and route the gradient to the inputs
+that require one.
 """
 
 from __future__ import annotations
@@ -81,10 +84,26 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            # an owned copy: add hands one array to both parents, reshape a view
+            # an owned copy: add hands one array to both parents, reshape and sum views
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
+
+    def _unary(self, out, grad, op) -> "Tensor":
+        """The result of a one-input op: out, and grad(g), the gradient g sends to self."""
+        return Tensor._result(out, (self,), lambda g: self._accum(grad(g)), op)
+
+    def _binary(self, other, out, grad_a, grad_b, op) -> "Tensor":
+        """The result of a two-input op: out, and the gradients grad_a(g) and
+        grad_b(g) that g sends to self and to other."""
+
+        def backward(g):
+            if self.requires_grad:
+                self._accum(grad_a(g))
+            if other.requires_grad:
+                other._accum(grad_b(g))
+
+        return Tensor._result(out, (self, other), backward, op)
 
     # -- elementwise -------------------------------------------------------
 
@@ -96,151 +115,63 @@ class Tensor:
 
     def add(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other, "add")
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g)
-            if b.requires_grad:
-                b._accum(g)
-
-        return Tensor._result(a.data + b.data, (a, b), backward, "add")
+        return self._binary(other, self.data + other.data, lambda g: g, lambda g: g, "add")
 
     def sub(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other, "sub")
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g)
-            if b.requires_grad:
-                b._accum(-g)
-
-        return Tensor._result(a.data - b.data, (a, b), backward, "sub")
+        return self._binary(other, self.data - other.data, lambda g: g, lambda g: -g, "sub")
 
     def mul(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other, "mul")
-        a, b = self, other
-        ad, bd = a.data, b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g * bd)
-            if b.requires_grad:
-                b._accum(g * ad)
-
-        return Tensor._result(ad * bd, (a, b), backward, "mul")
+        ad, bd = self.data, other.data
+        return self._binary(other, ad * bd, lambda g: g * bd, lambda g: g * ad, "mul")
 
     def div(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other, "div")
-        a, b = self, other
-        ad, bd = a.data, b.data
-        out_data = ad / bd
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g / bd)
-            if b.requires_grad:
-                b._accum(-g * out_data / bd)
-
-        return Tensor._result(out_data, (a, b), backward, "div")
+        bd = other.data
+        out = self.data / bd
+        return self._binary(other, out, lambda g: g / bd, lambda g: -g * out / bd, "div")
 
     def square(self) -> "Tensor":
-        a = self
-        ad = a.data
-
-        def backward(g):
-            a._accum(2.0 * ad * g)
-
-        return Tensor._result(ad * ad, (a,), backward, "square")
+        ad = self.data
+        return self._unary(ad * ad, lambda g: 2.0 * ad * g, "square")
 
     def log(self) -> "Tensor":
-        a = self
-        if np.any(a.data <= 0.0):
-            bad = float(np.min(a.data))
-            raise DomainError(f"log: non-positive input (min value {bad})")
-        ad = a.data
-
-        def backward(g):
-            a._accum(g / ad)
-
-        return Tensor._result(np.log(ad), (a,), backward, "log")
-
-    def negate(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accum(-g)
-
-        return Tensor._result(-a.data, (a,), backward, "negate")
+        ad = self.data
+        if np.any(ad <= 0.0):
+            raise DomainError(f"log: non-positive input (min value {float(np.min(ad))})")
+        return self._unary(np.log(ad), lambda g: g / ad, "log")
 
     def scale(self, c: float) -> "Tensor":
-        a = self
         c = float(c)
-
-        def backward(g):
-            a._accum(c * g)
-
-        return Tensor._result(c * a.data, (a,), backward, "scale")
+        return self._unary(c * self.data, lambda g: c * g, "scale")
 
     def add_scalar(self, c: float) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accum(g)
-
-        return Tensor._result(a.data + float(c), (a,), backward, "add_scalar")
+        return self._unary(self.data + float(c), lambda g: g, "add_scalar")
 
     def reciprocal(self) -> "Tensor":
-        a = self
-        out_data = 1.0 / a.data
-
-        def backward(g):
-            a._accum(-g * out_data * out_data)
-
-        return Tensor._result(out_data, (a,), backward, "reciprocal")
+        out = 1.0 / self.data
+        return self._unary(out, lambda g: -g * out * out, "reciprocal")
 
     def clamp_max(self, hi: float) -> "Tensor":
         """Clamp values to <= hi; gradient is zero on the clamped entries."""
-        a = self
-        mask = a.data <= hi
-
-        def backward(g):
-            a._accum(g * mask)
-
-        return Tensor._result(np.minimum(a.data, hi), (a,), backward, "clamp_max")
+        mask = self.data <= hi
+        return self._unary(np.minimum(self.data, hi), lambda g: g * mask, "clamp_max")
 
     def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-        def backward(g):
-            a._accum(g * out_data * (1.0 - out_data))
-
-        return Tensor._result(out_data, (a,), backward, "sigmoid")
+        out = 1.0 / (1.0 + np.exp(-self.data))
+        return self._unary(out, lambda g: g * out * (1.0 - out), "sigmoid")
 
     def relu(self) -> "Tensor":
-        a = self
-        mask = a.data > 0.0
-
-        def backward(g):
-            a._accum(g * mask)
-
-        return Tensor._result(a.data * mask, (a,), backward, "relu")
+        mask = self.data > 0.0
+        return self._unary(self.data * mask, lambda g: g * mask, "relu")
 
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None) -> "Tensor":
-        a = self
-        shape = a.data.shape
-
-        def backward(g):
-            if axis is None:
-                a._accum(np.full(shape, g, dtype=np.float64))
-            else:
-                a._accum(np.broadcast_to(np.expand_dims(g, axis), shape).copy())
-
-        return Tensor._result(np.sum(a.data, axis=axis), (a,), backward, "sum")
+        shape = self.data.shape
+        return self._unary(np.sum(self.data, axis=axis), lambda g: np.broadcast_to(
+            g if axis is None else np.expand_dims(g, axis), shape), "sum")
 
     def mean(self, axis=None) -> "Tensor":
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -267,25 +198,15 @@ class Tensor:
         return Tensor._result(out_data, (a,), backward, "min_reduce"), idx
 
     def reshape(self, *shape) -> "Tensor":
-        a = self
-        orig = a.data.shape
-
-        def backward(g):
-            a._accum(g.reshape(orig))
-
-        return Tensor._result(a.data.reshape(*shape), (a,), backward, "reshape")
+        orig = self.data.shape
+        return self._unary(self.data.reshape(*shape), lambda g: g.reshape(orig), "reshape")
 
     def expand_rows(self, n: int) -> "Tensor":
         """Tile a 1-D tensor into n identical rows; gradient sums over rows."""
         if self.data.ndim != 1:
             raise ShapeError(f"expand_rows expects a 1-D tensor, got {self.data.shape}")
-        a = self
-
-        def backward(g):
-            a._accum(g.sum(axis=0))
-
-        out_data = np.broadcast_to(a.data, (n, a.data.shape[0])).copy()
-        return Tensor._result(out_data, (a,), backward, "expand_rows")
+        out = np.broadcast_to(self.data, (n, self.data.shape[0])).copy()
+        return self._unary(out, lambda g: g.sum(axis=0), "expand_rows")
 
     # -- structured ops ------------------------------------------------------
 

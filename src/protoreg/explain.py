@@ -108,7 +108,7 @@ def contribution_order(w: np.ndarray) -> np.ndarray:
 
 
 def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
-            top_k: int = 3) -> Explanation:
+            top_k: int) -> Explanation:
     """Build the explanation for a single (C,H,W) image."""
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")

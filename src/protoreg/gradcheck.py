@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import losses
 from .config import resolve_config
 from .engine import Tensor, grad_check
 from .model import Model
+from .trainer import _batch_loss
 
 # config overrides of a model small enough for finite differences, on 8x8 images
 TINY_CFG = {
@@ -24,7 +24,7 @@ def tiny_model(seed: int = 0, similarity_kind: str = "reciprocal") -> Model:
     return Model.from_config(resolve_config({**TINY_CFG, "model": mc}))
 
 
-def run_suites(seed: int = 0, fd_step: float = 1e-6) -> list[dict]:
+def run_suites(seed: int = 0) -> list[dict]:
     """Run every finite-difference suite; each entry carries its own tolerance."""
     rng = np.random.default_rng(seed)
     results = []
@@ -34,38 +34,24 @@ def run_suites(seed: int = 0, fd_step: float = 1e-6) -> list[dict]:
                         "passed": bool(err < tol)})
 
     x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    add("sigmoid-chain", grad_check(lambda: x.sigmoid().square().sum(), [x], fd_step), 1e-6)
+    add("sigmoid-chain", grad_check(lambda: x.sigmoid().square().sum(), [x]), 1e-6)
 
     v = Tensor(rng.uniform(0.5, 2.0, size=7), requires_grad=True)
-    add("log", grad_check(lambda: v.log().sum(), [v], fd_step))
+    add("log", grad_check(lambda: v.log().sum(), [v]))
 
     img = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
     ker = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-    add("conv2d", grad_check(lambda: img.conv2d(ker, stride=1).square().sum(),
-                             [img, ker], fd_step))
+    add("conv2d", grad_check(lambda: img.conv2d(ker, stride=1).square().sum(), [img, ker]))
 
     z = Tensor(rng.uniform(0.1, 0.9, size=(2, 4, 3, 3)), requires_grad=True)
     p = Tensor(rng.uniform(0.1, 0.9, size=(3, 4)), requires_grad=True)
-    add("distance-map", grad_check(lambda: z.proto_sqdist(p).square().sum(),
-                                   [z, p], fd_step))
+    add("distance-map", grad_check(lambda: z.proto_sqdist(p).square().sum(), [z, p]))
 
+    cfg_loss = {"alpha_mse": 1.0, "alpha_clst": 1.0, "alpha_psd": 10.0, "k": 2, "delta_l": 1.5}
     for kind in ("reciprocal", "log"):
         model = tiny_model(seed=seed, similarity_kind=kind)
         images = rng.uniform(0.0, 1.0, size=(6, 3, 8, 8))
         y = rng.uniform(1.0, 5.0, size=6)
-        cfg_loss = {"alpha_mse": 1.0, "alpha_clst": 1.0, "alpha_psd": 10.0,
-                    "k": 2, "delta_l": 1.5}
-
-        def closure(model=model, images=images, y=y):
-            result = model.forward(Tensor(images))
-            return losses.total_loss(
-                losses.mse(result.y_hat, y),
-                losses.cluster_loss(result.dmin, y, model.bank.labels,
-                                    cfg_loss["k"], cfg_loss["delta_l"]),
-                losses.psd_loss(result.dmin, model.bank.d_max),
-                cfg_loss,
-            )
-
-        add(f"full-model-{kind}", grad_check(closure, model.params(), fd_step,
-                                             max_coords=4))
+        add(f"full-model-{kind}", grad_check(
+            lambda: _batch_loss(model, images, y, cfg_loss)[0], model.params(), max_coords=4))
     return results

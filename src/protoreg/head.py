@@ -20,10 +20,6 @@ class DegenerateHeadError(ValueError):
 _DENOM_FLOOR = 1e-300
 
 
-def init_theta(labels: np.ndarray) -> Tensor:
-    return Tensor(np.sqrt(labels), requires_grad=True)
-
-
 def predict(s: Tensor, theta: Tensor, labels: np.ndarray) -> Tensor:
     """Batch prediction: s is (n,m) similarities -> (n,) predictions.
 

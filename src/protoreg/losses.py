@@ -47,7 +47,7 @@ def psd_loss(dmat: Tensor, d_max: float) -> Tensor:
     """-(1/m) sum_j log(1 - min_i d_ij / d_max), ratio capped below 1."""
     per_proto, _ = dmat.min_reduce(axis=0)  # (m,)
     ratio = per_proto.scale(1.0 / d_max).clamp_max(_RATIO_CAP)
-    return ratio.negate().add_scalar(1.0).log().mean().negate()
+    return ratio.scale(-1.0).add_scalar(1.0).log().mean().scale(-1.0)
 
 
 def total_loss(mse_term: Tensor, clst_term: Tensor, psd_term: Tensor,

@@ -22,6 +22,8 @@ from .model import Model
 from .prototypes import PrototypeBank
 
 TOP_SET_SIZE = 5  # prototypes in a sample's top contributor set (capped at m)
+DIVERSITY_THRESHOLD = 0.01  # share of samples whose top set a prototype must reach
+PCA_PATCHES_PER_SAMPLE = 5  # patches nearest a prototype that pca_embed keeps per sample
 
 
 def sparsity_rows(weights: np.ndarray) -> np.ndarray:
@@ -67,11 +69,10 @@ def _membership_counts(top5: list[frozenset[int]] | np.ndarray, m: int) -> np.nd
     return np.bincount(members, minlength=m).astype(float)
 
 
-def diversity(top5_sets: list[frozenset[int]] | np.ndarray, m: int,
-              threshold: float = 0.01) -> int:
-    """Number of prototypes in the top-5 set of >= threshold of the samples."""
+def diversity(top5_sets: list[frozenset[int]] | np.ndarray, m: int) -> int:
+    """Number of prototypes in the top-5 set of >= DIVERSITY_THRESHOLD of the samples."""
     counts = _membership_counts(top5_sets, m)
-    return int(np.sum(counts >= threshold * len(top5_sets) - 1e-12))
+    return int(np.sum(counts >= DIVERSITY_THRESHOLD * len(top5_sets) - 1e-12))
 
 
 def usage_histogram(top5_sets: list[frozenset[int]] | np.ndarray, m: int) -> np.ndarray:
@@ -116,11 +117,10 @@ PCA_BLOCK_ROWS = 4096
 
 def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
               patch_labels: np.ndarray, bank: PrototypeBank,
-              top5_sets: list[frozenset[int]] | np.ndarray,
-              per_sample_select: int = 5) -> EmbeddingReport:
+              top5_sets: list[frozenset[int]] | np.ndarray) -> EmbeddingReport:
     """Project the most prototype-adjacent patches plus prototypes into 2-D.
 
-    For each sample only its per_sample_select patches with the smallest
+    For each sample only its PCA_PATCHES_PER_SAMPLE patches with the smallest
     distance to any prototype are kept.
     """
     protos = bank.vectors.data
@@ -136,7 +136,7 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
     _, starts, counts = np.unique(patch_sample_ids[order], return_index=True,
                                   return_counts=True)
     rank = np.arange(order.size) - np.repeat(starts, counts)
-    keep = np.sort(order[rank < per_sample_select])
+    keep = np.sort(order[rank < PCA_PATCHES_PER_SAMPLE])
     cloud = np.vstack([patches[keep], protos])
     coords, _, evr = pca_2d(cloud)
     ids = [f"sample{s}_patch{p}" for s, p in zip(patch_sample_ids[keep].tolist(), keep.tolist())]

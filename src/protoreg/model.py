@@ -107,16 +107,20 @@ class Model:
 
     @staticmethod
     def from_config(cfg: dict) -> "Model":
-        """The untrained model that a resolved config describes."""
+        """The untrained model that a resolved config describes. The m prototype
+        labels are evenly spaced from label_lo to label_hi, and theta_j =
+        sqrt(l_j), so every prototype starts with importance 1."""
         mc = cfg["model"]
+        m, c_z = mc["m"], mc["backbone_blocks"][-1][0]  # the last block's out_channels
         rng = np.random.default_rng(mc["seed"])
         backbone = Backbone(cfg, rng)
-        c_z = mc["backbone_blocks"][-1][0]  # the last block's out_channels
-        bank = PrototypeBank.create(mc["m"], c_z, rng, mc["label_lo"], mc["label_hi"])
+        # prototypes start inside the latent range, away from sigmoid saturation
+        vectors = Tensor(rng.uniform(0.2, 0.8, size=(m, c_z)), requires_grad=True)
+        labels = np.linspace(mc["label_lo"], mc["label_hi"], m)
         return Model(
             backbone=backbone,
-            bank=bank,
-            theta=head_mod.init_theta(bank.labels),
+            bank=PrototypeBank(vectors=vectors, labels=labels, provenance=[None] * m),
+            theta=Tensor(np.sqrt(labels), requires_grad=True),
             similarity_kind=mc["similarity"],
             eps=mc["eps"],
         )

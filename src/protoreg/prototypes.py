@@ -15,11 +15,6 @@ import numpy as np
 from .engine import Tensor
 
 
-def assign_prototype_labels(m: int, lo: float, hi: float) -> np.ndarray:
-    """Evenly spaced labels from lo to hi inclusive; for m >= 2 and lo < hi."""
-    return np.linspace(lo, hi, m)
-
-
 @dataclass
 class ProvenanceRecord:
     """Which training patch a prototype was projected onto."""
@@ -53,14 +48,6 @@ class PrototypeBank:
     def projected(self) -> bool:
         return bool(self.provenance) and all(p is not None for p in self.provenance)
 
-    @staticmethod
-    def create(m: int, c_z: int, rng: np.random.Generator,
-               label_lo: float, label_hi: float) -> "PrototypeBank":
-        # init in the interior of the latent range, away from sigmoid saturation
-        vectors = Tensor(rng.uniform(0.2, 0.8, size=(m, c_z)), requires_grad=True)
-        labels = assign_prototype_labels(m, label_lo, label_hi)
-        return PrototypeBank(vectors=vectors, labels=labels, provenance=[None] * m)
-
 
 def distance_map(latent: Tensor, bank: PrototypeBank) -> Tensor:
     """(N,c_z,h,w) latent vs (m,c_z) prototypes -> (N,m,h,w) squared distances."""
@@ -80,7 +67,7 @@ def min_pool(dmap: Tensor) -> tuple[Tensor, np.ndarray]:
     return d, positions
 
 
-def similarity(d: Tensor, kind: str, eps: float, d_max: float = 1.0) -> Tensor:
+def similarity(d: Tensor, kind: str, eps: float, d_max: float) -> Tensor:
     """Map squared distances to similarities, elementwise.
 
     reciprocal: 1 / (d/d_max + eps) — steep near zero, so small distance

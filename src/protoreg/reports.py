@@ -6,6 +6,8 @@ import numpy as np
 
 from .metrics import EmbeddingReport
 
+SVG_SIZE = 480  # pixels: the embedding plot's side and the histogram's width
+
 
 def embedding_csv(report: EmbeddingReport) -> str:
     return "".join(["id,kind,x,y,label\n", *(f"{pid},{kind},{x!r},{y!r},{label!r}\n"
@@ -24,7 +26,7 @@ def _label_color(label: float, lo: float, hi: float) -> str:
     return f"rgb({r},80,{b})"
 
 
-def embedding_svg(report: EmbeddingReport, size: int = 480) -> str:
+def embedding_svg(report: EmbeddingReport) -> str:
     """Scatter of sample patches (stars -> small crosses) and prototypes (circles)."""
     pids, kinds, xs, ys, labels = zip(*report.points)
     xs, ys = np.array(xs), np.array(ys)
@@ -32,12 +34,12 @@ def embedding_svg(report: EmbeddingReport, size: int = 480) -> str:
     x_lo, y_lo = xs.min(), ys.min()
     span_x = max(xs.max() - x_lo, 1e-12)
     span_y = max(ys.max() - y_lo, 1e-12)
-    pxs = (pad + (xs - x_lo) / span_x * (size - 2 * pad)).tolist()
-    pys = (size - pad - (ys - y_lo) / span_y * (size - 2 * pad)).tolist()
+    pxs = (pad + (xs - x_lo) / span_x * (SVG_SIZE - 2 * pad)).tolist()
+    pys = (SVG_SIZE - pad - (ys - y_lo) / span_y * (SVG_SIZE - 2 * pad)).tolist()
     lo, hi = min(labels), max(labels)
     styles = {label: (_label_color(label, lo, hi), f"{label:.2f}") for label in set(labels)}
 
-    parts = [_svg_header(size, size)]
+    parts = [_svg_header(SVG_SIZE, SVG_SIZE)]
     ev1, ev2 = report.explained_variance
     parts.append(f'<text x="{pad}" y="18" font-size="12">latent 2-D PCA '
                  f'(explained variance {ev1:.2f} / {ev2:.2f})</text>\n')
@@ -56,17 +58,17 @@ def embedding_svg(report: EmbeddingReport, size: int = 480) -> str:
     return "".join(parts)
 
 
-def histogram_svg(histogram: np.ndarray, size: int = 480) -> str:
+def histogram_svg(histogram: np.ndarray) -> str:
     """Bar chart of top-5 membership frequency per prototype."""
     m = histogram.size
     pad = 30
-    bar_w = (size - 2 * pad) / m
+    bar_w = (SVG_SIZE - 2 * pad) / m
     peak = max(histogram.max(), 1e-12)
-    parts = [_svg_header(size, size // 2)]
+    parts = [_svg_header(SVG_SIZE, SVG_SIZE // 2)]
     parts.append(f'<text x="{pad}" y="18" font-size="12">top-5 usage per prototype</text>\n')
-    floor_y = size // 2 - pad
+    floor_y = SVG_SIZE // 2 - pad
     for j, freq in enumerate(histogram):
-        h = (freq / peak) * (size // 2 - 2 * pad)
+        h = (freq / peak) * (SVG_SIZE // 2 - 2 * pad)
         x = pad + j * bar_w
         parts.append(f'<rect x="{x:.1f}" y="{floor_y - h:.1f}" width="{bar_w * 0.8:.1f}" '
                      f'height="{h:.1f}" fill="steelblue">'

@@ -37,8 +37,66 @@ class TestElementwise:
     def test_sub_square_negate_scale(self):
         np.testing.assert_array_equal(t([5, 2]).sub(t([1, 4])).data, [4, -2])
         np.testing.assert_array_equal(t([3, -2]).square().data, [9, 4])
-        np.testing.assert_array_equal(t([3, -2]).negate().data, [-3, 2])
+        np.testing.assert_array_equal(t([3, -2]).scale(-1.0).data, [-3, 2])
         np.testing.assert_array_equal(t([3, -2]).scale(2.0).data, [6, -4])
+
+
+def _sig(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+# op name -> (the op on its input tensors, input arrays, numpy value, numpy
+# gradient of each input given the upstream gradient g)
+_R = np.random.default_rng(5)
+_A, _B = _R.uniform(-2.0, 2.0, (3, 4)), _R.uniform(0.5, 2.0, (3, 4))
+ROUTED_OPS = {
+    "add": (lambda a, b: a.add(b), (_A, _B), lambda a, b: a + b,
+            lambda g, a, b: (g, g)),
+    "sub": (lambda a, b: a.sub(b), (_A, _B), lambda a, b: a - b,
+            lambda g, a, b: (g, -g)),
+    "mul": (lambda a, b: a.mul(b), (_A, _B), lambda a, b: a * b,
+            lambda g, a, b: (g * b, g * a)),
+    "div": (lambda a, b: a.div(b), (_A, _B), lambda a, b: a / b,
+            lambda g, a, b: (g / b, -g * (a / b) / b)),
+    "square": (lambda a: a.square(), (_A,), lambda a: a * a, lambda g, a: (2.0 * a * g,)),
+    "log": (lambda a: a.log(), (_B,), np.log, lambda g, a: (g / a,)),
+    "scale": (lambda a: a.scale(-1.5), (_A,), lambda a: -1.5 * a, lambda g, a: (-1.5 * g,)),
+    "add_scalar": (lambda a: a.add_scalar(0.25), (_A,), lambda a: a + 0.25,
+                   lambda g, a: (g,)),
+    "reciprocal": (lambda a: a.reciprocal(), (_B,), lambda a: 1.0 / a,
+                   lambda g, a: (-g * (1.0 / a) * (1.0 / a),)),
+    "clamp_max": (lambda a: a.clamp_max(0.5), (_A,), lambda a: np.minimum(a, 0.5),
+                  lambda g, a: (np.where(a <= 0.5, g, 0.0),)),
+    "sigmoid": (lambda a: a.sigmoid(), (_A,), _sig,
+                lambda g, a: (g * _sig(a) * (1.0 - _sig(a)),)),
+    "relu": (lambda a: a.relu(), (_A,), lambda a: a * (a > 0.0),
+             lambda g, a: (np.where(a > 0.0, g, 0.0),)),
+    "sum": (lambda a: a.sum(), (_A,), np.sum, lambda g, a: (np.full(a.shape, g),)),
+    "sum-axis": (lambda a: a.sum(axis=1), (_A,), lambda a: a.sum(axis=1),
+                 lambda g, a: (np.repeat(g[:, None], a.shape[1], axis=1),)),
+    "reshape": (lambda a: a.reshape(4, 3), (_A,), lambda a: a.reshape(4, 3),
+                lambda g, a: (g.reshape(3, 4),)),
+    "expand_rows": (lambda a: a.expand_rows(5), (_A[0],), lambda a: np.tile(a, (5, 1)),
+                    lambda g, a: (g.sum(axis=0),)),
+}
+
+
+@pytest.mark.parametrize("name", ROUTED_OPS)
+def test_routed_op_value_and_gradients(name):
+    """Each elementwise and shape op: its value and the gradient to each input
+    are bit for bit the numpy expressions, and agree with finite differences."""
+    op, arrays, value, grads = ROUTED_OPS[name]
+    inputs = [t(x) for x in arrays]
+    out = op(*inputs)
+    g = np.random.default_rng(6).uniform(0.5, 1.5, out.shape)
+    # out * g summed sends exactly g back to out
+    out.mul(Tensor(g)).sum().backward()
+    for got, want in [(out.data, value(*arrays))] + [
+            (x.grad, w) for x, w in zip(inputs, grads(g, *arrays))]:
+        want = np.asarray(want, dtype=np.float64)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    err = grad_check(lambda: op(*inputs).mul(Tensor(g)).sum(), inputs, max_coords=12)
+    assert err < 1e-6
 
 
 class TestSigmoid:

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from protoreg.config import resolve_config
 from protoreg.engine import Tensor
 from protoreg.head import (
     DegenerateHeadError,
     contribution_weights,
     importance,
-    init_theta,
     predict,
 )
+from protoreg.model import Model
 
 
 def run_predict(s, theta, labels):
@@ -71,9 +72,10 @@ class TestPredict:
 
 class TestImportance:
     def test_init_theta_gives_unit_importance(self):
-        labels = np.array([0.1, 1.0, 5.9])
-        theta = init_theta(labels)
-        np.testing.assert_allclose(importance(theta.data, labels), 1.0)
+        cfg = resolve_config({"model": {"m": 3, "label_lo": 0.1, "label_hi": 5.9}})
+        model = Model.from_config(cfg)
+        np.testing.assert_allclose(model.bank.labels, [0.1, 3.0, 5.9])
+        np.testing.assert_allclose(importance(model.theta.data, model.bank.labels), 1.0)
 
     def test_zero_theta_zero_importance(self):
         assert importance(np.array([0.0]), np.array([2.0]))[0] == 0.0

@@ -192,12 +192,12 @@ class TestDiversity:
     def test_threshold_inclusive(self):
         # prototype 1 appears in exactly 1% of samples: still counted
         sets = [frozenset({0})] * 99 + [frozenset({1})]
-        assert metrics.diversity(sets, m=3, threshold=0.01) == 2
+        assert metrics.diversity(sets, m=3) == 2
 
     def test_below_threshold_excluded(self):
         sets = [frozenset({0})] * 199 + [frozenset({1})]
         # 1/200 = 0.5% < 1%
-        assert metrics.diversity(sets, m=3, threshold=0.01) == 1
+        assert metrics.diversity(sets, m=3) == 1
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(1)
@@ -303,8 +303,7 @@ class TestPcaEmbed:
         for sid in np.unique(ids):
             rows = np.flatnonzero(ids == sid)
             want.extend(rows[np.argsort(d2[rows], kind="stable")][:5])
-        report = metrics.pca_embed(patches, ids, np.zeros(60), bank,
-                                   [frozenset(range(3))], per_sample_select=5)
+        report = metrics.pca_embed(patches, ids, np.zeros(60), bank, [frozenset(range(3))])
         kept = [int(name.split("_patch")[1]) for name, kind, *_ in report.points
                 if kind == "sample"]
         assert kept == sorted(want)
@@ -423,14 +422,14 @@ class TestExplain:
             assert dmap[j][peak] == dmap[j].min()
 
     def test_activation_map_resolution(self, model, image):
-        e = explain(image, sample_id=0, y=1.0, model=model)
+        e = explain(image, sample_id=0, y=1.0, model=model, top_k=3)
         for r in e.records:
             assert r.activation_map.shape == (8, 8)
 
     def test_json_dict_round_trip(self, model, image):
         import json
 
-        e = explain(image, sample_id=0, y=1.0, model=model)
+        e = explain(image, sample_id=0, y=1.0, model=model, top_k=3)
         doc = e.to_json_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["top_k"] == 3
@@ -456,7 +455,7 @@ class TestExplain:
             assert same_bits(r.activation_map, upsample_ix(acts[r.index], (8, 8)))
 
     def test_prediction_matches_model(self, model, image):
-        e = explain(image, sample_id=0, y=1.0, model=model)
+        e = explain(image, sample_id=0, y=1.0, model=model, top_k=3)
         assert np.isclose(e.y_hat, model.predict_np(image[None])[0])
 
 

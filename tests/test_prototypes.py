@@ -5,19 +5,20 @@ from hypothesis import strategies as st
 
 from protoreg.config import ConfigError, resolve_config
 from protoreg.engine import ShapeError, Tensor
-from protoreg.prototypes import (
-    PrototypeBank,
-    assign_prototype_labels,
-    distance_map,
-    min_pool,
-    similarity,
-)
+from protoreg.model import Model
+from protoreg.prototypes import PrototypeBank, distance_map, min_pool, similarity
+
+
+def config_labels(m, lo, hi):
+    """The prototype labels of the model that model.m, label_lo and label_hi describe."""
+    cfg = resolve_config({"model": {"m": m, "label_lo": lo, "label_hi": hi}})
+    return Model.from_config(cfg).bank.labels
 
 
 def bank_with(vectors, labels=None):
     m = vectors.shape[0]
     if labels is None:
-        labels = assign_prototype_labels(m, 0.1, 5.9)
+        labels = np.linspace(0.1, 5.9, m)
     return PrototypeBank(
         vectors=Tensor(vectors, requires_grad=True),
         labels=labels,
@@ -129,17 +130,17 @@ class TestDMax:
 
 class TestLabels:
     def test_paper_grid(self):
-        labels = assign_prototype_labels(50, 0.1, 5.9)
+        labels = config_labels(50, 0.1, 5.9)
         assert labels[0] == pytest.approx(0.1)
         assert labels[-1] == pytest.approx(5.9)
         assert np.allclose(np.diff(labels), 5.8 / 49)
 
     def test_two_prototypes(self):
-        np.testing.assert_allclose(assign_prototype_labels(2, 0.5, 2.5), [0.5, 2.5])
+        np.testing.assert_allclose(config_labels(2, 0.5, 2.5), [0.5, 2.5])
 
     @given(st.integers(2, 60), st.floats(0.01, 1.0), st.floats(1.5, 9.0))
     def test_strictly_increasing(self, m, lo, hi):
-        labels = assign_prototype_labels(m, lo, hi)
+        labels = config_labels(m, lo, hi)
         assert np.all(np.diff(labels) > 0)
 
     def test_nonpositive_lo_rejected(self):
