@@ -2,8 +2,7 @@
 
 A small stack of valid convolutions (ReLU between, sigmoid last) maps an
 input image to a (c_z, h_z, w_z) latent volume whose every value lies in
-(0,1). The last two conv layers form the "added block" that the warm-up
-phase of training updates together with the prototypes.
+(0,1).
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ class Backbone:
     def params(self) -> list[Tensor]:
         out = []
         for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
-    def added_block_params(self) -> list[Tensor]:
-        """Parameters of the final two conv layers (warm-up group)."""
-        out = []
-        for w, b in zip(self.weights[-2:], self.biases[-2:]):
             out.extend([w, b])
         return out
 

@@ -64,13 +64,14 @@ def _load_cfg(path: str | None) -> dict:
     return config_mod.load_config(path) if path else config_mod.resolve_config()
 
 
-def _resolve_split(path: str, split: str) -> Path:
+def _load_split(path: str, split: str) -> data_mod.SynthDataset:
+    """The split of a .insd file, or of a gen-data output dir's {split}.insd."""
     p = Path(path)
     if p.is_dir():
         p = p / f"{split}.insd"
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
-    return p
+    return data_mod.load_dataset(p, split=split)
 
 
 def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trainer.TrainLog]:
@@ -108,13 +109,15 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
     out = _out_dir(args.out)
-    train_ds = data_mod.load_dataset(_resolve_split(args.data, "train"), split="train")
-    train_run(cfg, train_ds, out)
+    train_run(cfg, _load_split(args.data, "train"), out)
     print(f"wrote {out / 'checkpoint.bin'}")
     return 0
 
 
-def _evaluate_to_dir(model: Model, cfg: dict, test_ds, out: Path) -> dict:
+def cmd_eval(args) -> int:
+    model, cfg = load_checkpoint(args.checkpoint)
+    out = _out_dir(args.out)
+    test_ds = _load_split(args.data, "test")
     y_hat, weights = metrics.per_sample_weights(model, test_ds)
     result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"],
                               weights=(y_hat, weights))
@@ -125,14 +128,6 @@ def _evaluate_to_dir(model: Model, cfg: dict, test_ds, out: Path) -> dict:
         lines.append(f"{i},{y!r},{y_h!r},{abs(y_h - y)!r},{spars}")
     (out / "per_sample.csv").write_text("\n".join(lines) + "\n")
     config_mod.save_config(cfg, out / "resolved_config.json")
-    return result
-
-
-def cmd_eval(args) -> int:
-    model, cfg = load_checkpoint(args.checkpoint)
-    out = _out_dir(args.out)
-    test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
-    result = _evaluate_to_dir(model, cfg, test_ds, out)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
@@ -140,11 +135,11 @@ def cmd_eval(args) -> int:
 def cmd_explain(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
-    test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
+    test_ds = _load_split(args.data, "test")
     sample_ids = [int(s) for s in args.sample_ids.split(",")]
     for sid in sample_ids:
         if not 0 <= sid < len(test_ds):
-            raise IndexError(f"sample id {sid} out of range [0,{len(test_ds)})")
+            raise ValueError(f"sample id {sid} out of range [0,{len(test_ds)})")
         exp = explain(test_ds.images[sid], sid, float(test_ds.y[sid]), model,
                       top_k=args.top_k)
         if not exp.projected:
@@ -165,7 +160,7 @@ def cmd_explain(args) -> int:
 def cmd_embed(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
-    test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
+    test_ds = _load_split(args.data, "test")
     latents = model.latents_np(test_ds.images)
     weights = metrics.contribution_matrix(model, model.head_np(latents)[0])
     n, c_z, h, w = latents.shape
@@ -206,8 +201,7 @@ def cmd_ablate(args) -> int:
             cell_cfg["model"]["seed"] += s
             cells.append((name, config_mod.resolve_config(cell_cfg)))
     out = _out_dir(args.out)
-    train_ds = data_mod.load_dataset(_resolve_split(args.data, "train"), split="train")
-    test_ds = data_mod.load_dataset(_resolve_split(args.data, "test"), split="test")
+    train_ds, test_ds = _load_split(args.data, "train"), _load_split(args.data, "test")
     rows = []
     for name, cell_cfg in cells:
         model, _ = train_run(cell_cfg, train_ds)
@@ -298,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, IndexError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,10 +6,11 @@ tensor with requires_grad set. No broadcasting: binary elementwise ops
 require identical shapes, and the few shape-changing ops (expand_rows,
 channel bias) are explicit. Argmin-style subgradients always route to the
 earliest index in row-major scan order, so repeated backward passes on
-identical inputs are bitwise identical. Each elementwise and single-input
-shape op gives only its value and local derivative to Tensor._unary or
+identical inputs are bitwise identical. Each op that sends every input its
+own gradient gives only its value and local derivative to Tensor._unary or
 Tensor._binary, which record the node and route the gradient to the inputs
-that require one.
+that require one. conv2d and proto_sqdist call Tensor._result themselves:
+each builds one backward intermediate that serves both inputs.
 """
 
 from __future__ import annotations
@@ -183,19 +184,16 @@ class Tensor:
         Gradient flows only to the argmin entry; np.argmin picks the first
         occurrence, which is the earliest-scan-order tie rule.
         """
-        a = self
-        idx = np.argmin(a.data, axis=axis)
-        out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
-        out_data = np.squeeze(out_data, axis=axis)
+        idx = np.argmin(self.data, axis=axis)
+        at = np.expand_dims(idx, axis)
 
-        def backward(g):
-            buf = np.zeros_like(a.data)
-            np.put_along_axis(
-                buf, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis
-            )
-            a._accum(buf)
+        def grad(g):
+            buf = np.zeros_like(self.data)
+            np.put_along_axis(buf, at, np.expand_dims(g, axis), axis=axis)
+            return buf
 
-        return Tensor._result(out_data, (a,), backward, "min_reduce"), idx
+        out = np.squeeze(np.take_along_axis(self.data, at, axis=axis), axis=axis)
+        return self._unary(out, grad, "min_reduce"), idx
 
     def reshape(self, *shape) -> "Tensor":
         orig = self.data.shape
@@ -271,19 +269,12 @@ class Tensor:
 
     def add_channel_bias(self, bias: "Tensor") -> "Tensor":
         """Add a per-channel bias (K,) to an (N,K,H,W) activation."""
-        x, b = self, bias
-        if x.data.ndim != 4 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
+        if self.data.ndim != 4 or bias.data.ndim != 1 or self.data.shape[1] != bias.data.shape[0]:
             raise ShapeError(
-                f"add_channel_bias: got activation {x.data.shape}, bias {b.data.shape}"
+                f"add_channel_bias: got activation {self.data.shape}, bias {bias.data.shape}"
             )
-
-        def backward(g):
-            if x.requires_grad:
-                x._accum(g)
-            if b.requires_grad:
-                b._accum(g.sum(axis=(0, 2, 3)))
-
-        return Tensor._result(x.data + b.data[None, :, None, None], (x, b), backward, "bias")
+        return self._binary(bias, self.data + bias.data[None, :, None, None],
+                            lambda g: g, lambda g: g.sum(axis=(0, 2, 3)), "bias")
 
     def proto_sqdist(self, protos: "Tensor") -> "Tensor":
         """Squared L2 distance map between every spatial patch and every prototype.
@@ -339,14 +330,13 @@ class Tensor:
         and returns the average over rows as a scalar. Rows must have at
         least one True entry.
         """
-        a = self
-        if a.data.shape != masks.shape:
+        if self.data.shape != masks.shape:
             raise ShapeError(
-                f"masked_min_k_rows: mask shape {masks.shape} != tensor {a.data.shape}"
+                f"masked_min_k_rows: mask shape {masks.shape} != tensor {self.data.shape}"
             )
         if k < 1:
             raise ValueError(f"masked_min_k_rows: k must be >= 1, got {k}")
-        n, m = a.data.shape
+        n, m = self.data.shape
         counts = masks.sum(axis=1)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
@@ -354,10 +344,10 @@ class Tensor:
         take = np.minimum(k, counts)
         width = min(k, m)
         # stable: ties go to the earliest column, and masked-out entries sort last
-        order = np.argsort(np.where(masks, a.data, np.inf), axis=1, kind="stable")[:, :width]
+        order = np.argsort(np.where(masks, self.data, np.inf), axis=1, kind="stable")[:, :width]
         chosen = np.arange(width)[None, :] < take[:, None]
         rows, cols = np.nonzero(chosen)[0], order[chosen]
-        picked = np.where(chosen, np.take_along_axis(a.data, order, axis=1), 0.0)
+        picked = np.where(chosen, np.take_along_axis(self.data, order, axis=1), 0.0)
         # column by column: left to right, as np.mean adds fewer than 8 values
         row_sums = picked[:, 0].copy()
         for j in range(1, width):
@@ -366,12 +356,12 @@ class Tensor:
         for v in (row_sums / take).tolist():
             total += v
 
-        def backward(g):
-            buf = np.zeros_like(a.data)
+        def grad(g):
+            buf = np.zeros_like(self.data)
             buf[rows, cols] = g / (n * take[rows])
-            a._accum(buf)
+            return buf
 
-        return Tensor._result(total / n, (a,), backward, "masked_min_k_rows")
+        return self._unary(total / n, grad, "masked_min_k_rows")
 
     # -- backward ------------------------------------------------------------
 
@@ -439,21 +429,15 @@ class Adam:
 # -- gradient verification -----------------------------------------------------
 
 
-def grad_check(
-    closure,
-    params: list[Tensor],
-    fd_step: float = 1e-6,
-    max_coords: int = 8,
-    rng: np.random.Generator | None = None,
-) -> float:
+def grad_check(closure, params: list[Tensor], fd_step: float = 1e-6,
+               max_coords: int = 8) -> float:
     """Compare analytic gradients of closure() against central finite differences.
 
     closure must rebuild the loss (a scalar Tensor) from the current param
     values. Returns the max relative error over sampled coordinates,
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     for p in params:
         p.grad = None
     loss = closure()

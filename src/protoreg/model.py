@@ -79,6 +79,17 @@ _POOL: ThreadPoolExecutor | None = None  # made on first use, one worker per usa
 _POOL_LOCK = threading.Lock()
 
 
+def _forget_pool() -> None:
+    """Run in a forked child, which inherits _POOL but none of its worker threads,
+    and _POOL_LOCK as held if another thread held it: the child makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _map_chunks(fn, chunks: list[slice]) -> list:
     """[fn(chunk) for chunk in chunks], run on every CPU the process may use.
 
@@ -125,8 +136,16 @@ class Model:
             eps=mc["eps"],
         )
 
+    def groups(self) -> dict[str, list[Tensor]]:
+        """The parameter groups that the training stages move, in payload order:
+        the backbone trunk, the added block (the last two conv layers, which
+        warm-up trains with the prototypes), the prototypes and theta."""
+        conv = self.backbone.params()  # w0, b0, w1, b1, ...
+        return {"trunk": conv[:-4], "added": conv[-4:], "prototypes": [self.bank.vectors],
+                "theta": [self.theta]}
+
     def params(self) -> list[Tensor]:
-        return self.backbone.params() + [self.bank.vectors, self.theta]
+        return [p for group in self.groups().values() for p in group]
 
     def forward(self, images: Tensor) -> ForwardResult:
         latent = self.backbone.forward(images)

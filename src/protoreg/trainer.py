@@ -144,9 +144,7 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
     t = cfg["train"]
     rng = np.random.default_rng(t["seed"])
     log = TrainLog()
-    added = model.backbone.added_block_params()
-    added_ids = {id(p) for p in added}
-    trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
+    groups = model.groups()
 
     def finished(stage: str, cycle: int):
         model.cursor = {"cycle": cycle, "stage": stage}
@@ -154,10 +152,10 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
             stage_callback(stage, cycle, model)
 
     for cycle in range(t["cycles"]):
-        opt_trunk = Adam(trunk, t["lr_backbone"])
+        opt_trunk = Adam(groups["trunk"], t["lr_backbone"])
         # Adam updates each element on its own, so one optimizer for both groups
         # moves them exactly as one per group would
-        opt_proto = Adam(added + [model.bank.vectors], t["lr_protolayer"])
+        opt_proto = Adam(groups["added"] + groups["prototypes"], t["lr_protolayer"])
         # only the first cycle warms up: the prototypes and the added block move
         warmup = t["warmup_epochs"] if cycle == 0 else 0
         _run_epochs(model, data, cfg, [opt_proto], epochs=warmup, rng=rng, log=log,
@@ -173,7 +171,7 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
         # without augmentation every epoch sees the same images through the same
         # frozen layers, so each step runs only the head on their cached distances
         inputs = None if cfg["data"]["augment"] else model.dmin_np(latents)
-        _run_epochs(model, data, cfg, [Adam([model.theta], t["lr_head"])],
+        _run_epochs(model, data, cfg, [Adam(groups["theta"], t["lr_head"])],
                     epochs=t["lastlayer_epochs"], rng=rng, log=log, cycle=cycle,
                     stage="lastlayer", inputs=inputs)
         finished("lastlayer", cycle)

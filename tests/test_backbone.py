@@ -4,6 +4,7 @@ import pytest
 from protoreg.backbone import Backbone
 from protoreg.config import ConfigError, resolve_config
 from protoreg.engine import ShapeError, Tensor
+from protoreg.model import Model
 
 DESK = resolve_config()  # 32x32x3 -> 6x6x16
 
@@ -58,9 +59,20 @@ class TestForward:
         with pytest.raises(ShapeError, match="expected images"):
             bb.forward(Tensor(np.zeros((1, 3, 16, 16))))
 
-    def test_added_block_is_last_two_convs(self):
-        bb = make_backbone()
-        added = bb.added_block_params()
-        assert len(added) == 4
-        assert added[0] is bb.weights[-2] and added[2] is bb.weights[-1]
 
+class TestGroups:
+    @pytest.mark.parametrize("blocks", [None, [[8, 3, 2], [16, 3, 2]]],
+                             ids=["default", "two-blocks"])
+    def test_groups_in_payload_order(self, blocks):
+        # the added block is the last two conv layers; the trunk is every block before them
+        cfg = DESK if blocks is None else resolve_config({"model": {"backbone_blocks": blocks}})
+        model = Model.from_config(cfg)
+        bb = model.backbone
+        convs = [[w, b] for w, b in zip(bb.weights, bb.biases)]
+        want = {"trunk": sum(convs[:-2], []), "added": sum(convs[-2:], []),
+                "prototypes": [model.bank.vectors], "theta": [model.theta]}
+        groups = model.groups()
+        assert list(groups) == list(want)
+        for name, tensors in want.items():
+            assert [id(t) for t in groups[name]] == [id(t) for t in tensors], name
+        assert [id(p) for p in model.params()] == [id(t) for g in groups.values() for t in g]

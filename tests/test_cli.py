@@ -388,6 +388,20 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err == "error: no-grad pass over an empty image array\n"
 
+    def test_diverged_training_exits_2(self, tmp_path, capsys):
+        # every rate passes resolve_config, but one step at 1e300 overflows the model
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "data": {"train_per_grade": 4, "test_per_grade": 2},
+            "train": {"cycles": 1, "joint_epochs": 2, "warmup_epochs": 0, "lastlayer_epochs": 1,
+                      "lr_backbone": 1e300, "lr_protolayer": 1e300}}))
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: non-finite mse loss component\n"
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_ablate_seeds_below_one(self, tmp_path, capsys, seeds):
         rc = main(["ablate", "--data", str(tmp_path / "nope"), "--seeds", seeds,

@@ -49,6 +49,25 @@ def _sig(a):
 # gradient of each input given the upstream gradient g)
 _R = np.random.default_rng(5)
 _A, _B = _R.uniform(-2.0, 2.0, (3, 4)), _R.uniform(0.5, 2.0, (3, 4))
+_X = _R.uniform(-2.0, 2.0, (2, 3, 2, 4))
+# the last row has fewer than k = 2 entries in its mask
+_MASK = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [0, 0, 1, 0]], dtype=bool)
+_TAKE = np.minimum(2, _MASK.sum(axis=1))
+
+
+def _min_k_value(a):
+    ranked = np.sort(np.where(_MASK, a, np.inf), axis=1)
+    row_sums = ranked[:, 0] + np.where(_TAKE > 1, ranked[:, 1], 0.0)
+    return np.mean(row_sums / _TAKE)
+
+
+def _min_k_grad(g, a):
+    """g / (n * take) on the entries that each row's min-2 mean reads (a has no ties)."""
+    kth = np.sort(np.where(_MASK, a, np.inf), axis=1)[np.arange(len(a)), _TAKE - 1]
+    chosen = _MASK & (a <= kth[:, None])
+    return (np.where(chosen, g / (len(a) * _TAKE[:, None]), 0.0),)
+
+
 ROUTED_OPS = {
     "add": (lambda a, b: a.add(b), (_A, _B), lambda a, b: a + b,
             lambda g, a, b: (g, g)),
@@ -78,6 +97,16 @@ ROUTED_OPS = {
                 lambda g, a: (g.reshape(3, 4),)),
     "expand_rows": (lambda a: a.expand_rows(5), (_A[0],), lambda a: np.tile(a, (5, 1)),
                     lambda g, a: (g.sum(axis=0),)),
+    "add_channel_bias": (lambda a, b: a.add_channel_bias(b), (_X, _B[0, :3]),
+                         lambda a, b: a + b[None, :, None, None],
+                         lambda g, a, b: (g, g.sum(axis=(0, 2, 3)))),
+    "min_reduce-axis0": (lambda a: a.min_reduce(axis=0)[0], (_A,), lambda a: a.min(axis=0),
+                         lambda g, a: (np.where(a == a.min(axis=0), g, 0.0),)),
+    "min_reduce-axis2": (lambda a: a.min_reduce(axis=2)[0], (_X,), lambda a: a.min(axis=2),
+                         lambda g, a: (np.where(a == a.min(axis=2, keepdims=True),
+                                                g[:, :, None], 0.0),)),
+    "masked_min_k_rows": (lambda a: a.masked_min_k_rows(_MASK, 2), (_A,), _min_k_value,
+                          _min_k_grad),
 }
 
 

@@ -1,5 +1,8 @@
 """Tests for the training protocol, projection, and freezing."""
 
+import os
+import select
+import signal
 from collections import Counter
 
 import numpy as np
@@ -43,11 +46,7 @@ def project(model, ds):
 
 def groups(model):
     """The parameter groups that the protocol's stages train."""
-    added = model.backbone.added_block_params()
-    added_ids = {id(p) for p in added}
-    trunk = [p for p in model.backbone.params() if id(p) not in added_ids]
-    return {"trunk": trunk, "added": added, "prototypes": [model.bank.vectors],
-            "theta": [model.theta]}
+    return model.groups()
 
 
 def snapshot(model):
@@ -252,6 +251,37 @@ class TestChunkPool:
         with pytest.raises(ShapeError):
             model.dmin_np(np.zeros((129, 5, 2, 2)))
         assert engine._GRAD_ENABLED is True
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scores_after_parent_pass(self):
+        # the parent's pass makes the pool; a forked child has none of its threads
+        model = tiny_model(seed=4)
+        images = np.random.default_rng(0).uniform(size=(130, 3, 8, 8))
+        want = model.predict_np(images).tobytes()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_end)
+                os.write(write_end, model.predict_np(images).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            got = b""
+            while select.select([read_end], [], [], 30.0)[0]:
+                chunk = os.read(read_end, 1 << 16)
+                if not chunk:
+                    break
+                got += chunk
+            else:
+                pytest.fail("forked child's predict_np did not finish within 30 s")
+        finally:
+            os.close(read_end)
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert got == want
 
 
 class TestLastLayerCache:
