@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -188,25 +190,110 @@ ABLATION_VARIANTS = [
 ]
 
 
+def cell_config(cfg: dict, override: dict, seed_offset: int) -> dict:
+    """The resolved config of one ablation cell: cfg with override merged in and
+    seed_offset added to its train and model seeds."""
+    cell_cfg = config_mod._merge(cfg, override)  # new section dicts, safe to edit
+    cell_cfg["train"]["seed"] += seed_offset
+    cell_cfg["model"]["seed"] += seed_offset
+    return config_mod.resolve_config(cell_cfg)
+
+
+def run_cell(cell_cfg: dict, train_ds, test_ds) -> tuple[Model, dict]:
+    """Train a cell's resolved config on train_ds; the model and its metrics on test_ds."""
+    model, _ = train_run(cell_cfg, train_ds)
+    return model, metrics.evaluate(model, test_ds, grades=cell_cfg["data"]["grades"])
+
+
+def _run_share(fn, share: list) -> tuple[list, Exception | None]:
+    """([fn(cell) for cell in share], None), or the results before the first
+    cell that raised and its exception."""
+    results = []
+    for cell in share:
+        try:
+            results.append(fn(cell))
+        except Exception as e:
+            return results, e
+    return results, None
+
+
+def _child_share(fn, share: list, cpu: int, write_end: int):
+    """Run share in a forked child on one CPU, so that its chunk pool gets one
+    worker, and write the pickled outcome of _run_share to write_end. Leaves
+    through os._exit, always: a child that returned would go on with the
+    parent's program (under pytest, the rest of the suite)."""
+    code = 1
+    try:
+        os.sched_setaffinity(0, [cpu])
+        blob = pickle.dumps(_run_share(fn, share))
+        with os.fdopen(write_end, "wb") as f:
+            f.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _gather_child(pid: int, read_end: int) -> tuple[list, Exception | None]:
+    """The outcome that child pid wrote to read_end, once the child has ended."""
+    with os.fdopen(read_end, "rb") as f:
+        blob = f.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(blob)
+    except Exception:  # the child died, or failed to pickle, before it wrote its outcome
+        return [], OSError(f"cell worker {pid} ended with wait status {status} and no result")
+
+
+def map_cells(fn, cells: list) -> list:
+    """[fn(cell) for cell in cells], run by one process per CPU that this
+    process may use, at most one per cell.
+
+    With n processes, this one runs cells[0::n] and forked children run
+    cells[k::n], each on one CPU. Processes, not threads: engine.no_grad flips
+    a process-global flag. Each child sends back its results, or the
+    exception of its first failing cell, and every child has ended before
+    this returns or raises. The exception raised is that of the first failing
+    cell in cell order. With one usable CPU no child is forked.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    n = min(len(cpus), len(cells))
+    children, shares = [], {}
+    try:
+        for k in range(1, n):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_share(fn, cells[k::n], cpus[k], write_end)
+            os.close(write_end)
+            children.append((k, pid, read_end))
+        shares[0] = _run_share(fn, cells[0::n])
+    finally:
+        for k, pid, read_end in children:
+            shares[k] = _gather_child(pid, read_end)
+    # a share stops at its first failure, which is cell k + n * (cells it finished)
+    failed = [(k + n * len(results), e) for k, (results, e) in shares.items() if e is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = [None] * len(cells)
+    for k, (results, _) in shares.items():
+        out[k::n] = results
+    return out
+
+
 def cmd_ablate(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _load_cfg(args.config)
     # every cell's config, its seed offsets included, is checked before anything trains
-    cells = []
-    for name, override in ABLATION_VARIANTS:
-        for s in range(args.seeds):
-            cell_cfg = config_mod._merge(cfg, override)  # new section dicts, safe to edit
-            cell_cfg["train"]["seed"] += s
-            cell_cfg["model"]["seed"] += s
-            cells.append((name, config_mod.resolve_config(cell_cfg)))
+    cells = [(name, cell_config(cfg, override, s))
+             for name, override in ABLATION_VARIANTS for s in range(args.seeds)]
     out = _out_dir(args.out)
     train_ds, test_ds = _load_split(args.data, "train"), _load_split(args.data, "test")
-    rows = []
-    for name, cell_cfg in cells:
-        model, _ = train_run(cell_cfg, train_ds)
-        result = metrics.evaluate(model, test_ds, grades=cell_cfg["data"]["grades"])
-        rows.append({
+
+    def row(cell) -> dict:
+        name, cell_cfg = cell
+        _, result = run_cell(cell_cfg, train_ds, test_ds)
+        return {
             "variant": name,
             "similarity": cell_cfg["model"]["similarity"],
             "alpha_clst": cell_cfg["loss"]["alpha_clst"],
@@ -214,7 +301,9 @@ def cmd_ablate(args) -> int:
             "k": cell_cfg["loss"]["k"],
             "seed": cell_cfg["train"]["seed"],
             **{k: result[k] for k in ("mae", "accuracy", "s_spars_mean", "diversity")},
-        })
+        }
+
+    rows = map_cells(row, cells)
     (out / "ablation.csv").write_text(reports.ablation_csv(rows))
     (out / "ablation.md").write_text(reports.ablation_markdown(rows))
     config_mod.save_config(cfg, out / "resolved_config.json")

@@ -156,16 +156,29 @@ def resolve_config(overrides: dict | None = None) -> dict:
     # every worker of a no-grad pass holds one chunk's tensors at a time, and
     # model._chunks adds a tail of one image to the chunk before it
     batch = max(t["batch_size"], INFERENCE_CHUNK + 1)
-    for i, (out_c, kernel, stride) in enumerate(m["backbone_blocks"]):
+    maps = block_maps(cfg)
+    for i, ((out_c, kernel, _), (h, w)) in enumerate(zip(m["backbone_blocks"], maps)):
         if kernel > min(h, w):
             raise ConfigError(f"model.backbone_blocks[{i}] kernel {kernel} exceeds its {h}x{w} map")
-        h, w = (h - kernel) // stride + 1, (w - kernel) // stride + 1
-        _check_batch_bytes(f"model.backbone_blocks[{i}]", "block output", (batch, out_c, h, w))
+        _check_batch_bytes(f"model.backbone_blocks[{i}]", "block output",
+                           (batch, out_c, *maps[i + 1]))
+    h, w = maps[-1]
     if min(h, w) <= 1:
         raise ConfigError(f"model.backbone_blocks maps {d['image_hw']} images to a {h}x{w} "
                           "latent grid, which must be > 1 on both sides")
     _check_batch_bytes("model.m", "distance map", (batch, m["m"], h, w))
     return cfg
+
+
+def block_maps(cfg: dict) -> list[tuple[int, int]]:
+    """(h, w) of the image and of each backbone block's output map; the last is
+    the latent grid. A block after one whose kernel does not fit gets
+    meaningless sides, which resolve_config rejects."""
+    maps = [tuple(cfg["data"]["image_hw"])]
+    for _, kernel, stride in cfg["model"]["backbone_blocks"]:
+        h, w = maps[-1]
+        maps.append(((h - kernel) // stride + 1, (w - kernel) // stride + 1))
+    return maps
 
 
 def _check_batch_bytes(key: str, what: str, shape: tuple) -> None:

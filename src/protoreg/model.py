@@ -27,7 +27,7 @@ import numpy as np
 
 from . import head as head_mod
 from .backbone import Backbone
-from .config import INFERENCE_CHUNK, ConfigError, Rule, check_value, resolve_config
+from .config import INFERENCE_CHUNK, ConfigError, Rule, block_maps, check_value, resolve_config
 from .data import read_payload, write_atomic
 from .engine import Tensor, no_grad
 from .prototypes import (
@@ -41,8 +41,6 @@ from .prototypes import (
 CHECKPOINT_MAGIC = b"PRCK1"
 CHECKPOINT_VERSION = 1
 _STAGES = ("joint", "projection", "lastlayer")  # trainer.run_protocol's cursor stages
-_PROVENANCE_RULES = {"sample_id": Rule(int, 0), "row": Rule(int, 0), "col": Rule(int, 0),
-                     "moved_sq_dist": Rule(float, 0)}
 
 
 class CheckpointError(ValueError):
@@ -96,15 +94,22 @@ def _map_chunks(fn, chunks: list[slice]) -> list:
     Each chunk is computed on its own, so its bits do not depend on the worker
     that runs it; numpy drops the GIL in the matmuls and array loops. The
     engine's grad flag is process-global, so no_grad is entered here, once, on
-    the calling thread, and never by a worker.
+    the calling thread, and never by a worker. numpy's error state is per
+    thread, so each worker takes the caller's.
     """
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0))
                                        if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    err = np.geterr()
+
+    def run(chunk: slice):
+        with np.errstate(**err):
+            return fn(chunk)
+
     with no_grad():
-        return list(_POOL.map(fn, chunks))
+        return list(_POOL.map(run, chunks))
 
 
 @dataclass
@@ -255,9 +260,12 @@ def _check_state(header: dict, cfg: dict) -> None:
     provenance, cursor, m = header["provenance"], header["cursor"], cfg["model"]["m"]
     if not isinstance(provenance, list) or len(provenance) != m:
         raise ConfigError(f"provenance must be a list of {m} entries, got {provenance!r}")
+    h, w = block_maps(cfg)[-1]  # a record names a patch of the latent grid
+    rules = {"sample_id": Rule(int, 0), "row": Rule(int, 0, h - 1), "col": Rule(int, 0, w - 1),
+             "moved_sq_dist": Rule(float, 0)}
     for j, p in enumerate(provenance):
         if p is not None:
-            _check_record(f"provenance[{j}]", p, _PROVENANCE_RULES)
+            _check_record(f"provenance[{j}]", p, rules)
     if cursor != {}:
         _check_record("cursor", cursor, {"cycle": Rule(int, 0, cfg["train"]["cycles"] - 1),
                                          "stage": Rule(str, choices=_STAGES)})

@@ -49,6 +49,15 @@ def _frozen(params: list[Tensor]):
             p.requires_grad = was
 
 
+@contextlib.contextmanager
+def _located(where: str):
+    """Name the place in the protocol of a floating-point error raised in the block."""
+    try:
+        yield
+    except FloatingPointError as e:
+        raise FloatingPointError(f"non-finite value ({where}): {e}") from None
+
+
 def _batch_loss(model: Model, batch: np.ndarray, y: np.ndarray, cfg_loss: dict):
     """Loss of one batch: (n, C, H, W) images run the whole model, and (n, m)
     min-pooled distances, cached while the backbone and prototypes are
@@ -80,19 +89,20 @@ def _run_epochs(model: Model, data: SynthDataset, cfg: dict, optimizers: list[Ad
         for epoch in range(epochs):
             order = rng.permutation(n)
             sums, batches = np.zeros(3), 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                batch = inputs[idx]
-                if augment:
-                    batch = augment_batch(batch, rng)
-                total, m, c, p = _batch_loss(model, batch, data.y[idx], cfg_loss)
-                total.backward()
-                for opt in optimizers:
-                    opt.step()
-                for param in all_params:
-                    param.grad = None
-                sums += (m, c, p)
-                batches += 1
+            with _located(f"{stage}, cycle {cycle}, epoch {epoch_offset + epoch}"):
+                for start in range(0, n, batch_size):
+                    idx = order[start : start + batch_size]
+                    batch = inputs[idx]
+                    if augment:
+                        batch = augment_batch(batch, rng)
+                    total, m, c, p = _batch_loss(model, batch, data.y[idx], cfg_loss)
+                    total.backward()
+                    for opt in optimizers:
+                        opt.step()
+                    for param in all_params:
+                        param.grad = None
+                    sums += (m, c, p)
+                    batches += 1
             mse_avg, clst_avg, psd_avg = sums / batches
             log.epochs.append({
                 "cycle": cycle, "stage": stage, "epoch": epoch_offset + epoch,
@@ -131,6 +141,7 @@ def project_prototypes(model: Model, latents: np.ndarray) -> list[dict]:
     return report
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def run_protocol(model: Model, data: SynthDataset, cfg: dict,
                  stage_callback=None) -> TrainLog:
     """Run the full protocol of a resolved config in place; returns the
@@ -138,6 +149,11 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
 
     stage_callback(stage_name, cycle, model), when given, fires after each
     completed stage (used by the CLI to write per-stage checkpoints).
+
+    Every overflow, invalid value and division by zero raises at the op that
+    makes it, so a diverging run stops with a FloatingPointError that names
+    its stage, cycle and epoch, before any warning is printed or a
+    non-finite value reaches a weight.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -163,14 +179,15 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
         _run_epochs(model, data, cfg, [opt_trunk, opt_proto], epochs=t["joint_epochs"] - warmup,
                     rng=rng, log=log, cycle=cycle, stage="joint", epoch_offset=warmup)
         finished("joint", cycle)
-        # one backbone pass serves projection and the last-layer cache
-        latents = model.latents_np(data.images)
-        report = project_prototypes(model, latents)
+        with _located(f"projection, cycle {cycle}"):
+            # one backbone pass serves projection and the last-layer cache
+            latents = model.latents_np(data.images)
+            report = project_prototypes(model, latents)
+            # without augmentation every epoch sees the same images through the same
+            # frozen layers, so each step runs only the head on their cached distances
+            inputs = None if cfg["data"]["augment"] else model.dmin_np(latents)
         log.projections.append({"cycle": cycle, "prototypes": report})
         finished("projection", cycle)
-        # without augmentation every epoch sees the same images through the same
-        # frozen layers, so each step runs only the head on their cached distances
-        inputs = None if cfg["data"]["augment"] else model.dmin_np(latents)
         _run_epochs(model, data, cfg, [Adam(groups["theta"], t["lr_head"])],
                     epochs=t["lastlayer_epochs"], rng=rng, log=log, cycle=cycle,
                     stage="lastlayer", inputs=inputs)

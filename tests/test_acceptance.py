@@ -2,6 +2,9 @@
 
 Training-dependent criteria share module-scoped fixtures so the whole suite
 runs the desk-scale protocol only as often as needed (about a dozen runs).
+The nine fixture runs of criteria 5, 7 and 8 are ablate's cells, spread over
+the usable CPUs; criteria 6 and 10 train in this process, since they time or
+compare their own runs.
 """
 
 import json
@@ -14,7 +17,7 @@ import pytest
 from protoreg import config as C
 from protoreg import data as D
 from protoreg import gradcheck, metrics, trainer
-from protoreg.cli import train_run
+from protoreg.cli import cell_config, map_cells, run_cell, train_run
 from protoreg.engine import Tensor, no_grad
 from protoreg.head import predict
 from protoreg.prototypes import PrototypeBank, distance_map, min_pool
@@ -42,32 +45,18 @@ def desk_data():
     return D.make_splits(C.synth_config_from(cfg))
 
 
-def _train_eval(overrides: dict, seed_offset: int, train_ds, test_ds):
-    cfg = C.resolve_config(overrides)
-    cfg["train"]["seed"] += seed_offset
-    cfg["model"]["seed"] += seed_offset
-    model, _ = train_run(cfg, train_ds)
-    return model, metrics.evaluate(model, test_ds)
+# the fixture runs of criteria 5, 7 and 8: each override at seed offsets 0, 1, 2
+FIXTURE_OVERRIDES = {"recip": {}, "log": {"model": {"similarity": "log"}}, "k1": {"loss": {"k": 1}}}
 
 
 @pytest.fixture(scope="module")
-def recip_runs(desk_data):
+def fixture_runs(desk_data):
+    """name -> three (model, metrics) pairs, trained and evaluated as ablate's cells are."""
     train_ds, test_ds = desk_data
-    return [_train_eval({}, s, train_ds, test_ds) for s in range(3)]
-
-
-@pytest.fixture(scope="module")
-def log_runs(desk_data):
-    train_ds, test_ds = desk_data
-    over = {"model": {"similarity": "log"}}
-    return [_train_eval(over, s, train_ds, test_ds) for s in range(3)]
-
-
-@pytest.fixture(scope="module")
-def k1_runs(desk_data):
-    train_ds, test_ds = desk_data
-    over = {"loss": {"k": 1}}
-    return [_train_eval(over, s, train_ds, test_ds) for s in range(3)]
+    cfg = C.resolve_config()
+    cells = [cell_config(cfg, over, s) for over in FIXTURE_OVERRIDES.values() for s in range(3)]
+    runs = map_cells(lambda c: run_cell(c, train_ds, test_ds), cells)
+    return {name: runs[3 * i : 3 * i + 3] for i, name in enumerate(FIXTURE_OVERRIDES)}
 
 
 def test_criterion_01_gradient_correctness():
@@ -155,9 +144,9 @@ def test_criterion_04_prediction_bounds():
     assert violations == 0
 
 
-def test_criterion_05_projection_contract(desk_data, recip_runs):
+def test_criterion_05_projection_contract(desk_data, fixture_runs):
     train_ds, _ = desk_data
-    model, _ = recip_runs[0]  # trained desk model, projected in final cycle
+    model, _ = fixture_runs["recip"][0]  # trained desk model, projected in final cycle
     latents = model.latents_np(train_ds.images)
     n, c_z, h, w = latents.shape
     patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)
@@ -208,9 +197,9 @@ def test_criterion_06_end_to_end_desk_training(desk_data, baseline_fixture):
     assert elapsed < 900
 
 
-def test_criterion_07_similarity_ablation_trend(recip_runs, log_runs):
-    recip = [r for _, r in recip_runs]
-    logr = [r for _, r in log_runs]
+def test_criterion_07_similarity_ablation_trend(fixture_runs):
+    recip = [r for _, r in fixture_runs["recip"]]
+    logr = [r for _, r in fixture_runs["log"]]
     wins = sum(a["s_spars_mean"] < b["s_spars_mean"] for a, b in zip(recip, logr))
     div_r = np.mean([r["diversity"] for r in recip])
     div_l = np.mean([r["diversity"] for r in logr])
@@ -222,9 +211,9 @@ def test_criterion_07_similarity_ablation_trend(recip_runs, log_runs):
     assert within
 
 
-def test_criterion_08_min_k_ablation_trend(recip_runs, k1_runs):
-    recip = [r for _, r in recip_runs]
-    k1 = [r for _, r in k1_runs]
+def test_criterion_08_min_k_ablation_trend(fixture_runs):
+    recip = [r for _, r in fixture_runs["recip"]]
+    k1 = [r for _, r in fixture_runs["k1"]]
     wins = sum(
         a["s_spars_mean"] < b["s_spars_mean"] and a["diversity"] < b["diversity"]
         for a, b in zip(k1, recip)

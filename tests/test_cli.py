@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import protoreg
-from protoreg import metrics
+from protoreg import cli, metrics
 from protoreg.backbone import Backbone
 from protoreg.cli import main
+from protoreg.config import resolve_config
 from protoreg.data import load_dataset, save_dataset
 from protoreg.model import load_checkpoint
 
@@ -295,6 +296,57 @@ class TestAblate:
         assert variants == {"base", "log_similarity", "no_psd", "no_clst",
                             "no_clst_no_psd", "k1"}
         assert (out / "ablation.md").read_text().startswith("|")
+        with pytest.raises(ChildProcessError):  # every forked cell worker has been waited for
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs the process may use")
+    def test_bytes_do_not_depend_on_the_cpu_count(self, workdir, tmp_path):
+        src = str(Path(protoreg.__file__).resolve().parents[1])
+        cpus = sorted(os.sched_getaffinity(0))
+        outputs = []
+        for on in (cpus[:1], cpus):  # every cell in this process, then one process per CPU
+            out = tmp_path / f"ablate_{len(on)}"
+            subprocess.run([sys.executable, "-c", _ON_CPUS, ",".join(map(str, on)), "ablate",
+                            "--config", str(workdir / "data" / "resolved_config.json"),
+                            "--data", str(workdir / "data"), "--out", str(out), "--seeds", "2"],
+                           check=True, capture_output=True,
+                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+            outputs.append([(out / name).read_bytes() for name in ("ablation.csv", "ablation.md")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].decode().splitlines()) == 1 + 6 * 2
+
+    # with --seeds 1 on two CPUs, this process runs cells 0, 2, 4 (base, no_psd,
+    # no_clst_no_psd) and a forked child runs cells 1, 3, 5 (log_similarity, no_clst, k1)
+    @pytest.mark.parametrize("failing, first", [
+        ({"k1"}, "k1"),
+        ({"log_similarity", "no_clst_no_psd"}, "log_similarity"),
+        ({"no_psd", "k1"}, "no_psd"),
+    ])
+    def test_first_failing_cell_exits_2(self, workdir, tmp_path, capfd, monkeypatch,
+                                        failing, first):
+        def columns(cfg):  # the config columns of an ablation.csv row
+            return (cfg["model"]["similarity"], cfg["loss"]["alpha_clst"],
+                    cfg["loss"]["alpha_psd"], cfg["loss"]["k"])
+
+        variant_of = {columns(cli.cell_config(resolve_config(TINY_CFG), over, 0)): name
+                      for name, over in cli.ABLATION_VARIANTS}
+        real = cli.train_run
+
+        def train_run(cfg, train_ds, out=None):
+            name = variant_of[columns(cfg)]
+            if name in failing:
+                raise ValueError(f"cell {name} failed")
+            return real(cfg, train_ds, out)
+
+        monkeypatch.setattr(cli, "train_run", train_run)  # before the fork, so children see it
+        rc = main(["ablate", "--config", str(workdir / "data" / "resolved_config.json"),
+                   "--data", str(workdir / "data"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capfd.readouterr().err == f"error: cell {first} failed\n"
+        assert not (tmp_path / "out" / "ablation.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestGradCheckCommand:
@@ -303,6 +355,20 @@ class TestGradCheckCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) >= 5
         assert all(line.startswith("PASS") for line in lines)
+
+
+# every rate passes resolve_config, but the step at 1e300 overflows the model's
+# next forward pass; with 20 images at batch 30, an epoch is one step
+DIVERGED = "non-finite value (joint, cycle 0, epoch 1): overflow encountered in matmul"
+
+
+def diverging_config(tmp_path) -> Path:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": {"train_per_grade": 4, "test_per_grade": 2},
+        "train": {"cycles": 1, "joint_epochs": 2, "warmup_epochs": 0, "lastlayer_epochs": 1,
+                  "lr_backbone": 1e300, "lr_protolayer": 1e300}}))
+    return cfg
 
 
 class TestErrors:
@@ -389,18 +455,26 @@ class TestErrors:
         assert capsys.readouterr().err == "error: no-grad pass over an empty image array\n"
 
     def test_diverged_training_exits_2(self, tmp_path, capsys):
-        # every rate passes resolve_config, but one step at 1e300 overflows the model
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "data": {"train_per_grade": 4, "test_per_grade": 2},
-            "train": {"cycles": 1, "joint_epochs": 2, "warmup_epochs": 0, "lastlayer_epochs": 1,
-                      "lr_backbone": 1e300, "lr_protolayer": 1e300}}))
+        cfg = diverging_config(tmp_path)
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
         capsys.readouterr()
         rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
                    "--out", str(tmp_path / "run")])
         assert rc == 2
-        assert capsys.readouterr().err == "error: non-finite mse loss component\n"
+        assert capsys.readouterr().err == f"error: {DIVERGED}\n"
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_diverged_run_prints_one_line(self, tmp_path, command):
+        # a process of its own, outside pytest's capture of warnings, and for
+        # ablate with its forked cell workers
+        cfg = diverging_config(tmp_path)
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        src = str(Path(protoreg.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "protoreg.cli", command, "--config", str(cfg),
+                               "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {DIVERGED}\n")
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_ablate_seeds_below_one(self, tmp_path, capsys, seeds):

@@ -100,6 +100,21 @@ def test_each_payload_value_set_to_nan(tmp_path, checkpoint_bytes, dataset_bytes
     assert load_or_reject(path, bytes(flipped)) is not None
 
 
+@pytest.mark.parametrize("row, col, bad", [(1, 1, None), (2, 0, "row"), (0, 2, "col")])
+def test_provenance_bounded_by_the_latent_grid(tmp_path, checkpoint_bytes, row, col, bad):
+    # the tiny config's blocks map its 8x8 images to a 2x2 latent grid
+    header, _ = split_checkpoint(checkpoint_bytes)
+    header["provenance"][0].update(row=row, col=col)
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(with_header(checkpoint_bytes, header))
+    if bad is None:
+        assert load_or_reject(path).bank.provenance[0] == ProvenanceRecord(0, row, col, 0.5)
+    else:
+        with pytest.raises(CheckpointError) as e:
+            load_checkpoint(path)
+        assert str(e.value) == f"{path}: header provenance[0].{bad} must be <= 1, got 2"
+
+
 def leaves(doc, where=()):
     """Paths of every non-container value in a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)

@@ -252,6 +252,17 @@ class TestChunkPool:
             model.dmin_np(np.zeros((129, 5, 2, 2)))
         assert engine._GRAD_ENABLED is True
 
+    def test_workers_take_the_callers_error_state(self):
+        from protoreg.model import _chunks, _map_chunks
+
+        def overflow(chunk):
+            return np.exp(np.full(chunk.stop - chunk.start, 1000.0))
+
+        with np.errstate(over="ignore"):  # and no warning from a worker
+            assert np.isinf(np.concatenate(_map_chunks(overflow, _chunks(129)))).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _map_chunks(overflow, _chunks(129))
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scores_after_parent_pass(self):
         # the parent's pass makes the pool; a forked child has none of its threads
