@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import multiprocessing
 import os
-import pickle
 import sys
 from pathlib import Path
 
@@ -217,31 +217,24 @@ def _run_share(fn, share: list) -> tuple[list, Exception | None]:
     return results, None
 
 
-def _child_share(fn, share: list, cpu: int, write_end: int):
-    """Run share in a forked child on one CPU, so that its chunk pool gets one
-    worker, and write the pickled outcome of _run_share to write_end. Leaves
-    through os._exit, always: a child that returned would go on with the
-    parent's program (under pytest, the rest of the suite)."""
-    code = 1
+def _child_share(fn, share: list, cpu: int, conn) -> None:
+    """Run share on one CPU, so that its chunk pool gets one worker, and send
+    the outcome of _run_share through conn."""
+    os.sched_setaffinity(0, [cpu])
+    conn.send(_run_share(fn, share))
+
+
+def _gather(child, conn) -> tuple[list, Exception | None]:
+    """The outcome that child sent through conn, once the child has ended."""
     try:
-        os.sched_setaffinity(0, [cpu])
-        blob = pickle.dumps(_run_share(fn, share))
-        with os.fdopen(write_end, "wb") as f:
-            f.write(blob)
-        code = 0
+        with conn:
+            return conn.recv()
+    except EOFError:  # the child ended before it sent its outcome
+        pass
     finally:
-        os._exit(code)
-
-
-def _gather_child(pid: int, read_end: int) -> tuple[list, Exception | None]:
-    """The outcome that child pid wrote to read_end, once the child has ended."""
-    with os.fdopen(read_end, "rb") as f:
-        blob = f.read()
-    _, status = os.waitpid(pid, 0)
-    try:
-        return pickle.loads(blob)
-    except Exception:  # the child died, or failed to pickle, before it wrote its outcome
-        return [], OSError(f"cell worker {pid} ended with wait status {status} and no result")
+        child.join()
+    return [], OSError(f"cell worker {child.pid} ended with exit code {child.exitcode} "
+                       "and no result")
 
 
 def map_cells(fn, cells: list) -> list:
@@ -253,23 +246,26 @@ def map_cells(fn, cells: list) -> list:
     a process-global flag. Each child sends back its results, or the
     exception of its first failing cell, and every child has ended before
     this returns or raises. The exception raised is that of the first failing
-    cell in cell order. With one usable CPU no child is forked.
+    cell in cell order. With one usable CPU no child is forked. The fork start
+    method is named, so fn and the datasets reach the children unpickled; the
+    stdlib pools are not used, since their helper threads would compete for
+    the GIL with this process's own share.
     """
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
     n = min(len(cpus), len(cells))
     children, shares = [], {}
     try:
         for k in range(1, n):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child_share(fn, cells[k::n], cpus[k], write_end)
-            os.close(write_end)
-            children.append((k, pid, read_end))
+            ctx = multiprocessing.get_context("fork")  # a platform without fork never gets here
+            conn, child_end = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child_share, args=(fn, cells[k::n], cpus[k], child_end))
+            child.start()
+            child_end.close()
+            children.append((k, child, conn))
         shares[0] = _run_share(fn, cells[0::n])
     finally:
-        for k, pid, read_end in children:
-            shares[k] = _gather_child(pid, read_end)
+        for k, child, conn in children:
+            shares[k] = _gather(child, conn)
     # a share stops at its first failure, which is cell k + n * (cells it finished)
     failed = [(k + n * len(results), e) for k, (results, e) in shares.items() if e is not None]
     if failed:

@@ -12,7 +12,7 @@ nor move.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -130,14 +130,11 @@ def project_prototypes(model: Model, latents: np.ndarray) -> list[dict]:
         flat = int(np.argmin(dists))
         sample_id, rest = divmod(flat, h * w)
         row, col = divmod(rest, w)
-        moved = float(dists[flat])
         vec[j] = patches[flat]
-        rec = ProvenanceRecord(sample_id=sample_id, row=row, col=col, moved_sq_dist=moved)
+        rec = ProvenanceRecord(sample_id=sample_id, row=row, col=col,
+                               moved_sq_dist=float(dists[flat]))
         model.bank.provenance[j] = rec
-        report.append({
-            "prototype": j, "label": float(model.bank.labels[j]),
-            "sample_id": sample_id, "row": row, "col": col, "moved_sq_dist": moved,
-        })
+        report.append({"prototype": j, "label": float(model.bank.labels[j]), **asdict(rec)})
     return report
 
 

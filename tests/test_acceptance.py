@@ -180,10 +180,11 @@ def baseline_fixture(desk_data):
 
 def test_criterion_06_end_to_end_desk_training(desk_data, baseline_fixture):
     train_ds, test_ds = desk_data
+    cfg = C.resolve_config()
     start = time.monotonic()
-    model, _ = train_run(C.resolve_config(), train_ds)
+    model, _ = train_run(cfg, train_ds)
     elapsed = time.monotonic() - start
-    result = metrics.evaluate(model, test_ds)
+    result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"])
     mae = result["mae"]
     assert abs(baseline_fixture - BASELINE_FIXTURE_MAE) < 5e-3, (
         f"baseline fixture drifted: recomputed {baseline_fixture:.4f} vs "
@@ -278,7 +279,7 @@ def test_criterion_10_reproducibility(desk_data, tmp_path):
         run_dir.mkdir()
         cfg = C.resolve_config()
         model, _ = train_run(cfg, train_ds, out=run_dir)
-        result = metrics.evaluate(model, test_ds)
+        result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"])
         (run_dir / "metrics.json").write_text(
             json.dumps(result, indent=2, sort_keys=True) + "\n")
         blobs.append((
@@ -299,7 +300,7 @@ def test_criterion_11_continuous_label_mode(desk_data):
     cfg = C.resolve_config({"data": {"continuous": True}})
     cont_train = D.continuous_labels(train_ds, cfg["data"]["continuous_seed"])
     model, _ = train_run(cfg, cont_train)
-    result = metrics.evaluate(model, test_ds)
+    result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"])
     mae = result["mae"]
     ok = mae <= 0.65
     _report(11, ok, f"continuous-label test MAE {mae:.3f} (<= 0.65)")

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -284,6 +285,12 @@ class TestEmbed:
         assert (out / "usage_histogram.svg").read_text().startswith("<svg")
 
 
+# for the tests whose cell ends through os._exit, which in this process would end the test run
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs the process may use, so that the cell runs in a child")
+
+
 class TestAblate:
     def test_matrix(self, workdir):
         out = workdir / "ablate"
@@ -344,6 +351,32 @@ class TestAblate:
                    "--data", str(workdir / "data"), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capfd.readouterr().err == f"error: cell {first} failed\n"
+        assert not (tmp_path / "out" / "ablation.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @two_cpus
+    def test_dead_worker_raises_oserror(self):
+        with pytest.raises(OSError, match=r"cell worker \d+ ended with exit code 3 and no result"):
+            cli.map_cells(lambda c: os._exit(3) if c == 1 else c, [0, 1, 2, 3])
+        with pytest.raises(ChildProcessError):  # the dead worker has been waited for
+            os.waitpid(-1, os.WNOHANG)
+
+    @two_cpus
+    def test_dead_worker_exits_2(self, workdir, tmp_path, capfd, monkeypatch):
+        real = cli.train_run
+
+        def train_run(cfg, train_ds, out=None):  # log_similarity is cell 1, run by the child
+            if cfg["model"]["similarity"] == "log":
+                os._exit(3)
+            return real(cfg, train_ds, out)
+
+        monkeypatch.setattr(cli, "train_run", train_run)
+        rc = main(["ablate", "--config", str(workdir / "data" / "resolved_config.json"),
+                   "--data", str(workdir / "data"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert re.fullmatch(r"error: cell worker \d+ ended with exit code 3 and no result\n", err)
         assert not (tmp_path / "out" / "ablation.csv").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -456,7 +456,7 @@ class TestExplain:
 
     def test_prediction_matches_model(self, model, image):
         e = explain(image, sample_id=0, y=1.0, model=model, top_k=3)
-        assert np.isclose(e.y_hat, model.predict_np(image[None])[0])
+        assert np.isclose(e.y_hat, model.head_np(model.latents_np(image[None]))[1][0])
 
 
 class TestEvaluate:
@@ -477,5 +477,5 @@ class TestEvaluate:
         assert 1.0 <= out["s_spars_mean"] <= model.bank.m
         assert 1 <= out["diversity"] <= model.bank.m
         # MAE oracle straight from predictions
-        y_hat = model.predict_np(ds.images)
+        y_hat = model.head_np(model.latents_np(ds.images))[1]
         assert np.isclose(out["mae"], np.mean(np.abs(y_hat - ds.y)))
