@@ -5,8 +5,9 @@
 # embed on a 1000-image test split, a dataset off the default sizes and the
 # grad-check suites, then the sha256 of every output
 # that the numerics decide. A change that leaves the
-# numerics alone prints the same lines before and after it. Runs the code of
-# the checkout the script is in.
+# numerics alone prints the same lines before and after it. Ends by writing
+# "digest <sha256 of those lines>" to stderr, the one value to compare. Runs
+# the code of the checkout the script is in.
 # Usage: scripts/byte_pins.sh [out-root], where out-root is new or empty.
 set -euo pipefail
 
@@ -83,7 +84,7 @@ protoreg gen-data --config "$OUT/offdefault/config.json" --out "$OUT/offdefault/
 python3 -m protoreg.cli grad-check > "$OUT/grad_check.txt"
 
 cd "$OUT"
-sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sample.csv \
+PINS="$(sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sample.csv \
   explain/explanation_*.json explain/*.pgm \
   embed/embedding.csv embed/embedding.svg embed/usage_histogram.svg \
   run/checkpoint_c*_*.bin run/projection_report.json ablate/out/ablation.csv \
@@ -92,4 +93,6 @@ sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval/per_sam
   data/*.insd ablate/data/*.insd large/data/*.insd \
   explain_all/explanation_*.json explain_all/*.pgm \
   augment/run/checkpoint.bin augment/run/training_log.csv \
-  offdefault/data/*.insd grad_check.txt
+  offdefault/data/*.insd grad_check.txt)"
+printf '%s\n' "$PINS"
+echo "digest $(printf '%s\n' "$PINS" | sha256sum | cut -d' ' -f1)" >&2

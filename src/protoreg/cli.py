@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -205,16 +204,12 @@ def run_cell(cell_cfg: dict, train_ds, test_ds) -> tuple[Model, dict]:
     return model, metrics.evaluate(model, test_ds, grades=cell_cfg["data"]["grades"])
 
 
-def _run_share(fn, share: list) -> tuple[list, Exception | None]:
-    """([fn(cell) for cell in share], None), or the results before the first
-    cell that raised and its exception."""
-    results = []
-    for cell in share:
-        try:
-            results.append(fn(cell))
-        except Exception as e:
-            return results, e
-    return results, None
+def _run_share(fn, share: list) -> tuple[list | None, Exception | None]:
+    """([fn(cell) for cell in share], None), or (None, the first failing cell's exception)."""
+    try:
+        return [fn(cell) for cell in share], None
+    except Exception as e:
+        return None, e
 
 
 def _child_share(fn, share: list, cpu: int, conn) -> None:
@@ -224,7 +219,7 @@ def _child_share(fn, share: list, cpu: int, conn) -> None:
     conn.send(_run_share(fn, share))
 
 
-def _gather(child, conn) -> tuple[list, Exception | None]:
+def _gather(child, conn) -> tuple[list | None, Exception | None]:
     """The outcome that child sent through conn, once the child has ended."""
     try:
         with conn:
@@ -233,47 +228,46 @@ def _gather(child, conn) -> tuple[list, Exception | None]:
         pass
     finally:
         child.join()
-    return [], OSError(f"cell worker {child.pid} ended with exit code {child.exitcode} "
-                       "and no result")
+    return None, OSError(f"cell worker {child.pid} ended with exit code {child.exitcode} "
+                         "and no result")
 
 
 def map_cells(fn, cells: list) -> list:
     """[fn(cell) for cell in cells], run by one process per CPU that this
     process may use, at most one per cell.
 
-    With n processes, this one runs cells[0::n] and forked children run
-    cells[k::n], each on one CPU. Processes, not threads: engine.no_grad flips
-    a process-global flag. Each child sends back its results, or the
-    exception of its first failing cell, and every child has ended before
-    this returns or raises. The exception raised is that of the first failing
-    cell in cell order. With one usable CPU no child is forked. The fork start
-    method is named, so fn and the datasets reach the children unpickled; the
-    stdlib pools are not used, since their helper threads would compete for
-    the GIL with this process's own share.
+    The cells are cut into n runs of consecutive cells, one per process. This
+    process runs the first and a forked child each later one, on one CPU;
+    processes, not threads, since engine.no_grad flips a process-global flag.
+    A run stops at its first failing cell and precedes the next run's cells,
+    so the first failing run's exception, raised once every child has ended,
+    is the first failing cell's. With one usable CPU nothing forks and
+    multiprocessing is not imported. The fork start method is named, so fn and
+    the datasets reach the children unpickled; the stdlib pools are not used,
+    since their helper threads would compete for the GIL with this process's
+    own run.
     """
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    n = min(len(cpus), len(cells))
-    children, shares = [], {}
+    n = max(1, min(len(cpus), len(cells)))
+    runs = [cells[len(cells) * k // n : len(cells) * (k + 1) // n] for k in range(n)]
+    children, outcomes = [], []
     try:
-        for k in range(1, n):
+        if n > 1:
+            import multiprocessing  # only a call that forks pays for the import
             ctx = multiprocessing.get_context("fork")  # a platform without fork never gets here
-            conn, child_end = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_share, args=(fn, cells[k::n], cpus[k], child_end))
-            child.start()
-            child_end.close()
-            children.append((k, child, conn))
-        shares[0] = _run_share(fn, cells[0::n])
+            for run, cpu in zip(runs[1:], cpus[1:]):
+                conn, child_end = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_child_share, args=(fn, run, cpu, child_end))
+                child.start()
+                child_end.close()
+                children.append((child, conn))
+        outcomes.append(_run_share(fn, runs[0]))
     finally:
-        for k, child, conn in children:
-            shares[k] = _gather(child, conn)
-    # a share stops at its first failure, which is cell k + n * (cells it finished)
-    failed = [(k + n * len(results), e) for k, (results, e) in shares.items() if e is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    out = [None] * len(cells)
-    for k, (results, _) in shares.items():
-        out[k::n] = results
-    return out
+        outcomes += [_gather(child, conn) for child, conn in children]
+    for results, e in outcomes:
+        if e is not None:
+            raise e
+    return [r for results, _ in outcomes for r in results]
 
 
 def cmd_ablate(args) -> int:

@@ -78,8 +78,7 @@ def histogram_svg(histogram: np.ndarray) -> str:
 
 
 def ablation_csv(rows: list[dict]) -> str:
-    cols = ["variant", "similarity", "alpha_clst", "alpha_psd", "k", "seed",
-            "mae", "accuracy", "s_spars_mean", "diversity"]
+    cols = list(rows[0])  # the keys of cmd_ablate's rows, in their order
     lines = [",".join(cols)]
     for r in rows:
         lines.append(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])

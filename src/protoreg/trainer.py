@@ -12,11 +12,12 @@ nor move.
 from __future__ import annotations
 
 import contextlib
+import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import losses
+from . import engine, losses
 from .data import SynthDataset, augment_batch
 from .engine import Adam, Tensor
 from .model import Model
@@ -51,10 +52,14 @@ def _frozen(params: list[Tensor]):
 
 @contextlib.contextmanager
 def _located(where: str):
-    """Name the place in the protocol of a floating-point error raised in the block."""
+    """Name the place in the protocol of a floating-point error raised in the
+    block, and the innermost named engine function it was raised in."""
     try:
         yield
     except FloatingPointError as e:
+        ops = [f.f_code.co_name for f, _ in traceback.walk_tb(e.__traceback__)
+               if f.f_globals is vars(engine) and f.f_code.co_name != "<lambda>"]
+        where += f", in {ops[-1]}" if ops else ""
         raise FloatingPointError(f"non-finite value ({where}): {e}") from None
 
 

@@ -323,11 +323,11 @@ class TestAblate:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].decode().splitlines()) == 1 + 6 * 2
 
-    # with --seeds 1 on two CPUs, this process runs cells 0, 2, 4 (base, no_psd,
-    # no_clst_no_psd) and a forked child runs cells 1, 3, 5 (log_similarity, no_clst, k1)
+    # with --seeds 1 on two CPUs, this process runs cells 0-2 (base, log_similarity,
+    # no_psd) and a forked child runs cells 3-5 (no_clst, no_clst_no_psd, k1)
     @pytest.mark.parametrize("failing, first", [
         ({"k1"}, "k1"),
-        ({"log_similarity", "no_clst_no_psd"}, "log_similarity"),
+        ({"no_clst", "k1"}, "no_clst"),
         ({"no_psd", "k1"}, "no_psd"),
     ])
     def test_first_failing_cell_exits_2(self, workdir, tmp_path, capfd, monkeypatch,
@@ -355,10 +355,40 @@ class TestAblate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("cells", [list(range(7)), [5], []])
+    def test_map_cells_keeps_cell_order(self, cells):
+        # on two CPUs, seven cells are cut into runs of 3 and 4
+        assert cli.map_cells(lambda c: c * c, cells) == [c * c for c in cells]
+
+    @pytest.mark.parametrize("failing, first", [({2, 5}, 2), ({5}, 5)])
+    def test_map_cells_raises_first_failing_cell(self, failing, first):
+        def square(c):
+            if c in failing:
+                raise ValueError(f"cell {c} failed")
+            return c * c
+
+        with pytest.raises(ValueError, match=f"^cell {first} failed$"):
+            cli.map_cells(square, list(range(7)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_other_commands_do_not_import_multiprocessing(self, workdir, tmp_path):
+        src = str(Path(protoreg.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from protoreg.cli import main\n"
+                "for command in ('eval', 'embed'):\n"
+                "    assert main([command, '--checkpoint', sys.argv[1], '--data', sys.argv[2],\n"
+                "                 '--out', sys.argv[3] + command]) == 0\n"
+                "assert 'multiprocessing' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code, str(workdir / "run" / "checkpoint.bin"),
+                        str(workdir / "data"), str(tmp_path / "out_")],
+                       check=True, capture_output=True,
+                       env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+
     @two_cpus
     def test_dead_worker_raises_oserror(self):
         with pytest.raises(OSError, match=r"cell worker \d+ ended with exit code 3 and no result"):
-            cli.map_cells(lambda c: os._exit(3) if c == 1 else c, [0, 1, 2, 3])
+            cli.map_cells(lambda c: os._exit(3) if c == 3 else c, [0, 1, 2, 3])
         with pytest.raises(ChildProcessError):  # the dead worker has been waited for
             os.waitpid(-1, os.WNOHANG)
 
@@ -366,8 +396,8 @@ class TestAblate:
     def test_dead_worker_exits_2(self, workdir, tmp_path, capfd, monkeypatch):
         real = cli.train_run
 
-        def train_run(cfg, train_ds, out=None):  # log_similarity is cell 1, run by the child
-            if cfg["model"]["similarity"] == "log":
+        def train_run(cfg, train_ds, out=None):  # k1 is cell 5, run by the child
+            if cfg["loss"]["k"] == 1:
                 os._exit(3)
             return real(cfg, train_ds, out)
 
@@ -392,7 +422,7 @@ class TestGradCheckCommand:
 
 # every rate passes resolve_config, but the step at 1e300 overflows the model's
 # next forward pass; with 20 images at batch 30, an epoch is one step
-DIVERGED = "non-finite value (joint, cycle 0, epoch 1): overflow encountered in matmul"
+DIVERGED = "non-finite value (joint, cycle 0, epoch 1, in conv2d): overflow encountered in matmul"
 
 
 def diverging_config(tmp_path) -> Path:

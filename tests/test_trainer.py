@@ -521,6 +521,24 @@ class TestProtocol:
             assert moved(snaps["start"], snaps[1, "lastlayer"]) == {"prototypes"}
 
 
+def overflowing_div_backward():
+    b = Tensor(np.array([1e-160]), requires_grad=True)
+    Tensor(np.array([1.0])).div(b).sum().backward()  # the gradient of b is -1e320
+
+
+class TestLocated:
+    @pytest.mark.parametrize("block, where", [
+        (lambda: Tensor(np.array([1e200])).square(), "joint, cycle 0, epoch 1, in square"),
+        (overflowing_div_backward, "joint, cycle 0, epoch 1, in backward"),
+        (lambda: np.array([1e200]) * 1e200, "joint, cycle 0, epoch 1"),  # no engine frame
+    ])
+    def test_names_the_engine_function(self, block, where):
+        with pytest.raises(FloatingPointError) as info:
+            with np.errstate(over="raise"), trainer._located("joint, cycle 0, epoch 1"):
+                block()
+        assert str(info.value).startswith(f"non-finite value ({where}): overflow encountered")
+
+
 class TestBaseline:
     def test_baseline_learns_constant_shortcut(self):
         # with n small and few epochs we only require finite sane outputs
