@@ -20,7 +20,7 @@ def _kaiming_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 class Backbone:
     """Trainable conv stack of a resolved config's model.backbone_blocks;
-    forward() maps (N,C,H,W) images to latent volumes."""
+    forward() maps (N,C,H,W) images to latent volumes, channels-last in memory."""
 
     def __init__(self, cfg: dict, rng: np.random.Generator):
         blocks = cfg["model"]["backbone_blocks"]
@@ -55,6 +55,6 @@ class Backbone:
         x = images
         last = len(self.strides) - 1
         for i, stride in enumerate(self.strides):
-            x = x.conv2d(self.weights[i], stride=stride).add_channel_bias(self.biases[i])
-            x = x.sigmoid() if i == last else x.relu()
+            x = x.conv2d(self.weights[i], stride=stride).bias_act(
+                self.biases[i], "sigmoid" if i == last else "relu")
         return x

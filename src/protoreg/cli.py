@@ -165,8 +165,7 @@ def cmd_embed(args) -> int:
     latents = model.latents_np(test_ds.images)
     weights = metrics.contribution_matrix(model, model.head_np(latents)[0])
     n, c_z, h, w = latents.shape
-    patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)
-    del latents  # the PCA needs only patches, usually a copy of the latents: free them
+    patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)  # a view: latents are channels-last
     sample_ids = np.repeat(np.arange(n), h * w)
     patch_labels = np.repeat(test_ds.y, h * w)
     top5 = metrics.top_contributor_rows(weights)

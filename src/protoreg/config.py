@@ -153,9 +153,8 @@ def resolve_config(overrides: dict | None = None) -> dict:
     if n_bytes > MAX_DATASET_BYTES:
         raise ConfigError(f"data.train_per_grade and data.test_per_grade ask for a dataset of "
                           f"{n_bytes} bytes, over the cap of {MAX_DATASET_BYTES}")
-    # every worker of a no-grad pass holds one chunk's tensors at a time, and
-    # model._chunks adds a tail of one image to the chunk before it
-    batch = max(t["batch_size"], INFERENCE_CHUNK + 1)
+    # every worker of a no-grad pass holds one chunk's tensors at a time
+    batch = max(t["batch_size"], INFERENCE_CHUNK)
     maps = block_maps(cfg)
     for i, ((out_c, kernel, _), (h, w)) in enumerate(zip(m["backbone_blocks"], maps)):
         if kernel > min(h, w):

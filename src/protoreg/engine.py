@@ -4,13 +4,19 @@ Tensors wrap numpy arrays and record their producing operation so that a
 single backward() call over a scalar populates .grad on every reachable
 tensor with requires_grad set. No broadcasting: binary elementwise ops
 require identical shapes, and the few shape-changing ops (expand_rows,
-channel bias) are explicit. Argmin-style subgradients always route to the
-earliest index in row-major scan order, so repeated backward passes on
-identical inputs are bitwise identical. Each op that sends every input its
-own gradient gives only its value and local derivative to Tensor._unary or
-Tensor._binary, which record the node and route the gradient to the inputs
-that require one. conv2d and proto_sqdist call Tensor._result themselves:
-each builds one backward intermediate that serves both inputs.
+bias_act's channel bias) are explicit. Argmin-style subgradients always
+route to the earliest index in row-major scan order, so repeated backward
+passes on identical inputs are bitwise identical. Each op that sends every
+input its own gradient gives only its value and local derivative to
+Tensor._unary or Tensor._binary, which record the node and route the
+gradient to the inputs that require one. conv2d, bias_act and proto_sqdist
+call Tensor._result themselves: each builds one backward intermediate that
+serves both inputs, and hands the gradients it has just made to
+Tensor._take, which keeps them without a copy.
+
+conv2d and bias_act keep their (N,C,H,W)-shaped activations channels-last
+in memory (strides of an (N,H,W,C) array), so a block reads its input's
+rows and writes its output without a transpose.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ def no_grad():
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> C-contiguous (N*H*W, C): one row per spatial position."""
+    """(N,C,H,W) -> C-contiguous (N*H*W, C): one row per spatial position, a
+    view when a is channels-last in memory."""
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(-1, a.shape[1])
 
 
@@ -84,9 +91,14 @@ class Tensor:
         return out
 
     def _accum(self, g):
+        # an owned copy first: add hands one array to both parents, reshape and sum views
+        self._take(np.array(g, dtype=np.float64) if self.grad is None else g)
+
+    def _take(self, g):
+        """_accum for a float64 gradient that the op has just made and holds
+        nowhere else: the first one is kept as it is, not copied."""
         if self.grad is None:
-            # an owned copy: add hands one array to both parents, reshape and sum views
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
@@ -163,10 +175,6 @@ class Tensor:
         out = 1.0 / (1.0 + np.exp(-self.data))
         return self._unary(out, lambda g: g * out * (1.0 - out), "sigmoid")
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-        return self._unary(self.data * mask, lambda g: g * mask, "relu")
-
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None) -> "Tensor":
@@ -209,7 +217,8 @@ class Tensor:
     # -- structured ops ------------------------------------------------------
 
     def conv2d(self, weight: "Tensor", stride: int = 1) -> "Tensor":
-        """Valid (no padding) 2-D convolution: input (N,C,H,W), weight (K,C,kh,kw)."""
+        """Valid (no padding) 2-D convolution: input (N,C,H,W), weight (K,C,kh,kw),
+        output (N,K,oh,ow), channels-last in memory."""
         x, w = self, weight
         if x.data.ndim != 4 or w.data.ndim != 4:
             raise ShapeError(
@@ -223,13 +232,18 @@ class Tensor:
             raise ShapeError(
                 f"conv2d: kernel ({kh},{kw}) larger than input ({h},{wd_})"
             )
-        oh = (h - kh) // stride + 1
-        ow = (wd_ - kw) // stride + 1
-        xd, wdat = x.data, w.data
+        s = stride
+        oh = (h - kh) // s + 1
+        ow = (wd_ - kw) // s + 1
+        wdat = w.data
         p = n * oh * ow
-
-        def tap(a, i, j):
-            return a[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+        # (N,H,W,C) memory: a view when x is another block's output. Phase (a, b)
+        # holds rows a, a+s, ... and columns b, b+s, ... in one C-contiguous copy
+        # (x itself at stride 1 on channels-last memory), so each tap's rows are
+        # copied in runs of ow*C values.
+        xl = x.data.transpose(0, 2, 3, 1)
+        phases = {(a, b): np.ascontiguousarray(xl[:, a::s, b::s])
+                  for a in range(min(s, kh)) for b in range(min(s, kw))}
 
         # One matmul per tap, in the operand layout that np.einsum(optimize=True)
         # builds for the per-tap contraction, so every element is summed in the
@@ -242,39 +256,58 @@ class Tensor:
         out = np.zeros((p, k))
         for i in range(kh):
             for j in range(kw):
-                rows = _rows(tap(xd, i, j))
+                phase = phases[i % s, j % s]
+                rows = np.ascontiguousarray(
+                    phase[:, i // s : i // s + oh, j // s : j // s + ow]).reshape(p, c)
                 out += rows @ w_taps[i, j]
                 if keep_rows:
                     x_taps.append(rows)
-        out = np.ascontiguousarray(out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2))
 
         def backward(g):
             g_rows = _rows(g)
             if x.requires_grad:
                 w_taps_t = np.ascontiguousarray(wdat.transpose(2, 3, 0, 1))
-                gx = np.zeros((n, c, h, wd_))
+                gx = np.zeros((n, h, wd_, c))
                 for i in range(kh):
                     for j in range(kw):
-                        tap(gx, i, j)[...] += (
-                            (g_rows @ w_taps_t[i, j]).reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
-                        )
-                x._accum(gx)
+                        gx[:, i : i + s * oh : s, j : j + s * ow : s] += (
+                            (g_rows @ w_taps_t[i, j]).reshape(n, oh, ow, c))
+                x._take(gx.transpose(0, 3, 1, 2))
             if w.requires_grad and x_taps:  # kept if w required a gradient in the forward
                 gw = np.empty_like(wdat)
                 for t, rows in enumerate(x_taps):
                     gw[:, :, t // kw, t % kw] = (rows.T @ g_rows).T
-                w._accum(gw)
+                w._take(gw)
 
-        return Tensor._result(out, (x, w), backward, "conv2d")
+        return Tensor._result(out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2), (x, w),
+                              backward, "conv2d")
 
-    def add_channel_bias(self, bias: "Tensor") -> "Tensor":
-        """Add a per-channel bias (K,) to an (N,K,H,W) activation."""
+    def bias_act(self, bias: "Tensor", act: str) -> "Tensor":
+        """act(x + bias) of an (N,K,H,W) activation and a per-channel bias (K,),
+        with act "relu" (applied in place on the sum) or "sigmoid": one node,
+        whose memory has the activation's layout."""
         if self.data.ndim != 4 or bias.data.ndim != 1 or self.data.shape[1] != bias.data.shape[0]:
-            raise ShapeError(
-                f"add_channel_bias: got activation {self.data.shape}, bias {bias.data.shape}"
-            )
-        return self._binary(bias, self.data + bias.data[None, :, None, None],
-                            lambda g: g, lambda g: g.sum(axis=(0, 2, 3)), "bias")
+            raise ShapeError(f"bias_act: got activation {self.data.shape}, bias {bias.data.shape}")
+        if act not in ("relu", "sigmoid"):
+            raise ValueError(f"bias_act: act must be \"relu\" or \"sigmoid\", got {act!r}")
+        x, b = self, bias
+        out = x.data + b.data[None, :, None, None]
+        if act == "relu":
+            mask = out > 0.0
+            np.multiply(out, mask, out=out)
+        else:
+            out = 1.0 / (1.0 + np.exp(-out))
+
+        def backward(g):
+            gz = g * mask if act == "relu" else g * out * (1.0 - out)
+            if b.requires_grad:
+                # summed in C order, the order of an (N,K,H,W)-contiguous gradient,
+                # whatever gz's layout: numpy's reduction order follows memory
+                b._take(np.ascontiguousarray(gz).sum(axis=(0, 2, 3)))
+            if x.requires_grad:
+                x._take(gz)
+
+        return Tensor._result(out, (x, b), backward, "bias_act")
 
     def proto_sqdist(self, protos: "Tensor") -> "Tensor":
         """Squared L2 distance map between every spatial patch and every prototype.
@@ -315,10 +348,10 @@ class Tensor:
                 gz = 2.0 * zd * g.sum(axis=1)[:, None, :, :] - 2.0 * (
                     (g2d @ pd).reshape(n, h, w, c).transpose(0, 3, 1, 2)
                 )
-                z._accum(gz)
+                z._take(gz)
             if p.requires_grad:
                 gp = 2.0 * pd * g.sum(axis=(0, 2, 3))[:, None] - 2.0 * (g2d.T @ zr)
-                p._accum(gp)
+                p._take(gp)
 
         return Tensor._result(out, (z, p), backward, "proto_sqdist")
 

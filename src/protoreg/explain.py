@@ -9,6 +9,7 @@ resolution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +70,10 @@ class Explanation:
         }
 
 
-def bilinear_upsample(grid: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Align-corners bilinear interpolation of a 2-D array or a (..., h, w) stack.
-
-    The index and weight vectors are built once for the whole stack; rows are
-    gathered first, then columns, one axis at a time.
-    """
-    in_h, in_w = grid.shape[-2:]
+@functools.lru_cache(maxsize=None)
+def _upsample_plan(in_hw: tuple[int, int], out_hw: tuple[int, int]):
+    """bilinear_upsample's row and column indices and weights for one pair of sizes."""
+    in_h, in_w = in_hw
     out_h, out_w = out_hw
     ys = np.linspace(0.0, in_h - 1, out_h)
     xs = np.linspace(0.0, in_w - 1, out_w)
@@ -83,8 +81,16 @@ def bilinear_upsample(grid: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 2) if in_w > 1 else np.zeros(out_w, int)
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, None]
-    wx = xs - x0
+    return y0, y1, x0, x1, (ys - y0)[:, None], xs - x0
+
+
+def bilinear_upsample(grid: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
+    """Align-corners bilinear interpolation of a 2-D array or a (..., h, w) stack.
+
+    The index and weight vectors are built once per pair of sizes; rows are
+    gathered first, then columns, one axis at a time.
+    """
+    y0, y1, x0, x1, wy, wx = _upsample_plan(tuple(grid.shape[-2:]), tuple(out_hw))
     top, bottom = grid[..., y0, :], grid[..., y1, :]
     a, b = top[..., x0], top[..., x1]
     c, d = bottom[..., x0], bottom[..., x1]

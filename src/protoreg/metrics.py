@@ -120,8 +120,10 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
               top5_sets: list[frozenset[int]] | np.ndarray) -> EmbeddingReport:
     """Project the most prototype-adjacent patches plus prototypes into 2-D.
 
-    For each sample only its PCA_PATCHES_PER_SAMPLE patches with the smallest
-    distance to any prototype are kept.
+    patches are sample-major, the same count (h*w) for every sample, and
+    patch_sample_ids names each one's sample. For each sample only its
+    PCA_PATCHES_PER_SAMPLE patches with the smallest distance to any prototype
+    are kept.
     """
     protos = bank.vectors.data
     # a block of rows and one prototype at a time keeps the temporaries small;
@@ -131,12 +133,11 @@ def pca_embed(patches: np.ndarray, patch_sample_ids: np.ndarray,
         rows, out = patches[lo:lo + PCA_BLOCK_ROWS], d2[lo:lo + PCA_BLOCK_ROWS]
         for p in protos:
             np.minimum(out, ((rows - p) ** 2).sum(axis=1), out=out)
-    # by sample, then by distance; ties keep the earlier patch
-    order = np.lexsort((d2, patch_sample_ids))
-    _, starts, counts = np.unique(patch_sample_ids[order], return_index=True,
-                                  return_counts=True)
-    rank = np.arange(order.size) - np.repeat(starts, counts)
-    keep = np.sort(order[rank < PCA_PATCHES_PER_SAMPLE])
+    # one row of distances per sample; ties keep the earlier patch
+    n = 1 + int(np.count_nonzero(patch_sample_ids[1:] != patch_sample_ids[:-1]))
+    by_sample = d2.reshape(n, -1)
+    nearest = np.argsort(by_sample, axis=1, kind="stable")[:, :PCA_PATCHES_PER_SAMPLE]
+    keep = (np.sort(nearest, axis=1) + by_sample.shape[1] * np.arange(n)[:, None]).ravel()
     cloud = np.vstack([patches[keep], protos])
     coords, _, evr = pca_2d(cloud)
     ids = [f"sample{s}_patch{p}" for s, p in zip(patch_sample_ids[keep].tolist(), keep.tolist())]

@@ -58,19 +58,16 @@ class ForwardResult:
 
 def _chunks(n: int) -> list[slice]:
     """The chunks of every no-grad pass over n images (latents_np, dmin_np):
-    consecutive slices of at most INFERENCE_CHUNK + 1 rows, none of one row
-    unless n == 1.
+    consecutive slices of INFERENCE_CHUNK rows, the last one shorter if
+    INFERENCE_CHUNK does not divide n.
 
-    A lone sample gets distances up to 1.8e-15 away from the same sample in a
-    larger batch (the distance matmul takes another path at one row); batches
-    of two or more agree bitwise, so a tail of one joins the chunk before it.
+    Each row's bits do not depend on the chunk it is in, a lone tail image
+    included: the backbone's channels-last latents give proto_sqdist C-contiguous
+    patch rows at every batch size.
     """
     if n == 0:
         raise ValueError("no-grad pass over an empty image array")
-    starts = list(range(0, n, INFERENCE_CHUNK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    return [slice(a, min(a + INFERENCE_CHUNK, n)) for a in range(0, n, INFERENCE_CHUNK)]
 
 
 _POOL: ThreadPoolExecutor | None = None  # made on first use, one worker per usable CPU

@@ -102,6 +102,7 @@ def _run_epochs(model: Model, data: SynthDataset, cfg: dict, optimizers: list[Ad
                         batch = augment_batch(batch, rng)
                     total, m, c, p = _batch_loss(model, batch, data.y[idx], cfg_loss)
                     total.backward()
+                    del total  # the step's graph, freed before the next forward
                     for opt in optimizers:
                         opt.step()
                     for param in all_params:

@@ -3,7 +3,7 @@ import pytest
 
 from protoreg.backbone import Backbone
 from protoreg.config import ConfigError, resolve_config
-from protoreg.engine import ShapeError, Tensor
+from protoreg.engine import ShapeError, Tensor, no_grad
 from protoreg.model import Model
 
 DESK = resolve_config()  # 32x32x3 -> 6x6x16
@@ -58,6 +58,40 @@ class TestForward:
         bb = make_backbone()
         with pytest.raises(ShapeError, match="expected images"):
             bb.forward(Tensor(np.zeros((1, 3, 16, 16))))
+
+
+class TestLayout:
+    def test_block_outputs_are_channels_last(self):
+        # every conv2d and bias_act output is an (N,C,H,W)-shaped array of
+        # (N,H,W,C) memory, so no block transposes its input or output
+        images = np.random.default_rng(4).uniform(size=(2, 3, 32, 32))
+        node = make_backbone().forward(Tensor(images))
+        ops = []
+        while node._parents:
+            ops.append(node._op)
+            assert node.data.shape[0] == 2 and node.data.transpose(0, 2, 3, 1).flags.c_contiguous
+            assert not node.data.flags.c_contiguous, node._op
+            node = node._parents[0]
+        assert ops == ["bias_act", "conv2d"] * 4
+
+    @pytest.mark.parametrize("blocks", [None, [[8, 3, 2], [16, 3, 2]]],
+                             ids=["default", "two-blocks"])
+    def test_one_image_forward_matches_its_batch_row(self, blocks):
+        # a lone image's latent patches are C-contiguous rows, as in a batch, so the
+        # distances, and everything after them, have the batch's bits
+        cfg = DESK if blocks is None else resolve_config({"model": {"backbone_blocks": blocks}})
+        model = Model.from_config(cfg)
+        images = np.random.default_rng(3).uniform(size=(6, 3, 32, 32))
+        with no_grad():
+            batch = model.forward(Tensor(images))
+            latents = model.backbone.forward(Tensor(images)).data
+            for i in range(len(images)):
+                one = model.forward(Tensor(images[i : i + 1]))
+                latent = model.backbone.forward(Tensor(images[i : i + 1])).data
+                assert latent.tobytes() == latents[i : i + 1].tobytes(), i
+                for k in ("dmin", "s", "y_hat"):
+                    assert (getattr(one, k).data.tobytes()
+                            == getattr(batch, k).data[i : i + 1].tobytes()), (i, k)
 
 
 class TestGroups:

@@ -476,11 +476,11 @@ class TestErrors:
         ({"data": {"image_hw": [256, 256], "channels": 1, "grades": 2, "train_per_grade": 1,
                    "test_per_grade": 1},
           "model": {"m": 1000, "backbone_blocks": [[256, 1, 1], [256, 1, 1]]}},
-         "model.backbone_blocks[0] gives a block output of shape (65, 256, 256, 256)"),
+         "model.backbone_blocks[0] gives a block output of shape (64, 256, 256, 256)"),
         ({"data": {"image_hw": [256, 256], "channels": 1, "grades": 2, "train_per_grade": 1,
                    "test_per_grade": 1},
           "model": {"m": 1000, "backbone_blocks": [[2, 1, 1], [2, 3, 3]]}},
-         "model.m gives a distance map of shape (65, 1000, 85, 85)"),
+         "model.m gives a distance map of shape (64, 1000, 85, 85)"),
         ({"data": {"image_hw": [6, 32], "blob_radius": [3.0, 3.0]}},
          "data.blob_radius most 3.0 does not fit a 6x32 image: twice it must be <= 5"),
         ({"model": {"similarity": "log", "eps": 1.0}},

@@ -154,24 +154,24 @@ class TestResolve:
         with pytest.raises(C.ConfigError, match=re.escape(
                 "model.m gives a distance map of shape (3729, 1000, 6, 6)")):
             C.resolve_config({"model": {"m": 1000}, "train": {"batch_size": 3729}})
-        # a training batch below the inference chunk is capped at the chunk's largest
-        # size: model._chunks folds a tail of one image into the chunk before it
+        # a training batch below the inference chunk is capped at the chunk's size
         with pytest.raises(C.ConfigError, match=re.escape(
-                f"per batch of {C.INFERENCE_CHUNK + 1} images")):
+                f"per batch of {C.INFERENCE_CHUNK} images")):
             C.resolve_config({"data": {"image_hw": [256, 256], "train_per_grade": 1,
                                        "test_per_grade": 1},
                               "model": {"backbone_blocks": [[256, 1, 1], [256, 1, 1]]},
                               "train": {"batch_size": 1}})
-        # 65 test images are one chunk, whose distance map passes the cap at 65 images
-        # but not at 64
+        # 65 test images are chunks of 64 and 1, so a distance map that passes the
+        # cap at 64 images but not at 65 is accepted
         tail = {"data": {"image_hw": [45, 46], "channels": 1, "grades": 5,
                          "train_per_grade": 13, "test_per_grade": 13},
                 "model": {"m": 1000, "backbone_blocks": [[2, 1, 1], [2, 1, 1]]}}
         assert 8 * 64 * 1000 * 45 * 46 <= C.MAX_DATASET_BYTES < 8 * 65 * 1000 * 45 * 46
+        C.resolve_config(tail)
         with pytest.raises(C.ConfigError, match=re.escape(
                 "model.m gives a distance map of shape (65, 1000, 45, 46) per batch of 65 "
                 "images: 1076400000 bytes")):
-            C.resolve_config(tail)
+            C.resolve_config({**tail, "train": {"batch_size": 65}})
 
 
 JSON_VALUES = {int: st.integers(), float: st.floats(), bool: st.booleans(),

@@ -45,6 +45,15 @@ def _sig(a):
     return 1.0 / (1.0 + np.exp(-a))
 
 
+def _relu(a):
+    return a * (a > 0.0)
+
+
+def _bias_grads(gz):
+    """bias_act's input and bias gradients from its pre-activation gradient gz."""
+    return gz, gz.sum(axis=(0, 2, 3))
+
+
 # op name -> (the op on its input tensors, input arrays, numpy value, numpy
 # gradient of each input given the upstream gradient g)
 _R = np.random.default_rng(5)
@@ -88,8 +97,6 @@ ROUTED_OPS = {
                   lambda g, a: (np.where(a <= 0.5, g, 0.0),)),
     "sigmoid": (lambda a: a.sigmoid(), (_A,), _sig,
                 lambda g, a: (g * _sig(a) * (1.0 - _sig(a)),)),
-    "relu": (lambda a: a.relu(), (_A,), lambda a: a * (a > 0.0),
-             lambda g, a: (np.where(a > 0.0, g, 0.0),)),
     "sum": (lambda a: a.sum(), (_A,), np.sum, lambda g, a: (np.full(a.shape, g),)),
     "sum-axis": (lambda a: a.sum(axis=1), (_A,), lambda a: a.sum(axis=1),
                  lambda g, a: (np.repeat(g[:, None], a.shape[1], axis=1),)),
@@ -97,9 +104,13 @@ ROUTED_OPS = {
                 lambda g, a: (g.reshape(3, 4),)),
     "expand_rows": (lambda a: a.expand_rows(5), (_A[0],), lambda a: np.tile(a, (5, 1)),
                     lambda g, a: (g.sum(axis=0),)),
-    "add_channel_bias": (lambda a, b: a.add_channel_bias(b), (_X, _B[0, :3]),
-                         lambda a, b: a + b[None, :, None, None],
-                         lambda g, a, b: (g, g.sum(axis=(0, 2, 3)))),
+    "bias_act-relu": (lambda a, b: a.bias_act(b, "relu"), (_X, _B[0, :3] - 1.0),
+                      lambda a, b: _relu(a + b[None, :, None, None]),
+                      lambda g, a, b: _bias_grads(g * (a + b[None, :, None, None] > 0.0))),
+    "bias_act-sigmoid": (lambda a, b: a.bias_act(b, "sigmoid"), (_X, _B[0, :3] - 1.0),
+                         lambda a, b: _sig(a + b[None, :, None, None]),
+                         lambda g, a, b: _bias_grads(g * _sig(a + b[None, :, None, None])
+                                                     * (1.0 - _sig(a + b[None, :, None, None])))),
     "min_reduce-axis0": (lambda a: a.min_reduce(axis=0)[0], (_A,), lambda a: a.min(axis=0),
                          lambda g, a: (np.where(a == a.min(axis=0), g, 0.0),)),
     "min_reduce-axis2": (lambda a: a.min_reduce(axis=2)[0], (_X,), lambda a: a.min(axis=2),
@@ -226,6 +237,26 @@ class TestConv2dMatchesEinsum:
         got, want = conv_and_reference(1, block)
         for name, a, b in zip(("output", "input grad", "weight grad"), got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("side, stride", [(8, 1), (8, 2), (15, 1), (15, 2)])
+def test_conv2d_bits_do_not_depend_on_input_layout(side, stride):
+    """The same values in C-contiguous (N,C,H,W) memory and in channels-last
+    memory give the same output, input gradient and weight gradient bits."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, 4, side, side))
+    w = rng.normal(size=(5, 4, 3, 3))
+    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    got = []
+    for data in (x, channels_last):
+        xt, wt = t(data), t(w)
+        out = xt.conv2d(wt, stride=stride)
+        g = np.random.default_rng(8).normal(size=out.shape)
+        out.mul(t(g, grad=False)).sum().backward()
+        got.append([out.data, xt.grad, wt.grad])
+    assert t(channels_last).data.transpose(0, 2, 3, 1).flags.c_contiguous
+    for name, a, b in zip(("output", "input grad", "weight grad"), *got):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def masked_min_k_reference(d, masks, k):

@@ -293,27 +293,28 @@ class TestPcaEmbed:
     def test_keeps_each_samples_nearest_patches(self):
         rng = np.random.default_rng(8)
         bank = tiny_model(seed=0).bank
-        # coarse values give tied distances; samples are interleaved and some
-        # have fewer patches than are kept per sample
+        # coarse values give tied distances; patches are sample-major, and at 3
+        # a sample every patch is kept
         patches = np.round(rng.uniform(size=(60, bank.vectors.data.shape[1])), 1)
         patches[10:14] = patches[2]
-        ids = rng.integers(0, 9, size=60)
         d2 = ((patches[:, None, :] - bank.vectors.data[None]) ** 2).sum(axis=2).min(axis=1)
-        want = []
-        for sid in np.unique(ids):
-            rows = np.flatnonzero(ids == sid)
-            want.extend(rows[np.argsort(d2[rows], kind="stable")][:5])
-        report = metrics.pca_embed(patches, ids, np.zeros(60), bank, [frozenset(range(3))])
-        kept = [int(name.split("_patch")[1]) for name, kind, *_ in report.points
-                if kind == "sample"]
-        assert kept == sorted(want)
+        for per_sample in (3, 6, 12):
+            ids = np.repeat(np.arange(60 // per_sample), per_sample)
+            want = []
+            for sid in np.unique(ids):
+                rows = np.flatnonzero(ids == sid)
+                want.extend(rows[np.argsort(d2[rows], kind="stable")][:5])
+            report = metrics.pca_embed(patches, ids, np.zeros(60), bank, [frozenset(range(3))])
+            kept = [int(name.split("_patch")[1]) for name, kind, *_ in report.points
+                    if kind == "sample"]
+            assert kept == sorted(want), per_sample
 
     @pytest.mark.parametrize("block_rows", [1, 7, 59])
     def test_row_blocks_keep_the_report(self, monkeypatch, block_rows):
         bank = tiny_model(seed=0).bank
         rng = np.random.default_rng(9)
         patches = rng.uniform(size=(60, bank.vectors.data.shape[1]))
-        args = (patches, rng.integers(0, 9, size=60), rng.uniform(size=60), bank,
+        args = (patches, np.repeat(np.arange(10), 6), rng.uniform(size=60), bank,
                 [frozenset(range(3))])
         whole = metrics.pca_embed(*args)
         monkeypatch.setattr(metrics, "PCA_BLOCK_ROWS", block_rows)
@@ -457,6 +458,21 @@ class TestExplain:
     def test_prediction_matches_model(self, model, image):
         e = explain(image, sample_id=0, y=1.0, model=model, top_k=3)
         assert np.isclose(e.y_hat, model.head_np(model.latents_np(image[None]))[1][0])
+
+    def test_prediction_has_evals_bits(self):
+        # one image explained alone gets the y_hat that eval's batched pass gives it
+        from protoreg.config import resolve_config
+        from protoreg.model import Model
+
+        model = Model.from_config(resolve_config())
+        rng = np.random.default_rng(5)
+        y = np.arange(1.0, 8.0)
+        ds = SynthDataset(images=rng.uniform(size=(7, 3, 32, 32)), y=y, y_categorical=y,
+                          label_mode="categorical", split="test")
+        y_hat = metrics.per_sample_weights(model, ds)[0]
+        for i in range(len(ds)):
+            e = explain(ds.images[i], sample_id=i, y=y[i], model=model, top_k=3)
+            assert e.y_hat == y_hat[i], i
 
 
 class TestEvaluate:

@@ -163,10 +163,12 @@ class TestForwardNp:
         model = tiny_model(seed=4)
         ds = tiny_dataset(n=11, seed=2)
         whole = no_grad_outputs(model, ds)  # one chunk of all 11
-        # sizes 2, 5 and 10 would leave image 10 alone, where its distances differ
-        for size in range(2, 11):
+        # sizes 1, 2, 5 and 10 leave image 10 alone in the last chunk
+        for size in range(1, 12):
             monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
-            assert max(c.stop - c.start for c in _chunks(len(ds))) <= size + 1
+            chunks = _chunks(len(ds))
+            assert [c.stop - c.start for c in chunks] == [size] * (11 // size) + (
+                [11 % size] if 11 % size else [])
             out = no_grad_outputs(model, ds)
             for a, b in zip(out, whole, strict=True):
                 assert a.tobytes() == b.tobytes(), size
@@ -194,7 +196,7 @@ class TestForwardNp:
 
         model = tiny_model(seed=4)
         images = tiny_dataset(n=11, seed=2).images
-        # size 5 and 10 fold a lone tail image into the chunk before it
+        # size 5 and 10 leave a lone tail image
         for size in (5, 10, 64):
             monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
             dmin, *_, forward = chunk_loop(model, images, _chunks(len(images)))
@@ -228,7 +230,7 @@ class TestChunkPool:
         images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
         results = _map_chunks(lambda chunk: model.forward(Tensor(images[chunk])).y_hat,
                               _chunks(129))
-        assert [r.data.shape[0] for r in results] == [64, 65]
+        assert [r.data.shape[0] for r in results] == [64, 64, 1]
         assert all(r._parents == () and not r.requires_grad for r in results)
         assert engine._GRAD_ENABLED is True
         with engine.no_grad():
