@@ -135,14 +135,19 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
-    out = _out_dir(args.out)
     test_ds = _load_split(args.data, "test")
-    sample_ids = [int(s) for s in args.sample_ids.split(",")]
+    try:
+        sample_ids = [int(s) for s in args.sample_ids.split(",")]
+    except ValueError as e:
+        raise ValueError(f"--sample-ids: {e}") from None
     for sid in sample_ids:
         if not 0 <= sid < len(test_ds):
-            raise ValueError(f"sample id {sid} out of range [0,{len(test_ds)})")
-        exp = explain(test_ds.images[sid], sid, float(test_ds.y[sid]), model,
-                      top_k=args.top_k)
+            raise ValueError(f"--sample-ids: sample id {sid} out of range [0,{len(test_ds)})")
+    # all built before anything is written, so a bad --top-k leaves no files
+    explanations = [explain(test_ds.images[sid], sid, float(test_ds.y[sid]), model, args.top_k)
+                    for sid in sample_ids]
+    out = _out_dir(args.out)
+    for sid, exp in zip(sample_ids, explanations):
         if not exp.projected:
             print(f"warning: checkpoint not projected, sample {sid} has no provenance",
                   file=sys.stderr)

@@ -171,10 +171,6 @@ class Tensor:
         mask = self.data <= hi
         return self._unary(np.minimum(self.data, hi), lambda g: g * mask, "clamp_max")
 
-    def sigmoid(self) -> "Tensor":
-        out = 1.0 / (1.0 + np.exp(-self.data))
-        return self._unary(out, lambda g: g * out * (1.0 - out), "sigmoid")
-
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None) -> "Tensor":

@@ -118,6 +118,8 @@ def explain(image: np.ndarray, sample_id: int, y: float, model: Model,
     """Build the explanation for a single (C,H,W) image."""
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
+    if top_k > model.bank.m:
+        raise ValueError(f"top_k must be <= the model's {model.bank.m} prototypes, got {top_k}")
     with no_grad():
         result = model.forward(Tensor(image[None]))
         # (m, h_z, w_z): the model's own similarity of every patch

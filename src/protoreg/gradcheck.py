@@ -33,8 +33,9 @@ def run_suites(seed: int = 0) -> list[dict]:
         results.append({"suite": name, "max_rel_error": err, "tolerance": tol,
                         "passed": bool(err < tol)})
 
-    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    add("sigmoid-chain", grad_check(lambda: x.sigmoid().square().sum(), [x]), 1e-6)
+    x = Tensor(rng.normal(size=(4, 5)).reshape(1, 4, 5, 1), requires_grad=True)
+    zero = Tensor(np.zeros(4))
+    add("sigmoid-chain", grad_check(lambda: x.bias_act(zero, "sigmoid").square().sum(), [x]), 1e-6)
 
     v = Tensor(rng.uniform(0.5, 2.0, size=7), requires_grad=True)
     add("log", grad_check(lambda: v.log().sum(), [v]))

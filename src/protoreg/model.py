@@ -16,10 +16,10 @@ identical to the saved one.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -70,19 +70,13 @@ def _chunks(n: int) -> list[slice]:
     return [slice(a, min(a + INFERENCE_CHUNK, n)) for a in range(0, n, INFERENCE_CHUNK)]
 
 
-_POOL: ThreadPoolExecutor | None = None  # made on first use, one worker per usable CPU
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """Run in a forked child, which inherits _POOL but none of its worker threads,
-    and _POOL_LOCK as held if another thread held it: the child makes its own."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+@functools.lru_cache(maxsize=None)
+def _pool(pid: int) -> ThreadPoolExecutor:
+    """Process pid's chunk pool, one worker per CPU it may use when it first
+    asks. A forked child has a pid of its own, so it makes its own pool and
+    never touches the copy of its parent's, whose threads it did not inherit."""
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0))
+                              if hasattr(os, "sched_getaffinity") else os.cpu_count())
 
 
 def _map_chunks(fn, chunks: list[slice]) -> list:
@@ -94,11 +88,6 @@ def _map_chunks(fn, chunks: list[slice]) -> list:
     the calling thread, and never by a worker. numpy's error state is per
     thread, so each worker takes the caller's.
     """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0))
-                                       if hasattr(os, "sched_getaffinity") else os.cpu_count())
     err = np.geterr()
 
     def run(chunk: slice):
@@ -106,7 +95,7 @@ def _map_chunks(fn, chunks: list[slice]) -> list:
             return fn(chunk)
 
     with no_grad():
-        return list(_POOL.map(run, chunks))
+        return list(_pool(os.getpid()).map(run, chunks))
 
 
 @dataclass

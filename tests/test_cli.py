@@ -507,6 +507,21 @@ class TestErrors:
             "twice it must be <= 31\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sample_ids, top_k, message", [
+        ("0,99999", "3", "--sample-ids: sample id 99999 out of range [0,6)"),
+        ("1,x", "3", "--sample-ids: invalid literal for int() with base 10: 'x'"),
+        ("0", "4", "top_k must be <= the model's 3 prototypes, got 4"),
+    ])
+    def test_bad_explain_input_writes_nothing(self, workdir, tmp_path, capsys, sample_ids,
+                                               top_k, message):
+        rc = main(["explain", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                   "--data", str(workdir / "data"), "--sample-ids", sample_ids,
+                   "--top-k", top_k, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list((tmp_path / "out").glob("explanation_*.json"))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "embed"])
     def test_empty_test_split_exits_2(self, workdir, tmp_path, capsys, command):
         test = load_dataset(workdir / "data" / "test.insd")

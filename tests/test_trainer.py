@@ -3,6 +3,7 @@
 import os
 import select
 import signal
+import threading
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,33 @@ def tiny_dataset(n=12, seed=0, grades=4):
         label_mode="categorical",
         split="train",
     )
+
+
+def from_forked_child(produce) -> bytes:
+    """The bytes that produce() returns in a forked child; fails the test if
+    the child has not finished within 30 s."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            os.write(write_end, produce())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        got = b""
+        while select.select([read_end], [], [], 30.0)[0]:
+            chunk = os.read(read_end, 1 << 16)
+            if not chunk:
+                return got
+            got += chunk
+        pytest.fail("forked child did not finish within 30 s")
+    finally:
+        os.close(read_end)
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def tiny_cfg(augment=False, **train):
@@ -271,30 +299,31 @@ class TestChunkPool:
         model = tiny_model(seed=4)
         images = np.random.default_rng(0).uniform(size=(130, 3, 8, 8))
         want = model.predict_np(images).tobytes()
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.close(read_end)
-                os.write(write_end, model.predict_np(images).tobytes())
-            finally:
-                os._exit(0)
-        os.close(write_end)
-        try:
-            got = b""
-            while select.select([read_end], [], [], 30.0)[0]:
-                chunk = os.read(read_end, 1 << 16)
-                if not chunk:
-                    break
-                got += chunk
-            else:
-                pytest.fail("forked child's predict_np did not finish within 30 s")
-        finally:
-            os.close(read_end)
-            if os.waitpid(pid, os.WNOHANG) == (0, 0):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        assert got == want
+        assert from_forked_child(lambda: model.predict_np(images).tobytes()) == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.fork and os.sched_setaffinity")
+    def test_child_pinned_to_one_cpu_runs_on_one_thread(self):
+        # what keeps N ablate children at N pool threads, not N x N
+        from protoreg.model import _chunks, _map_chunks
+
+        model = tiny_model(seed=4)
+        images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
+
+        def y_hat(chunk):
+            return model.forward(Tensor(images[chunk])).y_hat.data
+
+        want = np.concatenate(_map_chunks(y_hat, _chunks(129))).tobytes()  # makes our pool
+
+        def pinned_pass():
+            os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+            ran = _map_chunks(lambda chunk: (threading.get_ident(), y_hat(chunk)), _chunks(129))
+            threads = {ident for ident, _ in ran}
+            return bytes([len(ran), len(threads)]) + np.concatenate([y for _, y in ran]).tobytes()
+
+        got = from_forked_child(pinned_pass)
+        assert got[:2] == bytes([3, 1])  # 3 chunks, all on one thread
+        assert got[2:] == want
 
 
 class TestLastLayerCache:
