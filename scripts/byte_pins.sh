@@ -2,10 +2,10 @@
 # Byte pins of the default pipeline: gen-data, train, eval, explain and embed on
 # the default config with one BLAS thread, then a short training run with
 # augmentation and continuous labels, a small ablation matrix, an eval and
-# embed on a 1000-image test split, a dataset off the default sizes and the
-# grad-check suites, then the sha256 of every output
-# that the numerics decide. A change that leaves the
-# numerics alone prints the same lines before and after it. Ends by writing
+# embed on a 1000-image test split, a dataset off the default sizes, the
+# grad-check suites and explanations on the 1000-image split, then the sha256
+# of every output that the numerics decide. A change that leaves the numerics
+# alone prints the same lines before and after it. Ends by writing
 # "digest <sha256 of those lines>" to stderr, the one value to compare. Runs
 # the code of the checkout the script is in.
 # Usage: scripts/byte_pins.sh [out-root], where out-root is new or empty.
@@ -69,6 +69,11 @@ protoreg eval --checkpoint "$OUT/large/run/checkpoint.bin" --data "$OUT/large/da
   --out "$OUT/large/eval"
 protoreg embed --checkpoint "$OUT/large/run/checkpoint.bin" --data "$OUT/large/data" \
   --out "$OUT/large/embed"
+# explanations read image by image: both edges of the first chunk boundary and
+# the last image, pinned as one line, the sha256 list of every file written
+protoreg explain --checkpoint "$OUT/large/run/checkpoint.bin" --data "$OUT/large/data" \
+  --sample-ids 0,63,64,999 --out "$OUT/large/explain"
+(cd "$OUT/large/explain" && sha256sum explanation_*.json *.pgm) > "$OUT/large/explain.sha256"
 
 # a dataset off the defaults that every run above keeps: a non-square image,
 # one channel, other grade and blob counts, a narrower radius and no noise
@@ -93,6 +98,6 @@ PINS="$(sha256sum run/checkpoint.bin eval/metrics.json run/training_log.csv eval
   data/*.insd ablate/data/*.insd large/data/*.insd \
   explain_all/explanation_*.json explain_all/*.pgm \
   augment/run/checkpoint.bin augment/run/training_log.csv \
-  offdefault/data/*.insd grad_check.txt)"
+  offdefault/data/*.insd grad_check.txt large/explain.sha256)"
 printf '%s\n' "$PINS"
 echo "digest $(printf '%s\n' "$PINS" | sha256sum | cut -d' ' -f1)" >&2

@@ -65,14 +65,24 @@ def _load_cfg(path: str | None) -> dict:
     return config_mod.load_config(path) if path else config_mod.resolve_config()
 
 
-def _load_split(path: str, split: str) -> data_mod.SynthDataset:
-    """The split of a .insd file, or of a gen-data output dir's {split}.insd."""
+def _split_path(path: str, split: str) -> Path:
+    """A .insd file, or a gen-data output dir's {split}.insd."""
     p = Path(path)
     if p.is_dir():
         p = p / f"{split}.insd"
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
-    return data_mod.load_dataset(p, split=split)
+    return p
+
+
+def _load_split(path: str, split: str) -> data_mod.SynthDataset:
+    """The split at path (see _split_path), every image read."""
+    return data_mod.load_dataset(_split_path(path, split), split=split)
+
+
+def _open_split(path: str, split: str):
+    """The split at path (see _split_path), open, its images read on demand."""
+    return data_mod.open_dataset(_split_path(path, split), split=split)
 
 
 def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trainer.TrainLog]:
@@ -96,14 +106,11 @@ def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trai
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args.config)
     out = _out_dir(args.out)
-    train_ds, test_ds = data_mod.make_splits(cfg["data"])
-    if cfg["data"]["continuous"]:
-        train_ds = data_mod.continuous_labels(train_ds, cfg["data"]["continuous_seed"])
-    data_mod.save_dataset(train_ds, out / "train.insd")
-    data_mod.save_dataset(test_ds, out / "test.insd")
+    n = {split: data_mod.save_split(cfg["data"], split, out / f"{split}.insd")
+         for split in data_mod.SPLITS}
     config_mod.save_config(cfg, out / "resolved_config.json")
-    print(f"wrote {out / 'train.insd'} ({len(train_ds)} samples) and "
-          f"{out / 'test.insd'} ({len(test_ds)} samples)")
+    print(f"wrote {out / 'train.insd'} ({n['train']} samples) and "
+          f"{out / 'test.insd'} ({n['test']} samples)")
     return 0
 
 
@@ -117,11 +124,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
-    out = _out_dir(args.out)
-    test_ds = _load_split(args.data, "test")
-    y_hat, weights = metrics.per_sample_weights(model, test_ds)
+    with _open_split(args.data, "test") as test_ds:
+        y_hat, weights = metrics.per_sample_weights(model, test_ds)
     result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"],
                               weights=(y_hat, weights))
+    out = _out_dir(args.out)
     (out / "metrics.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     lines = ["sample_id,y,y_hat,abs_err,s_spars"]
     rows = zip(test_ds.y.tolist(), y_hat.tolist(), metrics.sparsity_rows(weights).tolist())
@@ -135,17 +142,19 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
-    test_ds = _load_split(args.data, "test")
     try:
         sample_ids = [int(s) for s in args.sample_ids.split(",")]
     except ValueError as e:
         raise ValueError(f"--sample-ids: {e}") from None
-    for sid in sample_ids:
-        if not 0 <= sid < len(test_ds):
-            raise ValueError(f"--sample-ids: sample id {sid} out of range [0,{len(test_ds)})")
-    # all built before anything is written, so a bad --top-k leaves no files
-    explanations = [explain(test_ds.images[sid], sid, float(test_ds.y[sid]), model, args.top_k)
-                    for sid in sample_ids]
+    with _open_split(args.data, "test") as test_ds:
+        for sid in sample_ids:
+            if not 0 <= sid < len(test_ds):
+                raise ValueError(f"--sample-ids: sample id {sid} out of range "
+                                 f"[0,{len(test_ds)})")
+        # all built before anything is written, so a bad --top-k or image leaves no
+        # files; each reads only its own image
+        explanations = [explain(test_ds.images[sid], sid, float(test_ds.y[sid]), model,
+                                args.top_k) for sid in sample_ids]
     out = _out_dir(args.out)
     for sid, exp in zip(sample_ids, explanations):
         if not exp.projected:
@@ -165,9 +174,8 @@ def cmd_explain(args) -> int:
 
 def cmd_embed(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
-    out = _out_dir(args.out)
-    test_ds = _load_split(args.data, "test")
-    latents = model.latents_np(test_ds.images)
+    with _open_split(args.data, "test") as test_ds:
+        latents = model.latents_np(test_ds.images)
     weights = metrics.contribution_matrix(model, model.head_np(latents)[0])
     n, c_z, h, w = latents.shape
     patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)  # a view: latents are channels-last
@@ -175,6 +183,7 @@ def cmd_embed(args) -> int:
     patch_labels = np.repeat(test_ds.y, h * w)
     top5 = metrics.top_contributor_rows(weights)
     report = metrics.pca_embed(patches, sample_ids, patch_labels, model.bank, top5)
+    out = _out_dir(args.out)
     (out / "embedding.csv").write_text(reports.embedding_csv(report))
     (out / "embedding.svg").write_text(reports.embedding_svg(report))
     (out / "usage_histogram.svg").write_text(reports.histogram_svg(report.histogram))

@@ -13,13 +13,21 @@ File format (little-endian):
     f64 images, count*channels*height*width values, row-major
     f64 internal labels, count values (continuous in continuous mode)
     f64 internal categorical grades, count values (reference copy)
+
+open_dataset checks a file's header, payload size and labels when it opens
+the file, and reads its images on demand, each read checked finite;
+load_dataset opens a file and reads every image. gen-data's save_split draws
+and writes a split a block of images at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import operator
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,6 +43,11 @@ class DataFormatError(ValueError):
 
 
 MAGIC = b"INSD1"
+_HEADER = struct.Struct("<5I")  # channels, height, width, count, label mode
+_PAYLOAD_AT = len(MAGIC) + _HEADER.size  # the byte offset of the first image value
+SPLITS = ("train", "test")
+WRITE_BLOCK = 64  # images per block that save_split draws and writes
+_FINITE_BLOCK = 1 << 16  # values per block of _first_non_finite: a 64 KiB temporary
 LABEL_SHIFT = 1.0  # internal labels = reported grade + 1, keeping them positive
 
 _BACKGROUND = 0.85
@@ -46,7 +59,7 @@ _DRAW_BLOCK = 3 * 96  # placement values per rng.random call: 96 attempts' worth
 
 @dataclass
 class SynthDataset:
-    images: np.ndarray  # (N, C, H, W) float64 in [0,1]
+    images: np.ndarray | SplitImages  # (N, C, H, W) float64 in [0,1]
     y: np.ndarray  # (N,) internal labels (categorical grade or continuous)
     y_categorical: np.ndarray  # (N,) internal categorical grade, kept as reference
     label_mode: str  # "categorical" | "continuous"
@@ -123,17 +136,29 @@ def _draw_image(d: dict, n_blobs: int, rng: np.random.Generator,
     return img
 
 
-def generate(d: dict, per_grade: int, split: str, seed: int) -> SynthDataset:
-    """Balanced dataset: per_grade images of every internal grade 1..grades,
-    drawn as a resolved config's data section d describes."""
+def _grades(d: dict, per_grade: int) -> np.ndarray:
+    """(N,) internal grades of a balanced split: per_grade images of every
+    grade 1..grades, in grade order."""
+    return np.repeat(np.arange(1.0, d["grades"] + 1), per_grade)
+
+
+def _drawn_images(d: dict, grades: np.ndarray, seed) -> Iterator[np.ndarray]:
+    """The (H, W) image of each of grades in turn, all drawn from one
+    generator seeded with seed."""
     rng = np.random.default_rng(seed)
     h, w = d["image_hw"]
     yy, xx = np.mgrid[0:h, 0:w]
-    images = np.empty((d["grades"] * per_grade, d["channels"], h, w))
-    y = np.repeat(np.arange(1.0, d["grades"] + 1), per_grade)
-    for i, g in enumerate(y):
-        # every channel holds the same image
-        images[i] = _draw_image(d, int(g) * d["blobs_per_grade"], rng, yy, xx)
+    for g in grades:
+        yield _draw_image(d, int(g) * d["blobs_per_grade"], rng, yy, xx)
+
+
+def generate(d: dict, per_grade: int, split: str, seed: int) -> SynthDataset:
+    """Balanced dataset: per_grade images of every internal grade 1..grades,
+    drawn as a resolved config's data section d describes."""
+    y = _grades(d, per_grade)
+    images = np.empty((y.size, d["channels"], *d["image_hw"]))
+    for i, img in enumerate(_drawn_images(d, y, seed)):
+        images[i] = img  # every channel holds the same image
     return SynthDataset(
         images=images,
         y=y,
@@ -143,20 +168,23 @@ def generate(d: dict, per_grade: int, split: str, seed: int) -> SynthDataset:
     )
 
 
+def _split_draws(d: dict, split: str) -> dict:
+    """generate's per_grade and seed for the split named split of a resolved
+    config's data section d: the train split is drawn with d["seed"], the
+    test split with d["seed"] + 1."""
+    return {"per_grade": d[f"{split}_per_grade"], "seed": d["seed"] + SPLITS.index(split)}
+
+
 def make_splits(d: dict) -> tuple[SynthDataset, SynthDataset]:
     """(train, test) splits of a resolved config's data section d."""
-    train = generate(d, d["train_per_grade"], "train", d["seed"])
-    test = generate(d, d["test_per_grade"], "test", d["seed"] + 1)
+    train, test = (generate(d, split=split, **_split_draws(d, split)) for split in SPLITS)
     return train, test
 
 
-def continuous_labels(ds: SynthDataset, seed: int) -> SynthDataset:
-    """Jitter each categorical grade c to a draw from U(c-0.5, c+0.5)."""
-    if ds.label_mode != "categorical":
-        raise DataConfigError("continuous_labels expects categorical input labels")
+def continuous_labels(y_categorical: np.ndarray, seed: int) -> np.ndarray:
+    """Each categorical grade c jittered to a draw from U(c-0.5, c+0.5)."""
     rng = np.random.default_rng(seed)
-    y = ds.y_categorical + rng.uniform(-0.5, 0.5, size=len(ds))
-    return replace(ds, y=y, label_mode="continuous")
+    return y_categorical + rng.uniform(-0.5, 0.5, size=y_categorical.size)
 
 
 def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -196,56 +224,182 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def read_payload(f, path, count: int, error: type[Exception]) -> np.ndarray:
-    """The rest of the open file f as count finite little-endian float64 values.
-
-    The size is checked before anything is allocated, so a corrupt header
-    cannot ask for a huge buffer. Raises error, naming path, otherwise.
-    """
-    found = os.fstat(f.fileno()).st_size - f.tell()
+def _check_payload_size(fd: int, path, offset: int, count: int,
+                        error: type[Exception]) -> None:
+    """Raise error, naming path, unless the file of descriptor fd holds exactly
+    count little-endian float64 values from byte offset to its end. Callers
+    check before they allocate, so a corrupt header cannot ask for a huge
+    buffer."""
+    found = os.fstat(fd).st_size - offset
     extra = found - 8 * count
     if extra:
         raise error(f"{path}: payload of {found} bytes has {abs(extra)} bytes "
                     f"{'trailing' if extra > 0 else 'missing'}; the header expects "
                     f"{count} payload values")
+
+
+def _first_non_finite(values: np.ndarray) -> int | None:
+    """The flat index of the first non-finite value of values, or None;
+    checked _FINITE_BLOCK values at a time, so the check's boolean temporary
+    stays small."""
+    flat = values.reshape(-1)
+    for lo in range(0, flat.size, _FINITE_BLOCK):
+        finite = np.isfinite(flat[lo : lo + _FINITE_BLOCK])
+        if not finite.all():
+            return lo + int(np.argmin(finite))
+    return None
+
+
+def read_payload(f, path, count: int, error: type[Exception]) -> np.ndarray:
+    """The rest of the open file f as count finite little-endian float64 values.
+    Raises error, naming path, otherwise."""
+    _check_payload_size(f.fileno(), path, f.tell(), count, error)
     body = np.empty(count, dtype="<f8")
-    if f.readinto(body) != found:
+    if f.readinto(body) != 8 * count:
         raise error(f"{path}: payload changed while it was read")
-    finite = np.isfinite(body)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        raise error(f"{path}: {bad.size} non-finite payload values, the first at value {bad[0]}")
+    bad = _first_non_finite(body)
+    if bad is not None:
+        raise error(f"{path}: non-finite payload value {bad}")
     return body
 
 
-def save_dataset(ds: SynthDataset, path) -> None:
-    n, c, h, w = ds.images.shape
-    mode = 1 if ds.label_mode == "continuous" else 0
-    write_atomic(path, (
-        MAGIC,
-        struct.pack("<5I", c, h, w, n, mode),
-        *(np.ascontiguousarray(a, dtype="<f8") for a in (ds.images, ds.y, ds.y_categorical)),
+def _pread_into(fd: int, path, out: np.ndarray, offset: int) -> None:
+    """Fill the C-contiguous array out from the file of descriptor fd at byte
+    offset, by positional reads, which move no shared file position."""
+    view = memoryview(out).cast("B")
+    done = 0
+    while done < view.nbytes:
+        got = os.preadv(fd, [view[done:]], offset + done)
+        if got == 0:  # the file is shorter than when it was opened
+            raise DataFormatError(f"{path}: payload changed while it was read")
+        done += got
+
+
+class SplitImages:
+    """The (N, C, H, W) images of a .insd file that open_dataset holds open,
+    read when indexed: images[i], for 0 <= i < N, is image i, a (C, H, W)
+    array, and images[a:b] the (b - a, C, H, W) array of images a to b - 1.
+
+    Each index makes one fresh float64 array, fills it with positional reads
+    of the file's one descriptor, so threads may read at once, and checks its
+    values finite. Other indexing (a step, a list) is not supported.
+    """
+
+    def __init__(self, fd: int, path, shape: tuple[int, int, int, int]):
+        self.fd, self.path, self.shape = fd, path, shape
+        self.per_image = shape[1] * shape[2] * shape[3]
+
+    def __getitem__(self, key):
+        n = self.shape[0]
+        if isinstance(key, slice):
+            start, stop, step = key.indices(n)
+            if step != 1:
+                raise IndexError(f"{self.path}: images read in steps of 1, got {step}")
+            return self._read(start, max(stop - start, 0))
+        i = operator.index(key)
+        if not 0 <= i < n:
+            raise IndexError(f"{self.path}: image {i} out of range [0,{n})")
+        return self._read(i, 1)[0]
+
+    def _read(self, start: int, count: int) -> np.ndarray:
+        out = np.empty((count, *self.shape[1:]), dtype="<f8")
+        first = start * self.per_image  # the payload index of out's first value
+        _pread_into(self.fd, self.path, out, _PAYLOAD_AT + 8 * first)
+        bad = _first_non_finite(out)
+        if bad is not None:
+            raise DataFormatError(f"{self.path}: non-finite payload value {first + bad}, "
+                                  f"in image {start + bad // self.per_image}")
+        return out
+
+
+def _write(path, n: int, chw: tuple[int, int, int], label_mode: str, image_blocks,
+           y: np.ndarray, y_categorical: np.ndarray) -> None:
+    """Write a .insd file of n images of shape chw, given as an iterable of
+    C-contiguous float64 blocks of consecutive images."""
+    write_atomic(path, itertools.chain(
+        (MAGIC, _HEADER.pack(*chw, n, int(label_mode == "continuous"))),
+        image_blocks,
+        (np.ascontiguousarray(a, dtype="<f8") for a in (y, y_categorical)),
     ))
 
 
-def load_dataset(path, split: str = "unknown") -> SynthDataset:
-    with open(path, "rb") as f:
-        magic = f.read(5)
+def save_dataset(ds: SynthDataset, path) -> None:
+    n, *chw = ds.images.shape
+    _write(path, n, chw, ds.label_mode, [np.ascontiguousarray(ds.images, dtype="<f8")],
+           ds.y, ds.y_categorical)
+
+
+def save_split(d: dict, split: str, path) -> int:
+    """Write the split named split of a resolved config's data section d to
+    path, with the bytes that generate and save_dataset give it (and, for the
+    train split with d["continuous"] set, continuous_labels' labels, seeded
+    with d["continuous_seed"]). Images are drawn and written WRITE_BLOCK at a
+    time, so no more are held. Returns the split's image count."""
+    draws = _split_draws(d, split)
+    grades = _grades(d, draws["per_grade"])
+    continuous = split == "train" and d["continuous"]
+    y = continuous_labels(grades, d["continuous_seed"]) if continuous else grades
+    n, chw = grades.size, (d["channels"], *d["image_hw"])
+    images = _drawn_images(d, grades, draws["seed"])
+
+    def blocks():
+        for lo in range(0, n, WRITE_BLOCK):
+            block = np.empty((min(WRITE_BLOCK, n - lo), *chw))
+            # zip asks block first, so it stops without drawing the next block's image
+            for row, img in zip(block, images):
+                row[...] = img  # every channel holds the same image
+            yield block
+
+    _write(path, n, chw, "continuous" if continuous else "categorical", blocks(), y, grades)
+    return n
+
+
+@contextlib.contextmanager
+def open_dataset(path, split: str = "unknown") -> Iterator[SynthDataset]:
+    """The dataset of a .insd file, for the duration of the block, with its
+    images read on demand (SplitImages) and its labels in memory.
+
+    The magic, the header, the label mode, the payload size and both label
+    vectors are checked here; each image read is checked finite as it is
+    read. Raises DataFormatError, naming path.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        prefix = os.pread(fd, _PAYLOAD_AT, 0)
+        magic = prefix[: len(MAGIC)]
         if magic != MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header = f.read(20)
-        if len(header) != 20:
+        if len(prefix) != _PAYLOAD_AT:
             raise DataFormatError(f"{path}: truncated header")
-        c, h, w, n, mode = struct.unpack("<5I", header)
+        c, h, w, n, mode = _HEADER.unpack_from(prefix, len(MAGIC))
         if mode not in (0, 1):
             raise DataFormatError(f"{path}: label mode {mode}, expected 0 (categorical) "
                                   "or 1 (continuous)")
         n_pixels = n * c * h * w
-        body = read_payload(f, path, n_pixels + 2 * n, DataFormatError)
-    return SynthDataset(
-        images=body[:n_pixels].reshape(n, c, h, w),
-        y=body[n_pixels : n_pixels + n],
-        y_categorical=body[n_pixels + n :],
-        label_mode="continuous" if mode else "categorical",
-        split=split,
-    )
+        _check_payload_size(fd, path, _PAYLOAD_AT, n_pixels + 2 * n, DataFormatError)
+        labels = np.empty(2 * n, dtype="<f8")
+        _pread_into(fd, path, labels, _PAYLOAD_AT + 8 * n_pixels)
+        bad = _first_non_finite(labels)
+        if bad is not None:
+            raise DataFormatError(f"{path}: non-finite payload value {n_pixels + bad}, "
+                                  "in the labels")
+        images = SplitImages(fd, path, (n, c, h, w))
+        try:
+            yield SynthDataset(
+                images=images,
+                y=labels[:n],
+                y_categorical=labels[n:],
+                label_mode="continuous" if mode else "categorical",
+                split=split,
+            )
+        finally:
+            images.fd = -1  # a later read fails, not reads a file that reuses fd
+    finally:
+        os.close(fd)
+
+
+def load_dataset(path, split: str = "unknown") -> SynthDataset:
+    """The dataset of a .insd file with every image read: open_dataset, then
+    one read of all the images."""
+    with open_dataset(path, split) as ds:
+        return replace(ds, images=ds.images[:])

@@ -158,8 +158,9 @@ def contribution_matrix(model: Model, s: np.ndarray) -> np.ndarray:
 
 
 def per_sample_weights(model: Model, dataset: SynthDataset) -> tuple[np.ndarray, np.ndarray]:
-    """(y_hat, W) where W[i] holds sample i's contribution weights."""
-    s, y_hat = model.head_np(model.latents_np(dataset.images))
+    """(y_hat, W) where W[i] holds sample i's contribution weights. The images
+    may be an open split's (data.SplitImages)."""
+    s, y_hat = model.score_np(dataset.images)
     return y_hat, contribution_matrix(model, s)
 
 

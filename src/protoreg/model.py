@@ -20,7 +20,7 @@ import functools
 import json
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -57,9 +57,9 @@ class ForwardResult:
 
 
 def _chunks(n: int) -> list[slice]:
-    """The chunks of every no-grad pass over n images (latents_np, dmin_np):
-    consecutive slices of INFERENCE_CHUNK rows, the last one shorter if
-    INFERENCE_CHUNK does not divide n.
+    """The chunks of every no-grad pass over n images (latents_np, dmin_np,
+    score_np): consecutive slices of INFERENCE_CHUNK rows, the last one shorter
+    if INFERENCE_CHUNK does not divide n.
 
     Each row's bits do not depend on the chunk it is in, a lone tail image
     included: the backbone's channels-last latents give proto_sqdist C-contiguous
@@ -86,7 +86,9 @@ def _map_chunks(fn, chunks: list[slice]) -> list:
     that runs it; numpy drops the GIL in the matmuls and array loops. The
     engine's grad flag is process-global, so no_grad is entered here, once, on
     the calling thread, and never by a worker. numpy's error state is per
-    thread, so each worker takes the caller's.
+    thread, so each worker takes the caller's. When chunks raise, the first
+    one's exception in chunk order is raised once every chunk that started
+    has ended, so no chunk outlives the call, or a file its caller closes.
     """
     err = np.geterr()
 
@@ -94,8 +96,15 @@ def _map_chunks(fn, chunks: list[slice]) -> list:
         with np.errstate(**err):
             return fn(chunk)
 
+    pool = _pool(os.getpid())
     with no_grad():
-        return list(_pool(os.getpid()).map(run, chunks))
+        futures = [pool.submit(run, chunk) for chunk in chunks]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()  # only a chunk that has not started
+            wait(futures)
 
 
 @dataclass
@@ -150,31 +159,47 @@ class Model:
         s = similarity(dmin, self.similarity_kind, self.eps, self.bank.d_max)
         return s, head_mod.predict(s, self.theta, self.bank.labels)
 
-    def latents_np(self, images: np.ndarray) -> np.ndarray:
-        """(N, c_z, h_z, w_z) backbone output of a raw image array, one chunk
-        (see _chunks) at a time."""
-        return np.concatenate(_map_chunks(lambda c: self.backbone.forward(Tensor(images[c])).data,
+    def _latents(self, images: np.ndarray) -> np.ndarray:
+        return self.backbone.forward(Tensor(images)).data
+
+    def _dmin(self, latents: np.ndarray) -> np.ndarray:
+        return min_pool(distance_map(Tensor(latents), self.bank))[0].data
+
+    def _head_rows(self, dmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, m) similarities and (N,) predictions of (N, m) min-pooled distances,
+        in one head call. The head works row by row, so each row has the bits
+        that a forward of its chunk gives."""
+        with no_grad():
+            s, y_hat = self.head(Tensor(dmin))
+        return s.data, y_hat.data
+
+    def latents_np(self, images) -> np.ndarray:
+        """(N, c_z, h_z, w_z) backbone output of a raw image array or of an open
+        split's data.SplitImages, one chunk (see _chunks) at a time."""
+        return np.concatenate(_map_chunks(lambda c: self._latents(images[c]),
                                           _chunks(images.shape[0])))
 
     def dmin_np(self, latents: np.ndarray) -> np.ndarray:
         """(N, m) min-pooled distances of latents_np's output, in latents_np's
         chunks, so each row has the bits that Model.forward on its chunk gives."""
-        return np.concatenate(_map_chunks(
-            lambda c: min_pool(distance_map(Tensor(latents[c]), self.bank))[0].data,
-            _chunks(latents.shape[0])))
+        return np.concatenate(_map_chunks(lambda c: self._dmin(latents[c]),
+                                          _chunks(latents.shape[0])))
 
     def head_np(self, latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, m) similarities and (N,) predictions of latents_np's output: dmin_np,
-        then one head call on all rows. The head works row by row, so each row has
-        the bits that a forward of its chunk gives."""
-        dmin = self.dmin_np(latents)
-        with no_grad():
-            s, y_hat = self.head(Tensor(dmin))
-        return s.data, y_hat.data
+        then one head call on all rows."""
+        return self._head_rows(self.dmin_np(latents))
 
-    def predict_np(self, images: np.ndarray) -> np.ndarray:
+    def score_np(self, images) -> tuple[np.ndarray, np.ndarray]:
+        """head_np(latents_np(images)) with the same bits, for the same images.
+        Each chunk's task reads its images and takes them straight to their
+        min-pooled distances, so no latents array is built."""
+        return self._head_rows(np.concatenate(_map_chunks(
+            lambda c: self._dmin(self._latents(images[c])), _chunks(images.shape[0]))))
+
+    def predict_np(self, images) -> np.ndarray:
         """Batched no-grad prediction on a raw image array."""
-        return self.head_np(self.latents_np(images))[1]
+        return self.score_np(images)[1]
 
 
 def _tensor_manifest(model: Model) -> list[tuple[str, Tensor]]:

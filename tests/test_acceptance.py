@@ -10,6 +10,7 @@ compare their own runs.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,7 +299,8 @@ def test_criterion_10_reproducibility(desk_data, tmp_path):
 def test_criterion_11_continuous_label_mode(desk_data):
     train_ds, test_ds = desk_data
     cfg = C.resolve_config({"data": {"continuous": True}})
-    cont_train = D.continuous_labels(train_ds, cfg["data"]["continuous_seed"])
+    cont_train = replace(train_ds, label_mode="continuous", y=D.continuous_labels(
+        train_ds.y_categorical, cfg["data"]["continuous_seed"]))
     model, _ = train_run(cfg, cont_train)
     result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"])
     mae = result["mae"]

@@ -17,7 +17,7 @@ import protoreg
 from protoreg import cli, metrics
 from protoreg.backbone import Backbone
 from protoreg.cli import main
-from protoreg.config import resolve_config
+from protoreg.config import INFERENCE_CHUNK, resolve_config
 from protoreg.data import load_dataset, save_dataset
 from protoreg.model import load_checkpoint
 
@@ -237,6 +237,50 @@ class TestSinglePass:
                          "--out", str(tmp_path / command)]) == 0
         assert (tmp_path / "eval" / "per_sample.csv").exists()
         assert (tmp_path / "embed" / "usage_histogram.svg").exists()
+
+
+@pytest.fixture
+def preads(monkeypatch):
+    """A list that grows by the (byte offset, byte count) of every os.preadv call."""
+    seen = []
+    preadv = os.preadv
+
+    def recording(fd, buffers, offset):
+        seen.append((offset, sum(memoryview(b).nbytes for b in buffers)))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", recording)
+    return seen
+
+
+def image_reads(preads, n: int, image_bytes: int) -> list[tuple[int, int]]:
+    """(first image, image count) of each read inside the images of an n-image .insd file."""
+    return [((offset - 25) // image_bytes, size // image_bytes)
+            for offset, size in preads if offset < 25 + n * image_bytes]
+
+
+class TestChunkedReads:
+    """eval, embed and explain read their images inside the no-grad pass."""
+
+    def test_explain_reads_one_image(self, workdir, tmp_path, preads):
+        assert main(["explain", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                     "--data", str(workdir / "data"), "--sample-ids", "3",
+                     "--out", str(tmp_path / "x")]) == 0
+        assert image_reads(preads, 6, 8 * 3 * 8 * 8) == [(3, 1)]
+
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_no_read_spans_more_than_a_chunk(self, workdir, tmp_path, preads, command):
+        rng = np.random.default_rng(0)
+        y = 1.0 + np.arange(130) % 2
+        save_dataset(replace(load_dataset(workdir / "data" / "test.insd"), y=y,
+                             y_categorical=y.copy(), images=rng.uniform(size=(130, 3, 8, 8))),
+                     tmp_path / "test.insd")
+        preads.clear()
+        assert main([command, "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                     "--data", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+        reads = sorted(image_reads(preads, 130, 8 * 3 * 8 * 8))
+        assert reads == [(0, INFERENCE_CHUNK), (INFERENCE_CHUNK, INFERENCE_CHUNK),
+                         (2 * INFERENCE_CHUNK, 130 - 2 * INFERENCE_CHUNK)]
 
 
 class TestExplain:

@@ -534,4 +534,4 @@ class TestCheckpoint:
                        "--out", str(tmp_path / "out")])
             assert rc == 2
             assert capsys.readouterr().err == (
-                f"error: {path}: 1 non-finite payload values, the first at value {first}\n")
+                f"error: {path}: non-finite payload value {first}\n")

@@ -2,6 +2,8 @@
 
 import functools
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,10 +183,10 @@ class TestGeneration:
     def test_continuous_labels_match_reference(self):
         cfg = small_cfg()
         images, y = reference_generate(cfg, per_grade=3, seed=5)
-        ds = D.continuous_labels(D.generate(cfg, per_grade=3, split="train", seed=5), seed=11)
+        ds = D.generate(cfg, per_grade=3, split="train", seed=5)
         ref_y = y + np.random.default_rng(11).uniform(-0.5, 0.5, size=y.size)
         assert ds.images.tobytes() == images.tobytes()
-        assert ds.y.tobytes() == ref_y.tobytes()
+        assert D.continuous_labels(ds.y_categorical, seed=11).tobytes() == ref_y.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(C.ConfigError, match="data.grades must be >= 2, got 1"):
@@ -202,26 +204,20 @@ class TestLabels:
 
     def test_continuous_labels_within_half_grade(self):
         ds = D.generate(small_cfg(), per_grade=10, split="train", seed=0)
-        cont = D.continuous_labels(ds, seed=5)
-        assert cont.label_mode == "continuous"
-        assert np.all(np.abs(cont.y - ds.y_categorical) <= 0.5)
+        grades = ds.y_categorical.copy()
+        cont = D.continuous_labels(ds.y_categorical, seed=5)
+        assert np.all(np.abs(cont - grades) <= 0.5)
         # categorical reference untouched
-        assert np.array_equal(cont.y_categorical, ds.y_categorical)
+        assert np.array_equal(ds.y_categorical, grades)
 
     def test_continuous_labels_mean_near_grade(self):
         # jitter is uniform(-0.5, 0.5), so per-grade means stay near the grade
         ds = D.generate(small_cfg(train_per_grade=200), per_grade=200,
                         split="train", seed=0)
-        cont = D.continuous_labels(ds, seed=9)
+        cont = D.continuous_labels(ds.y_categorical, seed=9)
         for g in range(1, 6):
-            sel = cont.y_categorical == g
-            assert abs(cont.y[sel].mean() - g) < 0.08
-
-    def test_continuous_labels_rejects_double_jitter(self):
-        ds = D.generate(small_cfg(), per_grade=2, split="train", seed=0)
-        cont = D.continuous_labels(ds, seed=1)
-        with pytest.raises(D.DataConfigError):
-            D.continuous_labels(cont, seed=2)
+            sel = ds.y_categorical == g
+            assert abs(cont[sel].mean() - g) < 0.08
 
 
 class TestAugment:
@@ -264,14 +260,65 @@ class TestFileFormat:
         assert back.label_mode == "categorical"
 
     def test_round_trip_continuous(self, tmp_path):
-        ds = D.continuous_labels(
-            D.generate(small_cfg(), per_grade=3, split="train", seed=0), seed=1
-        )
+        ds = D.generate(small_cfg(), per_grade=3, split="train", seed=0)
+        ds = replace(ds, y=D.continuous_labels(ds.y_categorical, seed=1),
+                     label_mode="continuous")
         path = tmp_path / "ds.insd"
         D.save_dataset(ds, path)
         back = D.load_dataset(path)
         assert back.label_mode == "continuous"
         assert np.array_equal(back.y, ds.y)
+
+    @pytest.mark.parametrize("data", [
+        {},
+        {"continuous": True},
+        {"image_hw": [24, 40], "channels": 1, "grades": 4, "blobs_per_grade": 3,
+         "blob_radius": [1.5, 2.5], "noise_sigma": 0.0, "seed": 5},
+    ])
+    def test_save_split_writes_what_generate_draws(self, tmp_path, data):
+        # 150 and 70 images at 5 grades: blocks of 64, 64 and 22, and of 64 and 6
+        d = C.resolve_config({"data": {"train_per_grade": 30, "test_per_grade": 14,
+                                       **data}})["data"]
+        for split, ds in zip(D.SPLITS, D.make_splits(d)):
+            if split == "train" and d["continuous"]:
+                ds = replace(ds, y=D.continuous_labels(ds.y_categorical, d["continuous_seed"]),
+                             label_mode="continuous")
+            D.save_dataset(ds, tmp_path / "want.insd")
+            assert D.save_split(d, split, tmp_path / "got.insd") == len(ds)
+            assert (tmp_path / "got.insd").read_bytes() == (tmp_path / "want.insd").read_bytes()
+
+    def test_open_reads_what_load_reads(self, tmp_path):
+        ds = D.generate(small_cfg(), per_grade=3, split="train", seed=0)
+        path = tmp_path / "ds.insd"
+        D.save_dataset(ds, path)
+        with D.open_dataset(path, split="train") as opened:
+            assert (len(opened), opened.images.shape, opened.split) == (15, (15, 3, 32, 32),
+                                                                         "train")
+            assert opened.y.tobytes() == ds.y.tobytes()
+            for key in (slice(None), slice(2, 9), slice(14, 99), slice(-3, None), 0, 14):
+                assert opened.images[key].tobytes() == ds.images[key].tobytes(), key
+            for i in (15, -1):
+                with pytest.raises(IndexError, match=f"image {i} out of range"):
+                    opened.images[i]
+            with pytest.raises(IndexError, match="steps of 1"):
+                opened.images[::2]
+        with pytest.raises(OSError):  # the descriptor is closed with the block
+            opened.images[0]
+
+    def test_load_holds_no_payload_sized_temporary(self, tmp_path):
+        ds = D.generate(small_cfg(), per_grade=40, split="train", seed=0)
+        path = tmp_path / "ds.insd"
+        D.save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            back = D.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.images.tobytes() == ds.images.tobytes()
+        # the 4.9 MB of images and the labels, and a finite check's 64 KiB
+        # block, not a boolean array of the 614 400 image values
+        assert peak - ds.images.nbytes < 200_000
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = D.generate(small_cfg(), per_grade=3, split="train", seed=0)

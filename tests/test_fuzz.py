@@ -165,3 +165,46 @@ def test_damaged_files_exit_2(tmp_path, capsys, checkpoint_bytes, dataset_bytes,
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.fixture(scope="module")
+def split_65():
+    """65 test images of the tiny checkpoint's image shape: two no-grad chunks,
+    the second holding image 64 alone."""
+    rng = np.random.default_rng(1)
+    y = 1.0 + np.arange(65) % 3
+    return D.SynthDataset(images=rng.uniform(size=(65, 3, 8, 8)), y=y, y_categorical=y.copy(),
+                          label_mode="categorical", split="test")
+
+
+@pytest.mark.parametrize("image", [0, 64])
+@pytest.mark.parametrize("command", ["eval", "embed", "explain"])
+def test_non_finite_image_read_in_a_chunk_exits_2(tmp_path, capsys, checkpoint_bytes, split_65,
+                                                   image, command):
+    ckpt, data = tmp_path / "ckpt.bin", tmp_path / "test.insd"
+    ckpt.write_bytes(checkpoint_bytes)
+    images = split_65.images.copy()
+    images[image, 2, 7, 1] = np.nan
+    D.save_dataset(D.SynthDataset(images, split_65.y, split_65.y_categorical,
+                                  "categorical", "test"), data)
+    with pytest.raises(D.DataFormatError) as loaded:
+        D.load_dataset(data)
+    assert str(loaded.value).startswith(f"{data}: ")
+    extra = ["--sample-ids", str(image)] if command == "explain" else []
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(data),
+               "--out", str(tmp_path / "out"), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {loaded.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_cut_after_it_was_opened(tmp_path, split_65):
+    path = tmp_path / "test.insd"
+    D.save_dataset(split_65, path)
+    with D.open_dataset(path) as ds:
+        assert np.array_equal(ds.images[:64], split_65.images[:64])
+        os.truncate(path, 25 + 8 * 3 * 8 * 8 * 64 + 8)  # 8 bytes into image 64
+        for read in (lambda: ds.images[64], lambda: ds.images[:]):
+            with pytest.raises(D.DataFormatError) as e:
+                read()
+            assert str(e.value) == f"{path}: payload changed while it was read"

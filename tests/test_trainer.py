@@ -4,6 +4,7 @@ import os
 import select
 import signal
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -200,6 +201,10 @@ class TestForwardNp:
             out = no_grad_outputs(model, ds)
             for a, b in zip(out, whole, strict=True):
                 assert a.tobytes() == b.tobytes(), size
+            # the fused pass, one task per chunk from images to distances
+            for a, b in zip(model.score_np(ds.images),
+                            model.head_np(model.latents_np(ds.images)), strict=True):
+                assert a.tobytes() == b.tobytes(), size
 
     def test_matches_forward(self):
         model = tiny_model(seed=4)
@@ -292,6 +297,37 @@ class TestChunkPool:
             assert np.isinf(np.concatenate(_map_chunks(overflow, _chunks(129)))).all()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             _map_chunks(overflow, _chunks(129))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs, so that two chunks run at once")
+    def test_raises_once_every_started_chunk_has_ended(self):
+        from protoreg.model import _map_chunks
+
+        running, finished = threading.Event(), threading.Event()
+
+        def fn(chunk):
+            if chunk.start == 0:
+                running.wait(10.0)
+                raise ValueError("chunk 0")
+            running.set()
+            time.sleep(0.2)
+            finished.set()
+
+        with pytest.raises(ValueError, match="^chunk 0$"):
+            _map_chunks(fn, [slice(0, 1), slice(1, 2)])
+        assert finished.is_set()
+
+    def test_first_failing_chunk_in_chunk_order_is_raised(self):
+        from protoreg.model import _map_chunks
+
+        def fn(chunk):
+            if chunk.start == 0:
+                time.sleep(0.1)
+            raise ValueError(f"chunk {chunk.start}")
+
+        with pytest.raises(ValueError, match="^chunk 0$"):
+            _map_chunks(fn, [slice(0, 1), slice(1, 2)])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scores_after_parent_pass(self):
