@@ -17,7 +17,7 @@ File format (little-endian):
 open_dataset checks a file's header, payload size and labels when it opens
 the file, and reads its images on demand, each read checked finite;
 load_dataset opens a file and reads every image. gen-data's save_split draws
-and writes a split a block of images at a time.
+and writes a split a block of images at a time; generate joins the same blocks.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ _BLOB_VALUE = 0.15
 _PLACEMENT_TRIES = 300
 _IMAGE_RESTARTS = 50
 _DRAW_BLOCK = 3 * 96  # placement values per rng.random call: 96 attempts' worth
+_PAINT_PIXELS = 1 << 13  # window pixels per run of _paint: a 64 KiB float64 temporary
 
 
 @dataclass
@@ -69,20 +70,14 @@ class SynthDataset:
         return self.images.shape[0]
 
 
-def _uniform_triples(rng: np.random.Generator):
-    """(radius, row, column) uniforms in the order single rng.random() calls
-    give them, drawn _DRAW_BLOCK at a time."""
-    while True:
-        v = rng.random(_DRAW_BLOCK).tolist()
-        yield from zip(v[0::3], v[1::3], v[2::3])
-
-
 def _place_blobs(d: dict, n_blobs: int,
                  rng: np.random.Generator) -> list[tuple[float, float, float]] | None:
     h, w = d["image_hw"]
     r_lo, r_hi = d["blob_radius"]
-    state = rng.bit_generator.state
-    triples = _uniform_triples(rng)
+    # (radius, row, column) uniforms in the order single rng.random() calls
+    # give them, drawn _DRAW_BLOCK values at a time, each block only when needed
+    values = itertools.chain.from_iterable(iter(lambda: rng.random(_DRAW_BLOCK).tolist(), None))
+    triples = zip(values, values, values)
     placed: list[tuple[float, float, float]] | None = []
     taken = 0
     for _ in range(n_blobs):
@@ -105,35 +100,11 @@ def _place_blobs(d: dict, n_blobs: int,
         else:
             placed = None  # greedy placement painted itself into a corner
             break
-    # leave the generator where 3 * taken single rng.random() calls would
-    rng.bit_generator.state = state
-    rng.bit_generator.advance(3 * taken)
+    # leave the generator where 3 * taken single rng.random() calls would: move
+    # it back over the values drawn and not taken, modulo PCG64's period 2**128
+    drawn = -(-3 * taken // _DRAW_BLOCK) * _DRAW_BLOCK
+    rng.bit_generator.advance((3 * taken - drawn) % 2**128)
     return placed
-
-
-def _draw_image(d: dict, n_blobs: int, rng: np.random.Generator,
-                yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Draw one (H, W) image; yy, xx are its pixel grid."""
-    h, w = d["image_hw"]
-    img = np.full((h, w), _BACKGROUND)
-    if d["noise_sigma"] > 0:
-        img += rng.normal(0.0, d["noise_sigma"], size=(h, w))
-    for _restart in range(_IMAGE_RESTARTS):
-        placed = _place_blobs(d, n_blobs, rng)
-        if placed is not None:
-            break
-    else:
-        raise DataConfigError(
-            f"could not place {n_blobs} non-touching blobs of radius "
-            f"{d['blob_radius']} in a {h}x{w} image"
-        )
-    for cy, cx, r in placed:
-        # the blob's bounding box widened by one pixel holds every painted pixel
-        box = (slice(max(int(cy - r) - 1, 0), min(int(cy + r) + 2, h)),
-               slice(max(int(cx - r) - 1, 0), min(int(cx + r) + 2, w)))
-        img[box][(yy[box] - cy) ** 2 + (xx[box] - cx) ** 2 <= r * r] = _BLOB_VALUE
-    np.clip(img, 0.0, 1.0, out=img)
-    return img
 
 
 def _grades(d: dict, per_grade: int) -> np.ndarray:
@@ -142,25 +113,80 @@ def _grades(d: dict, per_grade: int) -> np.ndarray:
     return np.repeat(np.arange(1.0, d["grades"] + 1), per_grade)
 
 
-def _drawn_images(d: dict, grades: np.ndarray, seed) -> Iterator[np.ndarray]:
-    """The (H, W) image of each of grades in turn, all drawn from one
-    generator seeded with seed."""
+def _image_blocks(d: dict, grades: np.ndarray, seed) -> Iterator[np.ndarray]:
+    """The (n, C, H, W) images of grades, an image of grade g with
+    g * blobs_per_grade blobs, in blocks of WRITE_BLOCK consecutive images
+    (fewer in the last), all drawn from one generator seeded with seed.
+
+    Per image, in generator order, its noise z is drawn into channel 0 and its
+    blobs are placed. Each block is then made 0.85 + sigma * z (the bits of
+    0.85 plus Generator.normal's 0 + sigma * z), painted, clipped to [0, 1]
+    and copied to its other channels, in a few array operations.
+    """
     rng = np.random.default_rng(seed)
     h, w = d["image_hw"]
-    yy, xx = np.mgrid[0:h, 0:w]
-    for g in grades:
-        yield _draw_image(d, int(g) * d["blobs_per_grade"], rng, yy, xx)
+    sigma, per_grade_blobs = d["noise_sigma"], d["blobs_per_grade"]
+    for lo in range(0, grades.size, WRITE_BLOCK):
+        n_blobs = grades[lo : lo + WRITE_BLOCK].astype(int) * per_grade_blobs
+        block = np.empty((n_blobs.size, d["channels"], h, w))
+        plane = block[:, 0]
+        blobs: list[tuple[float, float, float]] = []
+        for i, n in enumerate(n_blobs.tolist()):
+            if sigma > 0:
+                rng.standard_normal(out=plane[i])
+            for _restart in range(_IMAGE_RESTARTS):
+                placed = _place_blobs(d, n, rng)
+                if placed is not None:
+                    break
+            else:
+                raise DataConfigError(
+                    f"could not place {n} non-touching blobs of radius "
+                    f"{d['blob_radius']} in a {h}x{w} image"
+                )
+            blobs += placed
+        if sigma > 0:
+            plane *= sigma
+            plane += _BACKGROUND
+        else:
+            plane[...] = _BACKGROUND
+        _paint(plane, n_blobs, blobs, d["blob_radius"][1])
+        # clipped into the other channels, then in place: a ufunc copies operands
+        # that share memory a buffer at a time, where an assignment copies them whole
+        np.clip(plane[:, None], 0.0, 1.0, out=block[:, 1:])
+        np.clip(plane, 0.0, 1.0, out=plane)
+        yield block
+        del block, plane  # a consumer that drops each block holds one at a time
+
+
+def _paint(plane: np.ndarray, n_blobs: np.ndarray, blobs: list[tuple[float, float, float]],
+           r_hi: float) -> None:
+    """Set to _BLOB_VALUE each pixel of the (n, H, W) images plane that lies
+    within a blob (cy, cx, r) of radius at most r_hi: blobs holds image i's
+    n_blobs[i] blobs after those of the images before it."""
+    # a blob's bounding box widened by one pixel holds every pixel it paints and
+    # spans at most int(2 * r) + 4 pixels a side: a window that size from the
+    # box's corner holds it. Window pixels off the image fail the test, as a
+    # blob's centre lies r or more inside the outermost pixels, so are never indexed.
+    window = np.arange(int(2 * r_hi) + 4)
+    cy, cx, r = np.array(blobs).T
+    image = np.repeat(np.arange(len(plane)), n_blobs)
+    run = max(_PAINT_PIXELS // window.size**2, 1)
+    for lo in range(0, image.size, run):
+        part = slice(lo, lo + run)
+        rows = (cy[part] - r[part]).astype(int)[:, None] - 1 + window
+        cols = (cx[part] - r[part]).astype(int)[:, None] - 1 + window
+        # (y - cy) ** 2 + (x - cx) ** 2 <= r * r, in the per-pixel test's order
+        d2 = ((rows - cy[part, None]) ** 2)[:, :, None] + ((cols - cx[part, None]) ** 2)[:, None, :]
+        blob, y, x = np.nonzero(d2 <= (r[part] * r[part])[:, None, None])
+        plane[image[part][blob], rows[blob, y], cols[blob, x]] = _BLOB_VALUE
 
 
 def generate(d: dict, per_grade: int, split: str, seed: int) -> SynthDataset:
     """Balanced dataset: per_grade images of every internal grade 1..grades,
     drawn as a resolved config's data section d describes."""
     y = _grades(d, per_grade)
-    images = np.empty((y.size, d["channels"], *d["image_hw"]))
-    for i, img in enumerate(_drawn_images(d, y, seed)):
-        images[i] = img  # every channel holds the same image
     return SynthDataset(
-        images=images,
+        images=np.concatenate([*_image_blocks(d, y, seed)]),
         y=y,
         y_categorical=y.copy(),
         label_mode="categorical",
@@ -218,6 +244,7 @@ def write_atomic(path, chunks) -> None:
         with open(tmp, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
+                del chunk  # so a generator of blocks makes its next with this one freed
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -340,17 +367,8 @@ def save_split(d: dict, split: str, path) -> int:
     continuous = split == "train" and d["continuous"]
     y = continuous_labels(grades, d["continuous_seed"]) if continuous else grades
     n, chw = grades.size, (d["channels"], *d["image_hw"])
-    images = _drawn_images(d, grades, draws["seed"])
-
-    def blocks():
-        for lo in range(0, n, WRITE_BLOCK):
-            block = np.empty((min(WRITE_BLOCK, n - lo), *chw))
-            # zip asks block first, so it stops without drawing the next block's image
-            for row, img in zip(block, images):
-                row[...] = img  # every channel holds the same image
-            yield block
-
-    _write(path, n, chw, "continuous" if continuous else "categorical", blocks(), y, grades)
+    _write(path, n, chw, "continuous" if continuous else "categorical",
+           _image_blocks(d, grades, draws["seed"]), y, grades)
     return n
 
 

@@ -281,13 +281,17 @@ class Tensor:
     def bias_act(self, bias: "Tensor", act: str) -> "Tensor":
         """act(x + bias) of an (N,K,H,W) activation and a per-channel bias (K,),
         with act "relu" (applied in place on the sum) or "sigmoid": one node,
-        whose memory has the activation's layout."""
+        whose memory is channels-last."""
         if self.data.ndim != 4 or bias.data.ndim != 1 or self.data.shape[1] != bias.data.shape[0]:
             raise ShapeError(f"bias_act: got activation {self.data.shape}, bias {bias.data.shape}")
         if act not in ("relu", "sigmoid"):
             raise ValueError(f"bias_act: act must be \"relu\" or \"sigmoid\", got {act!r}")
         x, b = self, bias
-        out = x.data + b.data[None, :, None, None]
+        n, k, h, w = x.data.shape
+        # the bias tiled along channels-last (N*H, W*K) rows, a free view of a
+        # conv2d output (a C-contiguous input is copied), so each add runs W*K long
+        rows = x.data.transpose(0, 2, 3, 1).reshape(n * h, w * k) + np.tile(b.data, w)
+        out = rows.reshape(n, h, w, k).transpose(0, 3, 1, 2)
         if act == "relu":
             mask = out > 0.0
             np.multiply(out, mask, out=out)
@@ -474,20 +478,21 @@ def grad_check(closure, params: list[Tensor], fd_step: float = 1e-6,
     analytic = [np.array(p.grad, copy=True) for p in params]
     worst = 0.0
     for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.size
+        n = p.data.size
         coords = rng.choice(n, size=min(max_coords, n), replace=False)
         for c in coords:
-            orig = flat[c]
-            flat[c] = orig + fd_step
+            # index p.data itself: reshape(-1) copies a channels-last array
+            at = np.unravel_index(c, p.data.shape)
+            orig = p.data[at]
+            p.data[at] = orig + fd_step
             with no_grad():
                 up = closure().item()
-            flat[c] = orig - fd_step
+            p.data[at] = orig - fd_step
             with no_grad():
                 down = closure().item()
-            flat[c] = orig
+            p.data[at] = orig
             numeric = (up - down) / (2.0 * fd_step)
-            ana = a.reshape(-1)[c]
+            ana = a[at]
             err = abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8)
             worst = max(worst, err)
     for p in params:

@@ -551,6 +551,18 @@ class TestErrors:
             "twice it must be <= 31\n")
         assert not (tmp_path / "out").exists()
 
+    def test_unplaceable_blobs_exit_2_and_leave_no_split(self, tmp_path, capsys):
+        # the placement error rises inside the block iterator that the write consumes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"image_hw": [16, 16], "blobs_per_grade": 8,
+                                            "blob_radius": [3.0, 3.0], "noise_sigma": 0.0}}))
+        out = tmp_path / "out"
+        rc = main(["gen-data", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: could not place 8 non-touching blobs of radius [3.0, 3.0] in a 16x16 image\n")
+        assert not list(out.glob("*.insd")) and not list(out.glob(".*.tmp"))
+
     @pytest.mark.parametrize("sample_ids, top_k, message", [
         ("0,99999", "3", "--sample-ids: sample id 99999 out of range [0,6)"),
         ("1,x", "3", "--sample-ids: invalid literal for int() with base 10: 'x'"),

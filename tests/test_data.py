@@ -46,6 +46,12 @@ def reference_place(d: dict, n_blobs: int, rng: np.random.Generator):
     return placed
 
 
+# crowded: some images give up on a placement and start it again
+CROWDED = {"image_hw": (16, 16), "grades": 2}
+# wide blobs in a flat image: many paint windows run past its border
+AT_BORDER = {"image_hw": (20, 37), "blob_radius": (0.5, 5.0), "blobs_per_grade": 1}
+
+
 def reference_generate(d: dict, per_grade: int, seed: int):
     """The generator one image at a time: a fresh pixel grid per image, each
     blob painted over the whole image, then a stack."""
@@ -130,18 +136,29 @@ class TestGeneration:
         with pytest.raises(D.DataConfigError, match="could not place 8 non-touching blobs"):
             D.generate(cfg, per_grade=1, split="train", seed=0)
 
-    @pytest.mark.parametrize("kw", [
-        {},
-        {"channels": 1},
-        {"noise_sigma": 0.0},
-        {"image_hw": (20, 37), "blobs_per_grade": 1},
-        {"image_hw": (24, 24), "blob_radius": (0.5, 5.0), "blobs_per_grade": 1},
-        {"channels": 1, "grades": 3, "blob_radius": (1.0, 1.0), "noise_sigma": 0.2},
+    @pytest.mark.parametrize("kw, per_grade", [
+        pytest.param({}, 3, id="kw0"),
+        pytest.param({"channels": 1}, 3, id="kw1"),
+        pytest.param({"noise_sigma": 0.0}, 3, id="kw2"),
+        pytest.param({"image_hw": (20, 37), "blobs_per_grade": 1}, 3, id="kw3"),
+        pytest.param({"image_hw": (24, 24), "blob_radius": (0.5, 5.0), "blobs_per_grade": 1}, 3,
+                     id="kw4"),
+        pytest.param({"channels": 1, "grades": 3, "blob_radius": (1.0, 1.0),
+                      "noise_sigma": 0.2}, 3, id="kw5"),
+        pytest.param({"image_hw": (8, 40), "grades": 3, "blob_radius": (1.0, 3.5),
+                      "blobs_per_grade": 1}, 3, id="window-taller-than-image"),
+        # 70 and 130 images: blocks of 64 and 6, and of 64, 64 and 2
+        pytest.param({}, 14, id="70-images"),
+        pytest.param({}, 26, id="130-images"),
+        pytest.param(CROWDED, 35, id="crowded-70-images"),
+        pytest.param(CROWDED, 65, id="crowded-130-images"),
+        pytest.param(AT_BORDER, 14, id="at-border-70-images"),
+        pytest.param(AT_BORDER, 26, id="at-border-130-images"),
     ])
-    def test_matches_per_image_reference_bytes(self, kw):
+    def test_matches_per_image_reference_bytes(self, kw, per_grade):
         cfg = small_cfg(**kw)
-        images, y = reference_generate(cfg, per_grade=3, seed=5)
-        ds = D.generate(cfg, per_grade=3, split="train", seed=5)
+        images, y = reference_generate(cfg, per_grade=per_grade, seed=5)
+        ds = D.generate(cfg, per_grade=per_grade, split="train", seed=5)
         assert ds.images.shape == images.shape
         assert ds.images.tobytes() == images.tobytes()
         assert ds.y.tobytes() == y.tobytes() and ds.y_categorical.tobytes() == y.tobytes()
@@ -155,13 +172,19 @@ class TestGeneration:
             assert D._place_blobs(cfg, 6, rng) == reference_place(cfg, 6, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("kw, restarts", [
-        ({}, False),
-        ({"image_hw": (20, 37), "blob_radius": (0.5, 5.0), "blobs_per_grade": 1}, False),
-        # crowded: some images give up on a placement and start it again
-        ({"image_hw": (16, 16), "grades": 2}, True),
+    @pytest.mark.parametrize("kw, per_grade, restarts", [
+        pytest.param({}, 3, False, id="kw0-False"),
+        pytest.param(AT_BORDER, 3, False, id="kw1-False"),
+        pytest.param(CROWDED, 3, True, id="kw2-True"),
+        # 70 and 130 images: blocks of 64 and 6, and of 64, 64 and 2
+        pytest.param({}, 26, False, id="130-images"),
+        pytest.param(AT_BORDER, 14, False, id="at-border-70-images"),
+        pytest.param(AT_BORDER, 26, False, id="at-border-130-images"),
+        pytest.param(CROWDED, 35, True, id="crowded-70-images"),
+        pytest.param(CROWDED, 65, True, id="crowded-130-images"),
     ])
-    def test_generator_ends_where_scalar_draws_leave_it(self, kw, restarts, monkeypatch):
+    def test_generator_ends_where_scalar_draws_leave_it(self, kw, per_grade, restarts,
+                                                        monkeypatch):
         # placement draws its values in blocks and then moves the generator back
         cfg, outcomes, place = small_cfg(**kw), [], D._place_blobs
 
@@ -174,8 +197,8 @@ class TestGeneration:
         for seed in range(4):
             # default_rng hands a Generator back as it is, so both ends can be read
             ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            images, _ = reference_generate(cfg, per_grade=3, seed=ref_rng)
-            ds = D.generate(cfg, per_grade=3, split="train", seed=rng)
+            images, _ = reference_generate(cfg, per_grade=per_grade, seed=ref_rng)
+            ds = D.generate(cfg, per_grade=per_grade, split="train", seed=rng)
             assert ds.images.tobytes() == images.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert (False in outcomes) == restarts

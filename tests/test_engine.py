@@ -65,6 +65,8 @@ def _bias_grads(gz):
 _R = np.random.default_rng(5)
 _A, _B = _R.uniform(-2.0, 2.0, (3, 4)), _R.uniform(0.5, 2.0, (3, 4))
 _X = _R.uniform(-2.0, 2.0, (2, 3, 2, 4))
+# _X's values in channels-last memory, the layout conv2d gives bias_act
+_X_LAST = np.ascontiguousarray(_X.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 # the last row has fewer than k = 2 entries in its mask
 _MASK = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [0, 0, 1, 0]], dtype=bool)
 _TAKE = np.minimum(2, _MASK.sum(axis=1))
@@ -108,10 +110,10 @@ ROUTED_OPS = {
                 lambda g, a: (g.reshape(3, 4),)),
     "expand_rows": (lambda a: a.expand_rows(5), (_A[0],), lambda a: np.tile(a, (5, 1)),
                     lambda g, a: (g.sum(axis=0),)),
-    "bias_act-relu": (lambda a, b: a.bias_act(b, "relu"), (_X, _B[0, :3] - 1.0),
+    "bias_act-relu": (lambda a, b: a.bias_act(b, "relu"), (_X_LAST, _B[0, :3] - 1.0),
                       lambda a, b: _relu(a + b[None, :, None, None]),
                       lambda g, a, b: _bias_grads(g * (a + b[None, :, None, None] > 0.0))),
-    "bias_act-sigmoid": (lambda a, b: a.bias_act(b, "sigmoid"), (_X, _B[0, :3] - 1.0),
+    "bias_act-sigmoid": (lambda a, b: a.bias_act(b, "sigmoid"), (_X_LAST, _B[0, :3] - 1.0),
                          lambda a, b: _sig(a + b[None, :, None, None]),
                          lambda g, a, b: _bias_grads(g * _sig(a + b[None, :, None, None])
                                                      * (1.0 - _sig(a + b[None, :, None, None])))),
