@@ -16,8 +16,9 @@ File format (little-endian):
 
 open_dataset checks a file's header, payload size and labels when it opens
 the file, and reads its images on demand, each read checked finite;
-load_dataset opens a file and reads every image. gen-data's save_split draws
-and writes a split a block of images at a time; generate joins the same blocks.
+load_dataset opens a file and reads every image. Every payload read, the
+checkpoint's too, goes through _read_into. _draw draws a block of images into
+an array its caller owns: generate's split array, or save_split's one buffer.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ MAGIC = b"INSD1"
 _HEADER = struct.Struct("<5I")  # channels, height, width, count, label mode
 _PAYLOAD_AT = len(MAGIC) + _HEADER.size  # the byte offset of the first image value
 SPLITS = ("train", "test")
-WRITE_BLOCK = 64  # images per block that save_split draws and writes
-_FINITE_BLOCK = 1 << 16  # values per block of _first_non_finite: a 64 KiB temporary
+WRITE_BLOCK = 64  # images per _draw call of generate and save_split
+_FINITE_BLOCK = 1 << 16  # values per finite check of _read_into: a 64 KiB temporary
 LABEL_SHIFT = 1.0  # internal labels = reported grade + 1, keeping them positive
 
 _BACKGROUND = 0.85
@@ -113,49 +114,45 @@ def _grades(d: dict, per_grade: int) -> np.ndarray:
     return np.repeat(np.arange(1.0, d["grades"] + 1), per_grade)
 
 
-def _image_blocks(d: dict, grades: np.ndarray, seed) -> Iterator[np.ndarray]:
-    """The (n, C, H, W) images of grades, an image of grade g with
-    g * blobs_per_grade blobs, in blocks of WRITE_BLOCK consecutive images
-    (fewer in the last), all drawn from one generator seeded with seed.
+def _draw(d: dict, grades: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out, an (n, C, H, W) array, with images of the n internal grades
+    (g * blobs_per_grade blobs for grade g) drawn from rng, and return it.
 
     Per image, in generator order, its noise z is drawn into channel 0 and its
-    blobs are placed. Each block is then made 0.85 + sigma * z (the bits of
+    blobs are placed. The images are then made 0.85 + sigma * z (the bits of
     0.85 plus Generator.normal's 0 + sigma * z), painted, clipped to [0, 1]
-    and copied to its other channels, in a few array operations.
+    and copied to their other channels; each step acts per pixel, so the bits
+    do not depend on how a split is cut into calls.
     """
-    rng = np.random.default_rng(seed)
     h, w = d["image_hw"]
-    sigma, per_grade_blobs = d["noise_sigma"], d["blobs_per_grade"]
-    for lo in range(0, grades.size, WRITE_BLOCK):
-        n_blobs = grades[lo : lo + WRITE_BLOCK].astype(int) * per_grade_blobs
-        block = np.empty((n_blobs.size, d["channels"], h, w))
-        plane = block[:, 0]
-        blobs: list[tuple[float, float, float]] = []
-        for i, n in enumerate(n_blobs.tolist()):
-            if sigma > 0:
-                rng.standard_normal(out=plane[i])
-            for _restart in range(_IMAGE_RESTARTS):
-                placed = _place_blobs(d, n, rng)
-                if placed is not None:
-                    break
-            else:
-                raise DataConfigError(
-                    f"could not place {n} non-touching blobs of radius "
-                    f"{d['blob_radius']} in a {h}x{w} image"
-                )
-            blobs += placed
+    sigma = d["noise_sigma"]
+    n_blobs = grades.astype(int) * d["blobs_per_grade"]
+    plane = out[:, 0]
+    blobs: list[tuple[float, float, float]] = []
+    for i, n in enumerate(n_blobs.tolist()):
         if sigma > 0:
-            plane *= sigma
-            plane += _BACKGROUND
+            rng.standard_normal(out=plane[i])
+        for _restart in range(_IMAGE_RESTARTS):
+            placed = _place_blobs(d, n, rng)
+            if placed is not None:
+                break
         else:
-            plane[...] = _BACKGROUND
-        _paint(plane, n_blobs, blobs, d["blob_radius"][1])
-        # clipped into the other channels, then in place: a ufunc copies operands
-        # that share memory a buffer at a time, where an assignment copies them whole
-        np.clip(plane[:, None], 0.0, 1.0, out=block[:, 1:])
-        np.clip(plane, 0.0, 1.0, out=plane)
-        yield block
-        del block, plane  # a consumer that drops each block holds one at a time
+            raise DataConfigError(
+                f"could not place {n} non-touching blobs of radius "
+                f"{d['blob_radius']} in a {h}x{w} image"
+            )
+        blobs += placed
+    if sigma > 0:
+        plane *= sigma
+        plane += _BACKGROUND
+    else:
+        plane[...] = _BACKGROUND
+    _paint(plane, n_blobs, blobs, d["blob_radius"][1])
+    # clipped into the other channels, then in place: a ufunc copies operands
+    # that share memory a buffer at a time, where an assignment copies them whole
+    np.clip(plane[:, None], 0.0, 1.0, out=out[:, 1:])
+    np.clip(plane, 0.0, 1.0, out=plane)
+    return out
 
 
 def _paint(plane: np.ndarray, n_blobs: np.ndarray, blobs: list[tuple[float, float, float]],
@@ -181,17 +178,26 @@ def _paint(plane: np.ndarray, n_blobs: np.ndarray, blobs: list[tuple[float, floa
         plane[image[part][blob], rows[blob, y], cols[blob, x]] = _BLOB_VALUE
 
 
+def _split_labels(d: dict, split: str, grades: np.ndarray) -> dict:
+    """The y and label_mode of the split named split of d, of internal grades
+    grades: continuous_labels(grades, d["continuous_seed"]) for the train
+    split when d["continuous"] is set, the grades otherwise."""
+    if split == "train" and d["continuous"]:
+        return {"y": continuous_labels(grades, d["continuous_seed"]), "label_mode": "continuous"}
+    return {"y": grades.copy(), "label_mode": "categorical"}
+
+
 def generate(d: dict, per_grade: int, split: str, seed: int) -> SynthDataset:
     """Balanced dataset: per_grade images of every internal grade 1..grades,
-    drawn as a resolved config's data section d describes."""
-    y = _grades(d, per_grade)
-    return SynthDataset(
-        images=np.concatenate([*_image_blocks(d, y, seed)]),
-        y=y,
-        y_categorical=y.copy(),
-        label_mode="categorical",
-        split=split,
-    )
+    drawn as a resolved config's data section d describes, WRITE_BLOCK images
+    at a time into the split's one array, and labelled as _split_labels says."""
+    grades = _grades(d, per_grade)
+    images = np.empty((grades.size, d["channels"], *d["image_hw"]))
+    rng = np.random.default_rng(seed)
+    for lo in range(0, grades.size, WRITE_BLOCK):
+        _draw(d, grades[lo : lo + WRITE_BLOCK], rng, images[lo : lo + WRITE_BLOCK])
+    return SynthDataset(images=images, y_categorical=grades, split=split,
+                        **_split_labels(d, split, grades))
 
 
 def _split_draws(d: dict, split: str) -> dict:
@@ -235,8 +241,8 @@ def write_atomic(path, chunks) -> None:
     """Write chunks to a temp file beside path, then rename it to path.
 
     Chunks are bytes-like: bytes, or C-contiguous arrays, written as their
-    raw memory without a copy. A failure part way leaves any earlier file at
-    path as it was.
+    raw memory without a copy, each before the next is asked for. A failure
+    part way leaves any earlier file at path as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -244,7 +250,6 @@ def write_atomic(path, chunks) -> None:
         with open(tmp, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
-                del chunk  # so a generator of blocks makes its next with this one freed
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -265,41 +270,36 @@ def _check_payload_size(fd: int, path, offset: int, count: int,
                     f"{count} payload values")
 
 
-def _first_non_finite(values: np.ndarray) -> int | None:
-    """The flat index of the first non-finite value of values, or None;
-    checked _FINITE_BLOCK values at a time, so the check's boolean temporary
-    stays small."""
-    flat = values.reshape(-1)
-    for lo in range(0, flat.size, _FINITE_BLOCK):
-        finite = np.isfinite(flat[lo : lo + _FINITE_BLOCK])
-        if not finite.all():
-            return lo + int(np.argmin(finite))
-    return None
+def _read_into(fd: int, path, arrays, offset: int, error: type[Exception], first: int = 0,
+               where=lambda value: "") -> None:
+    """Fill arrays, C-contiguous "<f8" arrays, in order from the file of
+    descriptor fd at byte offset by positional reads, which move no shared
+    file position, and check each finite _FINITE_BLOCK values at a time.
+    Raises error, naming path, if the file ends first or at the first
+    non-finite value: first is the payload index of arrays' first value, and
+    where(v) ends the message about payload value v."""
+    for out in arrays:
+        view = memoryview(out).cast("B")
+        done = 0
+        while done < view.nbytes:
+            got = os.preadv(fd, [view[done:]], offset + done)
+            if got == 0:  # the file is shorter than when it was opened
+                raise error(f"{path}: payload changed while it was read")
+            done += got
+        offset += done
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, _FINITE_BLOCK):
+            finite = np.isfinite(flat[lo : lo + _FINITE_BLOCK])
+            if not finite.all():
+                bad = first + lo + int(np.argmin(finite))
+                raise error(f"{path}: non-finite payload value {bad}{where(bad)}")
+        first += flat.size
 
 
-def read_payload(f, path, count: int, error: type[Exception]) -> np.ndarray:
-    """The rest of the open file f as count finite little-endian float64 values.
-    Raises error, naming path, otherwise."""
-    _check_payload_size(f.fileno(), path, f.tell(), count, error)
-    body = np.empty(count, dtype="<f8")
-    if f.readinto(body) != 8 * count:
-        raise error(f"{path}: payload changed while it was read")
-    bad = _first_non_finite(body)
-    if bad is not None:
-        raise error(f"{path}: non-finite payload value {bad}")
-    return body
-
-
-def _pread_into(fd: int, path, out: np.ndarray, offset: int) -> None:
-    """Fill the C-contiguous array out from the file of descriptor fd at byte
-    offset, by positional reads, which move no shared file position."""
-    view = memoryview(out).cast("B")
-    done = 0
-    while done < view.nbytes:
-        got = os.preadv(fd, [view[done:]], offset + done)
-        if got == 0:  # the file is shorter than when it was opened
-            raise DataFormatError(f"{path}: payload changed while it was read")
-        done += got
+def read_payload(f, path, arrays, error: type[Exception]) -> None:
+    """_read_into from the rest of the open file f, once its size is checked."""
+    _check_payload_size(f.fileno(), path, f.tell(), sum(a.size for a in arrays), error)
+    _read_into(f.fileno(), path, arrays, f.tell(), error)
 
 
 class SplitImages:
@@ -331,11 +331,8 @@ class SplitImages:
     def _read(self, start: int, count: int) -> np.ndarray:
         out = np.empty((count, *self.shape[1:]), dtype="<f8")
         first = start * self.per_image  # the payload index of out's first value
-        _pread_into(self.fd, self.path, out, _PAYLOAD_AT + 8 * first)
-        bad = _first_non_finite(out)
-        if bad is not None:
-            raise DataFormatError(f"{self.path}: non-finite payload value {first + bad}, "
-                                  f"in image {start + bad // self.per_image}")
+        _read_into(self.fd, self.path, [out], _PAYLOAD_AT + 8 * first, DataFormatError, first,
+                   lambda value: f", in image {value // self.per_image}")
         return out
 
 
@@ -358,17 +355,18 @@ def save_dataset(ds: SynthDataset, path) -> None:
 
 def save_split(d: dict, split: str, path) -> int:
     """Write the split named split of a resolved config's data section d to
-    path, with the bytes that generate and save_dataset give it (and, for the
-    train split with d["continuous"] set, continuous_labels' labels, seeded
-    with d["continuous_seed"]). Images are drawn and written WRITE_BLOCK at a
-    time, so no more are held. Returns the split's image count."""
+    path, with the bytes that generate and save_dataset give it. Images are
+    drawn WRITE_BLOCK at a time into one buffer, which each write empties
+    before the next draw refills it. Returns the split's image count."""
     draws = _split_draws(d, split)
     grades = _grades(d, draws["per_grade"])
-    continuous = split == "train" and d["continuous"]
-    y = continuous_labels(grades, d["continuous_seed"]) if continuous else grades
+    labels = _split_labels(d, split, grades)
+    rng = np.random.default_rng(draws["seed"])
     n, chw = grades.size, (d["channels"], *d["image_hw"])
-    _write(path, n, chw, "continuous" if continuous else "categorical",
-           _image_blocks(d, grades, draws["seed"]), y, grades)
+    block = np.empty((min(n, WRITE_BLOCK), *chw))
+    parts = (grades[lo : lo + WRITE_BLOCK] for lo in range(0, n, WRITE_BLOCK))
+    _write(path, n, chw, labels["label_mode"],
+           (_draw(d, part, rng, block[: part.size]) for part in parts), labels["y"], grades)
     return n
 
 
@@ -396,11 +394,8 @@ def open_dataset(path, split: str = "unknown") -> Iterator[SynthDataset]:
         n_pixels = n * c * h * w
         _check_payload_size(fd, path, _PAYLOAD_AT, n_pixels + 2 * n, DataFormatError)
         labels = np.empty(2 * n, dtype="<f8")
-        _pread_into(fd, path, labels, _PAYLOAD_AT + 8 * n_pixels)
-        bad = _first_non_finite(labels)
-        if bad is not None:
-            raise DataFormatError(f"{path}: non-finite payload value {n_pixels + bad}, "
-                                  "in the labels")
+        _read_into(fd, path, [labels], _PAYLOAD_AT + 8 * n_pixels, DataFormatError, n_pixels,
+                   lambda value: ", in the labels")
         images = SplitImages(fd, path, (n, c, h, w))
         try:
             yield SynthDataset(

@@ -312,12 +312,12 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             _check_state(header, cfg)
         except ConfigError as e:
             raise CheckpointError(f"{path}: header {e}") from e
-        tensors = _tensor_manifest(model)
-        payload = read_payload(f, path, sum(t.data.size for _, t in tensors), CheckpointError)
-    offset = 0
-    for _, t in tensors:
-        t.data = payload[offset : offset + t.data.size].reshape(t.data.shape).copy()
-        offset += t.data.size
+        # the payload is read into the arrays that from_config drew, in payload
+        # order; astype is a no-op on a little-endian machine
+        params = model.params()
+        for t in params:
+            t.data = t.data.astype("<f8", copy=False)
+        read_payload(f, path, [t.data for t in params], CheckpointError)
     model.bank.provenance = [None if p is None else ProvenanceRecord(**p)
                              for p in header["provenance"]]
     model.cursor = header["cursor"]

@@ -241,22 +241,25 @@ class TestSinglePass:
 
 @pytest.fixture
 def preads(monkeypatch):
-    """A list that grows by the (byte offset, byte count) of every os.preadv call."""
+    """A list that grows by the (inode, byte offset, byte count) of every
+    os.preadv call: checkpoint payloads are read by os.preadv too."""
     seen = []
     preadv = os.preadv
 
     def recording(fd, buffers, offset):
-        seen.append((offset, sum(memoryview(b).nbytes for b in buffers)))
+        seen.append((os.fstat(fd).st_ino, offset, sum(memoryview(b).nbytes for b in buffers)))
         return preadv(fd, buffers, offset)
 
     monkeypatch.setattr(os, "preadv", recording)
     return seen
 
 
-def image_reads(preads, n: int, image_bytes: int) -> list[tuple[int, int]]:
-    """(first image, image count) of each read inside the images of an n-image .insd file."""
+def image_reads(preads, path, n: int, image_bytes: int) -> list[tuple[int, int]]:
+    """(first image, image count) of each read inside the images of path, an
+    n-image .insd file."""
+    ino = os.stat(path).st_ino
     return [((offset - 25) // image_bytes, size // image_bytes)
-            for offset, size in preads if offset < 25 + n * image_bytes]
+            for file, offset, size in preads if file == ino and offset < 25 + n * image_bytes]
 
 
 class TestChunkedReads:
@@ -266,7 +269,7 @@ class TestChunkedReads:
         assert main(["explain", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
                      "--data", str(workdir / "data"), "--sample-ids", "3",
                      "--out", str(tmp_path / "x")]) == 0
-        assert image_reads(preads, 6, 8 * 3 * 8 * 8) == [(3, 1)]
+        assert image_reads(preads, workdir / "data" / "test.insd", 6, 8 * 3 * 8 * 8) == [(3, 1)]
 
     @pytest.mark.parametrize("command", ["eval", "embed"])
     def test_no_read_spans_more_than_a_chunk(self, workdir, tmp_path, preads, command):
@@ -278,7 +281,7 @@ class TestChunkedReads:
         preads.clear()
         assert main([command, "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
                      "--data", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
-        reads = sorted(image_reads(preads, 130, 8 * 3 * 8 * 8))
+        reads = sorted(image_reads(preads, tmp_path / "test.insd", 130, 8 * 3 * 8 * 8))
         assert reads == [(0, INFERENCE_CHUNK), (INFERENCE_CHUNK, INFERENCE_CHUNK),
                          (2 * INFERENCE_CHUNK, 130 - 2 * INFERENCE_CHUNK)]
 

@@ -130,6 +130,19 @@ class TestGeneration:
         assert len(train) == 20 and len(test) == 10
         assert not np.array_equal(train.images[:10], test.images[:10])
 
+    def test_make_splits_holds_its_images_and_one_block(self):
+        d = C.resolve_config()["data"]
+        tracemalloc.start()
+        try:
+            splits = D.make_splits(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        images = sum(ds.images.nbytes for ds in splits)
+        # each split's one array and one block's placements and paint temporaries,
+        # not the blocks and a concatenation of them
+        assert peak <= images + (2 << 20), (peak, images)
+
     def test_overcrowded_config_raises(self):
         cfg = small_cfg(image_hw=(16, 16), grades=5, blobs_per_grade=8,
                         blob_radius=(3.0, 3.0), noise_sigma=0.0)
@@ -303,9 +316,6 @@ class TestFileFormat:
         d = C.resolve_config({"data": {"train_per_grade": 30, "test_per_grade": 14,
                                        **data}})["data"]
         for split, ds in zip(D.SPLITS, D.make_splits(d)):
-            if split == "train" and d["continuous"]:
-                ds = replace(ds, y=D.continuous_labels(ds.y_categorical, d["continuous_seed"]),
-                             label_mode="continuous")
             D.save_dataset(ds, tmp_path / "want.insd")
             assert D.save_split(d, split, tmp_path / "got.insd") == len(ds)
             assert (tmp_path / "got.insd").read_bytes() == (tmp_path / "want.insd").read_bytes()

@@ -189,13 +189,33 @@ def test_non_finite_image_read_in_a_chunk_exits_2(tmp_path, capsys, checkpoint_b
                                   "categorical", "test"), data)
     with pytest.raises(D.DataFormatError) as loaded:
         D.load_dataset(data)
-    assert str(loaded.value).startswith(f"{data}: ")
+    value = image * 3 * 8 * 8 + 2 * 8 * 8 + 7 * 8 + 1  # counted from the first image value
+    assert str(loaded.value) == f"{data}: non-finite payload value {value}, in image {image}"
     extra = ["--sample-ids", str(image)] if command == "explain" else []
     rc = main([command, "--checkpoint", str(ckpt), "--data", str(data),
                "--out", str(tmp_path / "out"), *extra])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {loaded.value}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("labels, at", [("y", 64), ("y_categorical", 0)])
+def test_non_finite_label_exits_2(tmp_path, capsys, checkpoint_bytes, split_65, labels, at):
+    ckpt, data = tmp_path / "ckpt.bin", tmp_path / "test.insd"
+    ckpt.write_bytes(checkpoint_bytes)
+    y = {"y": split_65.y.copy(), "y_categorical": split_65.y_categorical.copy()}
+    y[labels][at] = np.nan
+    D.save_dataset(D.SynthDataset(split_65.images, **y, label_mode="categorical",
+                                  split="test"), data)
+    # values count from the first image value: 65 images, then y, then y_categorical
+    value = 65 * 3 * 8 * 8 + (65 if labels == "y_categorical" else 0) + at
+    want = f"{data}: non-finite payload value {value}, in the labels"
+    with pytest.raises(D.DataFormatError) as loaded:
+        D.load_dataset(data)
+    assert str(loaded.value) == want
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_file_cut_after_it_was_opened(tmp_path, split_65):
