@@ -176,7 +176,7 @@ def cmd_embed(args) -> int:
     model, cfg = load_checkpoint(args.checkpoint)
     with _open_split(args.data, "test") as test_ds:
         latents = model.latents_np(test_ds.images)
-    weights = metrics.contribution_matrix(model, model.head_np(latents)[0])
+    weights = metrics.contribution_matrix(model, model.head_np(model.dmin_np(latents))[0])
     n, c_z, h, w = latents.shape
     patches = latents.transpose(0, 2, 3, 1).reshape(-1, c_z)  # a view: latents are channels-last
     sample_ids = np.repeat(np.arange(n), h * w)

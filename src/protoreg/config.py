@@ -204,7 +204,7 @@ def save_config(cfg: dict, path) -> None:
     Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
+# kept for perfbench/quality.py and perfbench/test_reference.py (ROADMAP item 5)
 def synth_config_from(cfg: dict) -> dict:
-    """The data section that data.make_splits reads; perfbench builds its splits
-    with make_splits(synth_config_from(cfg))."""
+    """The data section that data.make_splits reads."""
     return cfg["data"]

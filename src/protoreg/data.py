@@ -207,6 +207,7 @@ def _split_draws(d: dict, split: str) -> dict:
     return {"per_grade": d[f"{split}_per_grade"], "seed": d["seed"] + SPLITS.index(split)}
 
 
+# kept for perfbench/quality.py and perfbench/test_reference.py (ROADMAP item 5)
 def make_splits(d: dict) -> tuple[SynthDataset, SynthDataset]:
     """(train, test) splits of a resolved config's data section d."""
     train, test = (generate(d, split=split, **_split_draws(d, split)) for split in SPLITS)
@@ -347,6 +348,7 @@ def _write(path, n: int, chw: tuple[int, int, int], label_mode: str, image_block
     ))
 
 
+# kept for perfbench/tracing.py (ROADMAP item 5)
 def save_dataset(ds: SynthDataset, path) -> None:
     n, *chw = ds.images.shape
     _write(path, n, chw, ds.label_mode, [np.ascontiguousarray(ds.images, dtype="<f8")],

@@ -11,8 +11,8 @@ input its own gradient gives only its value and local derivative to
 Tensor._unary or Tensor._binary, which record the node and route the
 gradient to the inputs that require one. conv2d, bias_act and proto_sqdist
 call Tensor._result themselves: each builds one backward intermediate that
-serves both inputs, and hands the gradients it has just made to
-Tensor._take, which keeps them without a copy.
+serves both inputs. Every gradient is stored by Tensor._accum, which adds a
+later contribution into a new array, never into the stored one.
 
 conv2d and bias_act keep their (N,C,H,W)-shaped activations channels-last
 in memory (strides of an (N,H,W,C) array), so a block reads its input's
@@ -91,16 +91,9 @@ class Tensor:
         return out
 
     def _accum(self, g):
-        # an owned copy first: add hands one array to both parents, reshape and sum views
-        self._take(np.array(g, dtype=np.float64) if self.grad is None else g)
-
-    def _take(self, g):
-        """_accum for a float64 gradient that the op has just made and holds
-        nowhere else: the first one is kept as it is, not copied."""
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
+        """Store a gradient contribution. No code writes into a stored gradient,
+        so g may be shared with another tensor or be a view."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def _unary(self, out, grad, op) -> "Tensor":
         """The result of a one-input op: out, and grad(g), the gradient g sends to self."""
@@ -268,12 +261,12 @@ class Tensor:
                     for j in range(kw):
                         gx[:, i : i + s * oh : s, j : j + s * ow : s] += (
                             (g_rows @ w_taps_t[i, j]).reshape(n, oh, ow, c))
-                x._take(gx.transpose(0, 3, 1, 2))
+                x._accum(gx.transpose(0, 3, 1, 2))
             if w.requires_grad and x_taps:  # kept if w required a gradient in the forward
                 gw = np.empty_like(wdat)
                 for t, rows in enumerate(x_taps):
                     gw[:, :, t // kw, t % kw] = (rows.T @ g_rows).T
-                w._take(gw)
+                w._accum(gw)
 
         return Tensor._result(out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2), (x, w),
                               backward, "conv2d")
@@ -303,9 +296,9 @@ class Tensor:
             if b.requires_grad:
                 # summed in C order, the order of an (N,K,H,W)-contiguous gradient,
                 # whatever gz's layout: numpy's reduction order follows memory
-                b._take(np.ascontiguousarray(gz).sum(axis=(0, 2, 3)))
+                b._accum(np.ascontiguousarray(gz).sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                x._take(gz)
+                x._accum(gz)
 
         return Tensor._result(out, (x, b), backward, "bias_act")
 
@@ -348,10 +341,10 @@ class Tensor:
                 gz = 2.0 * zd * g.sum(axis=1)[:, None, :, :] - 2.0 * (
                     (g2d @ pd).reshape(n, h, w, c).transpose(0, 3, 1, 2)
                 )
-                z._take(gz)
+                z._accum(gz)
             if p.requires_grad:
                 gp = 2.0 * pd * g.sum(axis=(0, 2, 3))[:, None] - 2.0 * (g2d.T @ zr)
-                p._take(gp)
+                p._accum(gp)
 
         return Tensor._result(out, (z, p), backward, "proto_sqdist")
 
@@ -475,7 +468,7 @@ def grad_check(closure, params: list[Tensor], fd_step: float = 1e-6,
         p.grad = None
     loss = closure()
     loss.backward()
-    analytic = [np.array(p.grad, copy=True) for p in params]
+    analytic = [p.grad for p in params]
     worst = 0.0
     for p, a in zip(params, analytic):
         n = p.data.size

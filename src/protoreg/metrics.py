@@ -42,6 +42,7 @@ def sparsity_rows(weights: np.ndarray) -> np.ndarray:
     return np.sum(cumulative < 0.8 * totals - 1e-12, axis=1) + 1
 
 
+# kept for perfbench/test_reference.py (ROADMAP item 5)
 def sparsity(w: np.ndarray) -> int:
     """Sparsity of one sample's (m,) weights."""
     return int(sparsity_rows(w[None])[0])
@@ -53,6 +54,7 @@ def top_contributor_rows(weights: np.ndarray) -> np.ndarray:
     return contribution_order(weights)[:, :TOP_SET_SIZE]
 
 
+# kept for perfbench/run.py and perfbench/test_reference.py (ROADMAP item 5)
 def top_contributor_set(w: np.ndarray) -> frozenset[int]:
     return frozenset(top_contributor_rows(w[None])[0].tolist())
 

@@ -165,14 +165,6 @@ class Model:
     def _dmin(self, latents: np.ndarray) -> np.ndarray:
         return min_pool(distance_map(Tensor(latents), self.bank))[0].data
 
-    def _head_rows(self, dmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(N, m) similarities and (N,) predictions of (N, m) min-pooled distances,
-        in one head call. The head works row by row, so each row has the bits
-        that a forward of its chunk gives."""
-        with no_grad():
-            s, y_hat = self.head(Tensor(dmin))
-        return s.data, y_hat.data
-
     def latents_np(self, images) -> np.ndarray:
         """(N, c_z, h_z, w_z) backbone output of a raw image array or of an open
         split's data.SplitImages, one chunk (see _chunks) at a time."""
@@ -185,18 +177,22 @@ class Model:
         return np.concatenate(_map_chunks(lambda c: self._dmin(latents[c]),
                                           _chunks(latents.shape[0])))
 
-    def head_np(self, latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(N, m) similarities and (N,) predictions of latents_np's output: dmin_np,
-        then one head call on all rows."""
-        return self._head_rows(self.dmin_np(latents))
+    def head_np(self, dmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, m) similarities and (N,) predictions of (N, m) min-pooled distances,
+        in one head call. The head works row by row, so each row has the bits
+        that a forward of its chunk gives."""
+        with no_grad():
+            s, y_hat = self.head(Tensor(dmin))
+        return s.data, y_hat.data
 
     def score_np(self, images) -> tuple[np.ndarray, np.ndarray]:
-        """head_np(latents_np(images)) with the same bits, for the same images.
-        Each chunk's task reads its images and takes them straight to their
-        min-pooled distances, so no latents array is built."""
-        return self._head_rows(np.concatenate(_map_chunks(
+        """head_np(dmin_np(latents_np(images))) with the same bits, for the same
+        images. Each chunk's task reads its images and takes them straight to
+        their min-pooled distances, so no latents array is built."""
+        return self.head_np(np.concatenate(_map_chunks(
             lambda c: self._dmin(self._latents(images[c])), _chunks(images.shape[0]))))
 
+    # kept for perfbench/run.py (ROADMAP item 5)
     def predict_np(self, images) -> np.ndarray:
         """Batched no-grad prediction on a raw image array."""
         return self.score_np(images)[1]

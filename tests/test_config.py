@@ -374,8 +374,7 @@ class TestCheckpoint:
         save_checkpoint(model, path, tiny_resolved_cfg())
         back, _ = load_checkpoint(path)
         images = np.random.default_rng(0).uniform(size=(4, 3, 8, 8))
-        assert np.array_equal(model.head_np(model.latents_np(images))[1],
-                              back.head_np(back.latents_np(images))[1])
+        assert np.array_equal(model.score_np(images)[1], back.score_np(images)[1])
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = tiny_model(seed=7)
@@ -461,8 +460,7 @@ class TestCheckpoint:
         back, _ = load_checkpoint(tmp_path / "checkpoint.bin")
         assert (back.similarity_kind, back.eps) == ("log", 1e-3)
         images = rng.uniform(size=(5, 3, 8, 8))
-        assert np.array_equal(back.head_np(back.latents_np(images))[1],
-                              model.head_np(model.latents_np(images))[1])
+        assert np.array_equal(back.score_np(images)[1], model.score_np(images)[1])
 
         raw = (tmp_path / "checkpoint.bin").read_bytes()
         header, _ = split_checkpoint(raw)

@@ -347,6 +347,21 @@ class TestBackward:
         y.sum().backward()
         assert x.grad[0] == 7.0
 
+    def test_shared_gradient_is_not_written_into(self):
+        # add hands one array to both of its inputs, so x's first contribution is
+        # also y's gradient; adding x's second one must leave y's alone
+        x, y = t([1.0, 2.0]), t([3.0, 4.0])
+        x.add(y).add(x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+    def test_view_gradient_is_not_written_into(self):
+        # sum's gradient is a read-only broadcast view of the upstream scalar
+        vals = np.array([[0.5, -1.0], [2.0, 3.0]])
+        x = t(vals)
+        x.sum().add(x.square().sum()).backward()
+        np.testing.assert_array_equal(x.grad, 1.0 + 2.0 * vals)
+
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         vals = rng.normal(size=(4, 4))

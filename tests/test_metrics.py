@@ -122,7 +122,7 @@ class TestRowForms:
     def test_contribution_matrix_matches_row_loop(self):
         model = tiny_model(seed=3)
         images = np.random.default_rng(4).uniform(size=(9, 3, 8, 8))
-        s, _ = model.head_np(model.latents_np(images))
+        s, _ = model.score_np(images)
         r = model.theta.data**2 / model.bank.labels
         loop = np.vstack([s_row * r for s_row in s])
         assert metrics.contribution_matrix(model, s).tobytes() == loop.tobytes()
@@ -457,7 +457,7 @@ class TestExplain:
 
     def test_prediction_matches_model(self, model, image):
         e = explain(image, sample_id=0, y=1.0, model=model, top_k=3)
-        assert np.isclose(e.y_hat, model.head_np(model.latents_np(image[None]))[1][0])
+        assert np.isclose(e.y_hat, model.score_np(image[None])[1][0])
 
     def test_prediction_has_evals_bits(self):
         # one image explained alone gets the y_hat that eval's batched pass gives it
@@ -493,5 +493,5 @@ class TestEvaluate:
         assert 1.0 <= out["s_spars_mean"] <= model.bank.m
         assert 1 <= out["diversity"] <= model.bank.m
         # MAE oracle straight from predictions
-        y_hat = model.head_np(model.latents_np(ds.images))[1]
+        y_hat = model.head_np(model.dmin_np(model.latents_np(ds.images)))[1]
         assert np.isclose(out["mae"], np.mean(np.abs(y_hat - ds.y)))

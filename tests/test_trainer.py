@@ -163,11 +163,24 @@ def live_lastlayer(model, ds, cfg, rng):
     return rows
 
 
+@pytest.mark.parametrize("kind", ["reciprocal", "log"])
+def test_batch_loss_stores_a_gradient_per_parameter(kind):
+    """After one backward pass every parameter holds a float64 array of its own
+    shape, whichever op stored its first or later contributions."""
+    model = tiny_model(seed=1, similarity_kind=kind)
+    ds = tiny_dataset(n=6, seed=3)
+    loss_cfg = resolve_config(TINY_CFG)["loss"]
+    trainer._batch_loss(model, ds.images, ds.y, loss_cfg)[0].backward()
+    for p in model.params():
+        assert type(p.grad) is np.ndarray
+        assert (p.grad.dtype, p.grad.shape) == (np.float64, p.data.shape)
+
+
 def no_grad_outputs(model, ds):
     """dmin, s and y_hat of the chain latents_np -> dmin_np -> head_np, predict_np's
     y_hat, and per_sample_weights' (y_hat, W), all over ds.images."""
-    latents = model.latents_np(ds.images)
-    return [model.dmin_np(latents), *model.head_np(latents), model.predict_np(ds.images),
+    dmin = model.dmin_np(model.latents_np(ds.images))
+    return [dmin, *model.head_np(dmin), model.predict_np(ds.images),
             *metrics.per_sample_weights(model, ds)]
 
 
@@ -184,7 +197,7 @@ def chunk_loop(model, images, chunks):
 
 class TestForwardNp:
     """The no-grad passes over a raw image array: latents_np, dmin_np, head_np,
-    predict_np, and metrics.per_sample_weights on top of them."""
+    score_np, predict_np, and metrics.per_sample_weights on top of them."""
 
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
         from protoreg.model import _chunks
@@ -203,7 +216,8 @@ class TestForwardNp:
                 assert a.tobytes() == b.tobytes(), size
             # the fused pass, one task per chunk from images to distances
             for a, b in zip(model.score_np(ds.images),
-                            model.head_np(model.latents_np(ds.images)), strict=True):
+                            model.head_np(model.dmin_np(model.latents_np(ds.images))),
+                            strict=True):
                 assert a.tobytes() == b.tobytes(), size
 
     def test_matches_forward(self):
@@ -219,7 +233,7 @@ class TestForwardNp:
         model = tiny_model(seed=0)
         empty = tiny_dataset(n=0)
         # every pass goes through model._chunks, which makes the check
-        for run in (model.latents_np, model.dmin_np, model.head_np, model.predict_np,
+        for run in (model.latents_np, model.dmin_np, model.score_np, model.predict_np,
                     lambda images: metrics.per_sample_weights(model, empty)):
             with pytest.raises(ValueError, match="^no-grad pass over an empty image array$"):
                 run(empty.images)
