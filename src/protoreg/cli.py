@@ -226,8 +226,8 @@ def _run_share(fn, share: list) -> tuple[list | None, Exception | None]:
 
 
 def _child_share(fn, share: list, cpu: int, conn) -> None:
-    """Run share on one CPU, so that its chunk pool gets one worker, and send
-    the outcome of _run_share through conn."""
+    """Run share on one CPU, so that its chunk pool gets one worker, pinned to
+    that CPU, and send the outcome of _run_share through conn."""
     os.sched_setaffinity(0, [cpu])
     conn.send(_run_share(fn, share))
 
@@ -250,8 +250,9 @@ def map_cells(fn, cells: list) -> list:
     process may use, at most one per cell.
 
     The cells are cut into n runs of consecutive cells, one per process. This
-    process runs the first and a forked child each later one, on one CPU;
-    processes, not threads, since engine.no_grad flips a process-global flag.
+    process runs the first and a forked child each later one, each pinned to
+    one CPU, so no run's passes land on another's CPU; processes, not threads,
+    since engine.no_grad flips a process-global flag.
     A run stops at its first failing cell and precedes the next run's cells,
     so the first failing run's exception, raised once every child has ended,
     is the first failing cell's. With one usable CPU nothing forks and
@@ -274,8 +275,11 @@ def map_cells(fn, cells: list) -> list:
                 child.start()
                 child_end.close()
                 children.append((child, conn))
+            os.sched_setaffinity(0, cpus[:1])
         outcomes.append(_run_share(fn, runs[0]))
     finally:
+        if n > 1:
+            os.sched_setaffinity(0, cpus)
         outcomes += [_gather(child, conn) for child, conn in children]
     for results, e in outcomes:
         if e is not None:

@@ -16,6 +16,7 @@ identical to the saved one.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -71,18 +72,27 @@ def _chunks(n: int) -> list[slice]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(pid: int) -> ThreadPoolExecutor:
-    """Process pid's chunk pool, one worker per CPU it may use when it first
-    asks. A forked child has a pid of its own, so it makes its own pool and
-    never touches the copy of its parent's, whose threads it did not inherit."""
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0))
-                              if hasattr(os, "sched_getaffinity") else os.cpu_count())
+def _pool(pid: int, cpus: tuple[int, ...] | None) -> ThreadPoolExecutor:
+    """Process pid's chunk pool for a caller on cpus: one worker pinned to each
+    (on Linux os.sched_setaffinity(0) sets only the calling thread's CPUs), or,
+    where cpus is None, os.cpu_count() unpinned ones. A forked child has a pid
+    of its own, so it never touches its parent's pools, whose threads it did
+    not inherit."""
+    if cpus is None:
+        return ThreadPoolExecutor(os.cpu_count())
+    order = iter(cpus)  # each worker's initializer takes the next CPU
+
+    def pin():  # a CPU gone since cpus was read leaves its worker unpinned, the pool unbroken
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, [next(order)])
+    return ThreadPoolExecutor(len(cpus), initializer=pin)
 
 
 def _map_chunks(fn, chunks: list[slice]) -> list:
-    """[fn(chunk) for chunk in chunks], run on every CPU the process may use.
+    """[fn(chunk) for chunk in chunks], run on the pool of the caller's CPU
+    set, one chunk per CPU the caller may use at a time.
 
-    Each chunk is computed on its own, so its bits do not depend on the worker
+    Each chunk is computed on its own, so its bits do not depend on the thread
     that runs it; numpy drops the GIL in the matmuls and array loops. The
     engine's grad flag is process-global, so no_grad is entered here, once, on
     the calling thread, and never by a worker. numpy's error state is per
@@ -90,13 +100,14 @@ def _map_chunks(fn, chunks: list[slice]) -> list:
     one's exception in chunk order is raised once every chunk that started
     has ended, so no chunk outlives the call, or a file its caller closes.
     """
+    cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else None
     err = np.geterr()
 
     def run(chunk: slice):
         with np.errstate(**err):
             return fn(chunk)
 
-    pool = _pool(os.getpid())
+    pool = _pool(os.getpid(), cpus)
     with no_grad():
         futures = [pool.submit(run, chunk) for chunk in chunks]
         try:

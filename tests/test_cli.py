@@ -178,15 +178,19 @@ def test_eval_bytes_do_not_depend_on_the_worker_count(workdir, tmp_path):
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
     src = str(Path(protoreg.__file__).resolve().parents[1])
     cpus = sorted(os.sched_getaffinity(0))
+    files = {"eval": ("metrics.json", "per_sample.csv"),
+             "embed": ("embedding.csv", "embedding.svg", "usage_histogram.svg")}
     outputs = []
-    for on in (cpus[:1], cpus[:2]):  # one worker, then two
-        out = tmp_path / f"eval_{len(on)}"
-        subprocess.run([sys.executable, "-c", _ON_CPUS, ",".join(map(str, on)), "eval",
-                        "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
-                        "--data", str(tmp_path / "data"), "--out", str(out)],
-                       check=True, capture_output=True,
-                       env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
-        outputs.append([(out / name).read_bytes() for name in ("metrics.json", "per_sample.csv")])
+    for on in (cpus[:1], cpus[:2]):  # one pinned pool worker, then two
+        outputs.append([])
+        for command, names in files.items():
+            out = tmp_path / f"{command}_{len(on)}"
+            subprocess.run([sys.executable, "-c", _ON_CPUS, ",".join(map(str, on)), command,
+                            "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                            "--data", str(tmp_path / "data"), "--out", str(out)],
+                           check=True, capture_output=True,
+                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+            outputs[-1] += [(out / name).read_bytes() for name in names]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][0])["n_samples"] == 140
 
@@ -332,6 +336,8 @@ class TestEmbed:
         assert (out / "usage_histogram.svg").read_text().startswith("<svg")
 
 
+_START_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
 # for the tests whose cell ends through os._exit, which in this process would end the test run
 two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -418,6 +424,31 @@ class TestAblate:
             cli.map_cells(square, list(range(7)))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    # these two compare with the CPUs the test process had when it started, so a
+    # map_cells that leaves this thread narrowed fails them whatever ran first
+    @two_cpus
+    def test_map_cells_runs_each_share_on_its_own_cpu(self):
+        cpus = _START_CPUS
+        # one cell per CPU: this process runs cell 0 on the first, a child each later one
+        ran = cli.map_cells(lambda c: sorted(os.sched_getaffinity(0)), list(range(len(cpus))))
+        assert ran == [[cpu] for cpu in cpus]
+        assert sorted(os.sched_getaffinity(0)) == cpus
+
+    @two_cpus
+    def test_map_cells_restores_the_cpus_when_its_own_share_raises(self):
+        cpus, seen = _START_CPUS, []
+
+        def fail_here(c):
+            if c == 0:
+                seen.append(sorted(os.sched_getaffinity(0)))
+                raise ValueError("cell 0 failed")
+            return c
+
+        with pytest.raises(ValueError, match="^cell 0 failed$"):
+            cli.map_cells(fail_here, [0, 1])
+        assert seen == [cpus[:1]]
+        assert sorted(os.sched_getaffinity(0)) == cpus
 
     def test_other_commands_do_not_import_multiprocessing(self, workdir, tmp_path):
         src = str(Path(protoreg.__file__).resolve().parents[1])

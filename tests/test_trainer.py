@@ -375,6 +375,44 @@ class TestChunkPool:
         assert got[:2] == bytes([3, 1])  # 3 chunks, all on one thread
         assert got[2:] == want
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs the process may use")
+    def test_each_pool_worker_is_pinned_to_one_of_the_callers_cpus(self):
+        from protoreg.model import _chunks, _map_chunks
+
+        cpus, caller = os.sched_getaffinity(0), threading.get_ident()
+        ran = _map_chunks(lambda chunk: (threading.get_ident(), os.sched_getaffinity(0)),
+                          _chunks(1000))
+        assert len(ran) == 16
+        assert all(ident != caller and len(on) == 1 and on <= cpus for ident, on in ran)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_a_worker_that_cannot_pin_runs_unpinned(self, monkeypatch):
+        # a CPU gone since the caller read its set must not break the cached pool
+        from protoreg.model import _pool
+
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        pool = _pool.__wrapped__(os.getpid(), (0,))  # uncached, so no later pass finds it
+        try:
+            assert pool.submit(lambda: 7).result() == 7
+        finally:
+            pool.shutdown()
+
+    def test_unpinned_pool_without_the_affinity_calls(self, monkeypatch):
+        from protoreg.model import _chunks, _map_chunks
+
+        model = tiny_model(seed=4)
+        images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
+        want = [a.tobytes() for a in model.score_np(images)]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert [a.tobytes() for a in model.score_np(images)] == want
+        caller = threading.get_ident()
+        assert caller not in _map_chunks(lambda chunk: threading.get_ident(), _chunks(129))
+
 
 class TestLastLayerCache:
     """The stage reads cached distances; it must train exactly as a live forward does."""
