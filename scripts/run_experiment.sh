@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full pipeline on the default synthetic config:
 # data generation -> training -> evaluation -> explanations -> embedding.
+# Runs the code of the checkout the script is in, with one BLAS thread.
 # Usage: scripts/run_experiment.sh [output-root] [extra config JSON path]
 set -euo pipefail
 
@@ -9,6 +10,11 @@ CONFIG_ARGS=()
 if [[ $# -ge 2 ]]; then
   CONFIG_ARGS=(--config "$2")
 fi
+
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+export OPENBLAS_NUM_THREADS=1
+protoreg() { python3 -m protoreg.cli "$@"; }
 
 protoreg grad-check
 

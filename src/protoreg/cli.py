@@ -1,13 +1,14 @@
-"""Command line surface.
-
-Subcommands: gen-data, train, eval, explain, embed, ablate, grad-check.
-Every command echoes the fully resolved config into its output directory.
+"""Command line surface: subcommand <name> (gen-data, train, eval, explain,
+embed, ablate, grad-check) runs cmd_<name>, dashes as underscores, looked up in
+this module when main runs. The parser is built once per module. Every command
+echoes the fully resolved config into its output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -330,6 +331,7 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protoreg",
@@ -341,19 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate the synthetic train/test splits")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run the full training protocol")
     p.add_argument("--config")
     p.add_argument("--data", required=True, help="train.insd file or gen-data output dir")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="test.insd file or gen-data output dir")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explain", help="export per-sample explanations")
     p.add_argument("--checkpoint", required=True)
@@ -361,24 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-ids", required=True, help="comma-separated sample indices")
     p.add_argument("--top-k", type=int, default=3)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("embed", help="export the 2-D latent embedding report")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("ablate", help="run the ablation matrix and emit CSV/Markdown")
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=1)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_grad_check)
 
     return parser
 
@@ -387,7 +382,7 @@ def main(argv=None) -> int:
     pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -192,8 +192,8 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        overrides = json.loads(p.read_text())
-    except (json.JSONDecodeError, RecursionError) as e:
+        overrides = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as e:
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from e
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {p} must contain a JSON object")

@@ -187,6 +187,7 @@ def _split_labels(d: dict, split: str, grades: np.ndarray) -> dict:
     return {"y": grades.copy(), "label_mode": "categorical"}
 
 
+# kept for perfbench/tracing.py and make_splits (ROADMAP item 5)
 def generate(d: dict, per_grade: int, split: str, seed: int) -> SynthDataset:
     """Balanced dataset: per_grade images of every internal grade 1..grades,
     drawn as a resolved config's data section d describes, WRITE_BLOCK images

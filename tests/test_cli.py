@@ -160,6 +160,27 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: expected")
 
 
+class TestDispatch:
+    def eval_argv(self, workdir, out) -> list[str]:
+        return ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+                "--data", str(workdir / "data"), "--out", str(out)]
+
+    def test_two_calls_build_one_parser(self, workdir, tmp_path):
+        cli.build_parser.cache_clear()
+        assert main(self.eval_argv(workdir, tmp_path / "a")) == 0
+        assert main(self.eval_argv(workdir, tmp_path / "b")) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_main_runs_the_cmd_function_the_module_holds_when_called(self, workdir, tmp_path,
+                                                                      monkeypatch):
+        assert main(self.eval_argv(workdir, tmp_path / "a")) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.out) or 7)
+        assert main(self.eval_argv(workdir, tmp_path / "b")) == 7
+        assert seen == [str(tmp_path / "b")]
+        assert not (tmp_path / "b").exists()
+
+
 # Sets the process's CPUs (a comma-separated list) and then runs the command line.
 _ON_CPUS = """
 import os, sys
@@ -525,6 +546,15 @@ class TestErrors:
         rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config file {cfg} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "d").exists()
 
     def test_batch_size_zero_rejected_before_data_loads(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -289,6 +289,13 @@ class TestLoadSave:
         with pytest.raises(C.ConfigError, match="JSON"):
             C.load_config(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(C.ConfigError, match=f"config file {re.escape(str(path))} "
+                                                "is not valid JSON: 'utf-8' codec"):
+            C.load_config(path)
+
     def test_json_nested_too_deep(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

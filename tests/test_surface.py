@@ -1,6 +1,11 @@
 """No production code that only tests call: every function and class that
-src/protoreg defines is used somewhere in src/protoreg, apart from a fixed
-set that perfbench/ reads (ROADMAP item 5)."""
+src/protoreg defines is reachable from the command line, apart from a fixed
+set that perfbench/ reads (ROADMAP item 5).
+
+The walk starts at every module's top-level code, at cli.main and at the
+cmd_<name> of each subcommand <name> (main looks it up by name), and follows
+the names that each reached body reads. A name reaches every function and
+class of that name; a reached class's own body and dunder methods run too."""
 
 import ast
 from pathlib import Path
@@ -8,35 +13,91 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "protoreg"
 
 # each is deleted by ROADMAP item 5, once perfbench/ no longer reads it
-BENCHMARK_ONLY = {"make_splits", "predict_np", "save_dataset", "sparsity", "synth_config_from",
-                  "top_contributor_set"}
+BENCHMARK_ONLY = {"generate", "make_splits", "predict_np", "save_dataset", "sparsity",
+                  "synth_config_from", "top_contributor_set"}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def parsed():
     return {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def unused_definitions(trees):
-    """{name: (path, def node)} of the non-dunder functions and classes that no
-    Name or Attribute in the trees reads."""
-    defined, used = {}, set()
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def reads(stmts) -> set:
+    """The names that running stmts reads: every loaded Name and Attribute,
+    the decorators, defaults and bases of the functions and classes they
+    define, but not those definitions' bodies."""
+    names, todo = set(), list(stmts)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo += node.decorator_list + node.args.defaults
+            todo += [d for d in node.args.kw_defaults if d is not None]
+            continue
+        if isinstance(node, ast.ClassDef):
+            todo += node.decorator_list + node.bases + [k.value for k in node.keywords]
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+def subcommands(trees) -> set:
+    """The name of each subparser that src/protoreg/cli.py adds."""
+    return {node.args[0].value for node in ast.walk(trees[SRC / "cli.py"])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_parser"}
+
+
+def command_functions(trees) -> set:
+    return {node.name for node in trees[SRC / "cli.py"].body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")}
+
+
+def unreachable_definitions(trees):
+    """{name: (path, def node)} of the non-dunder functions and classes that
+    the walk in this module's docstring does not reach."""
+    defined = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.setdefault(node.name, (path, node))
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return {name: where for name, where in defined.items()
-            if name not in used and not (name.startswith("__") and name.endswith("__"))}
+            if isinstance(node, _DEFS):
+                defined.setdefault(node.name, []).append((path, node))
+    todo = {"main"} | {"cmd_" + name.replace("-", "_") for name in subcommands(trees)}
+    for tree in trees.values():
+        todo |= reads(tree.body)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for _, node in defined.get(name, []):
+            todo |= reads(node.body)
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, _DEFS) and is_dunder(method.name):
+                        todo |= reads(method.body)
+        todo -= reached
+    return {name: where[0] for name, where in defined.items()
+            if name not in reached and not is_dunder(name)}
 
 
 def test_only_the_benchmark_surface_is_unused():
-    assert set(unused_definitions(parsed())) == BENCHMARK_ONLY
+    assert set(unreachable_definitions(parsed())) == BENCHMARK_ONLY
 
 
 def test_each_benchmark_only_name_names_its_perfbench_reader():
-    for name, (path, node) in unused_definitions(parsed()).items():
+    for name, (path, node) in unreachable_definitions(parsed()).items():
         above = path.read_text().splitlines()[node.lineno - 2].strip()
         assert above.startswith("# kept for perfbench/"), (name, above)
+
+
+def test_each_subcommand_has_its_command_function_and_back():
+    trees = parsed()
+    assert {"cmd_" + name.replace("-", "_") for name in subcommands(trees)} == \
+        command_functions(trees)
