@@ -84,7 +84,7 @@ for _key, _rule in RULES.items():
     DEFAULTS.setdefault(_section, {})[_name] = _rule.default
 # float64 images of both splits, and each per-batch tensor of a pass
 MAX_DATASET_BYTES = 1 << 30
-INFERENCE_CHUNK = 64  # images per chunk of the no-grad passes (model._chunks)
+INFERENCE_CHUNK = 64  # images per chunk of the no-grad passes (model._map_chunks)
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 

@@ -66,10 +66,6 @@ class Tensor:
         self._backward = None
         self._op = "leaf"
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 

@@ -57,61 +57,56 @@ class ForwardResult:
     y_hat: Tensor  # (N,) predictions
 
 
-def _chunks(n: int) -> list[slice]:
-    """The chunks of every no-grad pass over n images (latents_np, dmin_np,
-    score_np): consecutive slices of INFERENCE_CHUNK rows, the last one shorter
-    if INFERENCE_CHUNK does not divide n.
-
-    Each row's bits do not depend on the chunk it is in, a lone tail image
-    included: the backbone's channels-last latents give proto_sqdist C-contiguous
-    patch rows at every batch size.
-    """
-    if n == 0:
-        raise ValueError("no-grad pass over an empty image array")
-    return [slice(a, min(a + INFERENCE_CHUNK, n)) for a in range(0, n, INFERENCE_CHUNK)]
-
-
 @functools.lru_cache(maxsize=None)
-def _pool(pid: int, cpus: tuple[int, ...] | None) -> ThreadPoolExecutor:
-    """Process pid's chunk pool for a caller on cpus: one worker pinned to each
-    (on Linux os.sched_setaffinity(0) sets only the calling thread's CPUs), or,
-    where cpus is None, os.cpu_count() unpinned ones. A forked child has a pid
-    of its own, so it never touches its parent's pools, whose threads it did
-    not inherit."""
-    if cpus is None:
-        return ThreadPoolExecutor(os.cpu_count())
+def _pool(pid: int, cpus: tuple[int, ...]) -> ThreadPoolExecutor:
+    """Process pid's chunk pool for a caller on cpus: one worker for each,
+    pinned to it (on Linux os.sched_setaffinity(0) sets only the calling
+    thread's CPUs). A worker that cannot pin (no os.sched_setaffinity, or a
+    CPU gone since cpus was read) runs unpinned, and the pool keeps working.
+    A forked child has a pid of its own, so it never touches its parent's
+    pools, whose threads it did not inherit."""
     order = iter(cpus)  # each worker's initializer takes the next CPU
 
-    def pin():  # a CPU gone since cpus was read leaves its worker unpinned, the pool unbroken
-        with contextlib.suppress(OSError):
+    def pin():
+        with contextlib.suppress(AttributeError, OSError):
             os.sched_setaffinity(0, [next(order)])
     return ThreadPoolExecutor(len(cpus), initializer=pin)
 
 
-def _map_chunks(fn, chunks: list[slice]) -> list:
-    """[fn(chunk) for chunk in chunks], run on the pool of the caller's CPU
-    set, one chunk per CPU the caller may use at a time.
+def _map_chunks(fn, rows) -> np.ndarray:
+    """The no-grad pass of fn over rows (an array or a data.SplitImages): fn of
+    each chunk of INFERENCE_CHUNK consecutive rows, the last one shorter if
+    INFERENCE_CHUNK does not divide their number, joined in chunk order. The
+    chunks run on the pool of the caller's CPU set, one per CPU at a time;
+    where the platform has no os.sched_getaffinity, that set is every CPU.
 
-    Each chunk is computed on its own, so its bits do not depend on the thread
-    that runs it; numpy drops the GIL in the matmuls and array loops. The
-    engine's grad flag is process-global, so no_grad is entered here, once, on
-    the calling thread, and never by a worker. numpy's error state is per
-    thread, so each worker takes the caller's. When chunks raise, the first
-    one's exception in chunk order is raised once every chunk that started
-    has ended, so no chunk outlives the call, or a file its caller closes.
+    Each row's bits do not depend on the chunk it is in, a lone tail image
+    included: the backbone's channels-last latents give proto_sqdist
+    C-contiguous patch rows at every batch size. Nor do they depend on the
+    thread that runs the chunk; numpy drops the GIL in the matmuls and array
+    loops. The engine's grad flag is process-global, so no_grad is entered
+    here, once, on the calling thread, and never by a worker. numpy's error
+    state is per thread, so each worker takes the caller's. When chunks raise,
+    the first one's exception in chunk order is raised once every chunk that
+    started has ended, so no chunk outlives the call, or a file its caller
+    closes.
     """
-    cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else None
+    n = rows.shape[0]
+    if n == 0:
+        raise ValueError("no-grad pass over an empty image array")
+    cpus = (tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity")
+            else tuple(range(os.cpu_count() or 1)))
     err = np.geterr()
 
-    def run(chunk: slice):
+    def run(a: int):
         with np.errstate(**err):
-            return fn(chunk)
+            return fn(rows[a:a + INFERENCE_CHUNK])
 
     pool = _pool(os.getpid(), cpus)
     with no_grad():
-        futures = [pool.submit(run, chunk) for chunk in chunks]
+        futures = [pool.submit(run, a) for a in range(0, n, INFERENCE_CHUNK)]
         try:
-            return [f.result() for f in futures]
+            return np.concatenate([f.result() for f in futures])
         finally:
             for f in futures:
                 f.cancel()  # only a chunk that has not started
@@ -178,15 +173,13 @@ class Model:
 
     def latents_np(self, images) -> np.ndarray:
         """(N, c_z, h_z, w_z) backbone output of a raw image array or of an open
-        split's data.SplitImages, one chunk (see _chunks) at a time."""
-        return np.concatenate(_map_chunks(lambda c: self._latents(images[c]),
-                                          _chunks(images.shape[0])))
+        split's data.SplitImages, one chunk (see _map_chunks) at a time."""
+        return _map_chunks(self._latents, images)
 
     def dmin_np(self, latents: np.ndarray) -> np.ndarray:
         """(N, m) min-pooled distances of latents_np's output, in latents_np's
         chunks, so each row has the bits that Model.forward on its chunk gives."""
-        return np.concatenate(_map_chunks(lambda c: self._dmin(latents[c]),
-                                          _chunks(latents.shape[0])))
+        return _map_chunks(self._dmin, latents)
 
     def head_np(self, dmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, m) similarities and (N,) predictions of (N, m) min-pooled distances,
@@ -200,8 +193,7 @@ class Model:
         """head_np(dmin_np(latents_np(images))) with the same bits, for the same
         images. Each chunk's task reads its images and takes them straight to
         their min-pooled distances, so no latents array is built."""
-        return self.head_np(np.concatenate(_map_chunks(
-            lambda c: self._dmin(self._latents(images[c])), _chunks(images.shape[0]))))
+        return self.head_np(_map_chunks(lambda x: self._dmin(self._latents(x)), images))
 
     # kept for perfbench/run.py (ROADMAP item 5)
     def predict_np(self, images) -> np.ndarray:

@@ -134,7 +134,7 @@ def test_routed_op_value_and_gradients(name):
     op, arrays, value, grads = ROUTED_OPS[name]
     inputs = [t(x) for x in arrays]
     out = op(*inputs)
-    g = np.random.default_rng(6).uniform(0.5, 1.5, out.shape)
+    g = np.random.default_rng(6).uniform(0.5, 1.5, out.data.shape)
     # out * g summed sends exactly g back to out
     out.mul(Tensor(g)).sum().backward()
     for got, want in [(out.data, value(*arrays))] + [
@@ -223,7 +223,7 @@ def conv_and_reference(batch, block, seed=0):
     x = t(rng.normal(size=(batch, c, side, side)))
     w = t(rng.normal(size=w_shape))
     out = x.conv2d(w, stride=stride)
-    g = rng.normal(size=out.shape)
+    g = rng.normal(size=out.data.shape)
     out.mul(t(g, grad=False)).sum().backward()
     return (out.data, x.grad, w.grad), einsum_conv_reference(x.data, w.data, stride, g)
 
@@ -257,7 +257,7 @@ def test_conv2d_bits_do_not_depend_on_input_layout(side, stride):
     for data in (x, channels_last):
         xt, wt = t(data), t(w)
         out = xt.conv2d(wt, stride=stride)
-        g = np.random.default_rng(8).normal(size=out.shape)
+        g = np.random.default_rng(8).normal(size=out.data.shape)
         out.mul(t(g, grad=False)).sum().backward()
         got.append([out.data, xt.grad, wt.grad])
     assert t(channels_last).data.transpose(0, 2, 3, 1).flags.c_contiguous

@@ -5,16 +5,41 @@ set that perfbench/ reads (ROADMAP item 5).
 The walk starts at every module's top-level code, at cli.main and at the
 cmd_<name> of each subcommand <name> (main looks it up by name), and follows
 the names that each reached body reads. A name reaches every function and
-class of that name; a reached class's own body and dunder methods run too."""
+class of that name; a reached class's own body and dunder methods run too.
+So a method named like a numpy attribute counts as reached wherever an array's
+attribute of that name is read; each such method names a function that calls
+it (NUMPY_NAMED).
+
+perfbench/tracing.py wraps protoreg's functions where its callers look them
+up, so a name it lists must stay there; the last test checks that every one
+is."""
 
 import ast
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "protoreg"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "protoreg"
 
 # each is deleted by ROADMAP item 5, once perfbench/ no longer reads it
 BENCHMARK_ONLY = {"generate", "make_splits", "predict_np", "save_dataset", "sparsity",
                   "synth_config_from", "top_contributor_set"}
+
+# every method of a src/protoreg class whose name is an attribute of np or of
+# np.ndarray: {"<class>.<method>": "<module>.<function that calls it>"}
+NUMPY_NAMED = {
+    "Tensor.add": "losses.total_loss",
+    "Tensor.item": "trainer._batch_loss",
+    "Tensor.log": "prototypes.similarity",
+    "Tensor.mean": "losses.mse",
+    "Tensor.reciprocal": "prototypes.similarity",
+    "Tensor.reshape": "prototypes.min_pool",
+    "Tensor.square": "losses.mse",
+    "Tensor.sum": "head.predict",
+}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -101,3 +126,32 @@ def test_each_subcommand_has_its_command_function_and_back():
     trees = parsed()
     assert {"cmd_" + name.replace("-", "_") for name in subcommands(trees)} == \
         command_functions(trees)
+
+
+def test_each_method_named_like_numpy_has_its_caller():
+    trees, numpy_names = parsed(), set(dir(np)) | set(dir(np.ndarray))
+    methods = {f"{cls.name}.{node.name}" for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, _DEFS) and node.name in numpy_names
+               and not is_dunder(node.name)}
+    assert methods == NUMPY_NAMED.keys()
+    for method, caller in NUMPY_NAMED.items():
+        module, function = caller.split(".")
+        [node] = [node for node in trees[SRC / f"{module}.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == function]
+        assert method.split(".")[1] in reads(node.body), (method, caller)
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_where_it_looks():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    pr = SimpleNamespace(**{path.stem: importlib.import_module(f"protoreg.{path.stem}")
+                            for path in SRC.glob("*.py") if path.stem != "__init__"})
+    tracer = tracing.Tracer(pr)
+    owned = [(owner, attr) for owner, attr, *_ in tracer._patches()] + [(pr.engine, "np")]
+    before = [owner.__dict__.get(attr) for owner, attr in owned]
+    with tracer.active():  # raises KeyError on a name that is not where the tracer looks
+        pass
+    assert [owner.__dict__.get(attr) for owner, attr in owned] == before

@@ -12,7 +12,7 @@ import pytest
 
 from protoreg import losses, metrics, trainer
 from protoreg.backbone import Backbone
-from protoreg.config import resolve_config
+from protoreg.config import INFERENCE_CHUNK, resolve_config
 from protoreg.data import SynthDataset, augment_batch
 from protoreg.engine import Adam, Tensor, no_grad
 from protoreg.gradcheck import TINY_CFG, tiny_model
@@ -184,12 +184,14 @@ def no_grad_outputs(model, ds):
             *metrics.per_sample_weights(model, ds)]
 
 
-def chunk_loop(model, images, chunks):
-    """dmin, s, y_hat and W of a plain Model.forward per chunk, and the latents of a
-    plain Backbone.forward per chunk."""
+def chunk_loop(model, images, size=INFERENCE_CHUNK):
+    """dmin, s, y_hat and W of a plain Model.forward per chunk of size consecutive
+    images, the last one shorter if size does not divide their number, and the
+    latents of a plain Backbone.forward per chunk."""
+    chunks = [images[a:a + size] for a in range(0, len(images), size)]
     with no_grad():
-        rs = [model.forward(Tensor(images[chunk])) for chunk in chunks]
-        latents = [model.backbone.forward(Tensor(images[chunk])).data for chunk in chunks]
+        rs = [model.forward(Tensor(chunk)) for chunk in chunks]
+        latents = [model.backbone.forward(Tensor(chunk)).data for chunk in chunks]
     dmin, s, y_hat = (np.concatenate([getattr(r, k).data for r in rs])
                       for k in ("dmin", "s", "y_hat"))
     return dmin, s, y_hat, metrics.contribution_matrix(model, s), np.concatenate(latents)
@@ -200,7 +202,7 @@ class TestForwardNp:
     score_np, predict_np, and metrics.per_sample_weights on top of them."""
 
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
-        from protoreg.model import _chunks
+        from protoreg.model import _map_chunks
 
         model = tiny_model(seed=4)
         ds = tiny_dataset(n=11, seed=2)
@@ -208,9 +210,8 @@ class TestForwardNp:
         # sizes 1, 2, 5 and 10 leave image 10 alone in the last chunk
         for size in range(1, 12):
             monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
-            chunks = _chunks(len(ds))
-            assert [c.stop - c.start for c in chunks] == [size] * (11 // size) + (
-                [11 % size] if 11 % size else [])
+            counts = _map_chunks(lambda rows: np.array([rows.shape[0]]), ds.images)
+            assert counts.tolist() == [size] * (11 // size) + ([11 % size] if 11 % size else [])
             out = no_grad_outputs(model, ds)
             for a, b in zip(out, whole, strict=True):
                 assert a.tobytes() == b.tobytes(), size
@@ -223,7 +224,7 @@ class TestForwardNp:
     def test_matches_forward(self):
         model = tiny_model(seed=4)
         ds = tiny_dataset(n=5, seed=2)
-        dmin, s, y_hat, weights, latents = chunk_loop(model, ds.images, [slice(0, 5)])
+        dmin, s, y_hat, weights, latents = chunk_loop(model, ds.images)  # one chunk
         expected = [dmin, s, y_hat, y_hat, y_hat, weights]
         for a, b in zip(no_grad_outputs(model, ds), expected, strict=True):
             assert np.array_equal(a, b)
@@ -232,21 +233,19 @@ class TestForwardNp:
     def test_empty_rejected(self):
         model = tiny_model(seed=0)
         empty = tiny_dataset(n=0)
-        # every pass goes through model._chunks, which makes the check
+        # every pass goes through model._map_chunks, which makes the check
         for run in (model.latents_np, model.dmin_np, model.score_np, model.predict_np,
                     lambda images: metrics.per_sample_weights(model, empty)):
             with pytest.raises(ValueError, match="^no-grad pass over an empty image array$"):
                 run(empty.images)
 
     def test_latents_and_dmin_match_forward(self, monkeypatch):
-        from protoreg.model import _chunks
-
         model = tiny_model(seed=4)
         images = tiny_dataset(n=11, seed=2).images
         # size 5 and 10 leave a lone tail image
         for size in (5, 10, 64):
             monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", size)
-            dmin, *_, forward = chunk_loop(model, images, _chunks(len(images)))
+            dmin, *_, forward = chunk_loop(model, images, size)
             latents = model.latents_np(images)
             assert latents.tobytes() == forward.tobytes(), size
             assert model.dmin_np(latents).tobytes() == dmin.tobytes(), size
@@ -258,11 +257,10 @@ class TestChunkPool:
     @pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 1000])
     def test_matches_plain_chunk_loop(self, n):
         from protoreg import engine
-        from protoreg.model import _chunks
 
         model = tiny_model(seed=4)
         ds = tiny_dataset(n=n, seed=n)
-        dmin, s, y_hat, weights, latents = chunk_loop(model, ds.images, _chunks(n))
+        dmin, s, y_hat, weights, latents = chunk_loop(model, ds.images)
         assert model.latents_np(ds.images).tobytes() == latents.tobytes()
         expected = [dmin, s, y_hat, y_hat, y_hat, weights]
         for a, b in zip(no_grad_outputs(model, ds), expected, strict=True):
@@ -271,13 +269,18 @@ class TestChunkPool:
 
     def test_workers_record_no_graph(self):
         from protoreg import engine
-        from protoreg.model import _chunks, _map_chunks
+        from protoreg.model import _map_chunks
 
         model = tiny_model(seed=4)
         images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
-        results = _map_chunks(lambda chunk: model.forward(Tensor(images[chunk])).y_hat,
-                              _chunks(129))
-        assert [r.data.shape[0] for r in results] == [64, 64, 1]
+        results = []
+
+        def y_hat(rows):
+            results.append(model.forward(Tensor(rows)).y_hat)
+            return results[-1].data
+
+        assert _map_chunks(y_hat, images).shape == (129,)
+        assert sorted(r.data.shape[0] for r in results) == [1, 64, 64]
         assert all(r._parents == () and not r.requires_grad for r in results)
         assert engine._GRAD_ENABLED is True
         with engine.no_grad():
@@ -302,46 +305,51 @@ class TestChunkPool:
         assert engine._GRAD_ENABLED is True
 
     def test_workers_take_the_callers_error_state(self):
-        from protoreg.model import _chunks, _map_chunks
+        from protoreg.model import _map_chunks
 
-        def overflow(chunk):
-            return np.exp(np.full(chunk.stop - chunk.start, 1000.0))
+        def overflow(rows):
+            return np.exp(rows)
 
+        rows = np.full(129, 1000.0)
         with np.errstate(over="ignore"):  # and no warning from a worker
-            assert np.isinf(np.concatenate(_map_chunks(overflow, _chunks(129)))).all()
+            assert np.isinf(_map_chunks(overflow, rows)).all()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _map_chunks(overflow, _chunks(129))
+            _map_chunks(overflow, rows)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two CPUs, so that two chunks run at once")
-    def test_raises_once_every_started_chunk_has_ended(self):
+    def test_raises_once_every_started_chunk_has_ended(self, monkeypatch):
         from protoreg.model import _map_chunks
 
+        monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", 1)  # rows 0 and 1 in two chunks
         running, finished = threading.Event(), threading.Event()
 
-        def fn(chunk):
-            if chunk.start == 0:
+        def fn(rows):
+            if rows[0] == 0:
                 running.wait(10.0)
                 raise ValueError("chunk 0")
             running.set()
             time.sleep(0.2)
             finished.set()
+            return rows
 
         with pytest.raises(ValueError, match="^chunk 0$"):
-            _map_chunks(fn, [slice(0, 1), slice(1, 2)])
+            _map_chunks(fn, np.arange(2))
         assert finished.is_set()
 
-    def test_first_failing_chunk_in_chunk_order_is_raised(self):
+    def test_first_failing_chunk_in_chunk_order_is_raised(self, monkeypatch):
         from protoreg.model import _map_chunks
 
-        def fn(chunk):
-            if chunk.start == 0:
+        monkeypatch.setattr("protoreg.model.INFERENCE_CHUNK", 1)  # rows 0 and 1 in two chunks
+
+        def fn(rows):
+            if rows[0] == 0:
                 time.sleep(0.1)
-            raise ValueError(f"chunk {chunk.start}")
+            raise ValueError(f"chunk {rows[0]}")
 
         with pytest.raises(ValueError, match="^chunk 0$"):
-            _map_chunks(fn, [slice(0, 1), slice(1, 2)])
+            _map_chunks(fn, np.arange(2))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scores_after_parent_pass(self):
@@ -355,21 +363,26 @@ class TestChunkPool:
                         reason="needs os.fork and os.sched_setaffinity")
     def test_child_pinned_to_one_cpu_runs_on_one_thread(self):
         # what keeps N ablate children at N pool threads, not N x N
-        from protoreg.model import _chunks, _map_chunks
+        from protoreg.model import _map_chunks
 
         model = tiny_model(seed=4)
         images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
 
-        def y_hat(chunk):
-            return model.forward(Tensor(images[chunk])).y_hat.data
+        def y_hat(rows):
+            return model.forward(Tensor(rows)).y_hat.data
 
-        want = np.concatenate(_map_chunks(y_hat, _chunks(129))).tobytes()  # makes our pool
+        want = _map_chunks(y_hat, images).tobytes()  # makes our pool
 
         def pinned_pass():
             os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
-            ran = _map_chunks(lambda chunk: (threading.get_ident(), y_hat(chunk)), _chunks(129))
-            threads = {ident for ident, _ in ran}
-            return bytes([len(ran), len(threads)]) + np.concatenate([y for _, y in ran]).tobytes()
+            ran = []
+
+            def recorded(rows):
+                ran.append(threading.get_ident())
+                return y_hat(rows)
+
+            out = _map_chunks(recorded, images)
+            return bytes([len(ran), len(set(ran))]) + out.tobytes()
 
         got = from_forked_child(pinned_pass)
         assert got[:2] == bytes([3, 1])  # 3 chunks, all on one thread
@@ -378,11 +391,16 @@ class TestChunkPool:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two CPUs the process may use")
     def test_each_pool_worker_is_pinned_to_one_of_the_callers_cpus(self):
-        from protoreg.model import _chunks, _map_chunks
+        from protoreg.model import _map_chunks
 
         cpus, caller = os.sched_getaffinity(0), threading.get_ident()
-        ran = _map_chunks(lambda chunk: (threading.get_ident(), os.sched_getaffinity(0)),
-                          _chunks(1000))
+        ran = []
+
+        def recorded(rows):
+            ran.append((threading.get_ident(), os.sched_getaffinity(0)))
+            return rows
+
+        _map_chunks(recorded, np.zeros(1000))
         assert len(ran) == 16
         assert all(ident != caller and len(on) == 1 and on <= cpus for ident, on in ran)
 
@@ -402,16 +420,33 @@ class TestChunkPool:
             pool.shutdown()
 
     def test_unpinned_pool_without_the_affinity_calls(self, monkeypatch):
-        from protoreg.model import _chunks, _map_chunks
+        # every CPU is the caller's set, and each worker runs unpinned
+        from protoreg import model as model_mod
 
         model = tiny_model(seed=4)
         images = np.random.default_rng(0).uniform(size=(129, 3, 8, 8))
         want = [a.tobytes() for a in model.score_np(images)]
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        assert [a.tobytes() for a in model.score_np(images)] == want
-        caller = threading.get_ident()
-        assert caller not in _map_chunks(lambda chunk: threading.get_ident(), _chunks(129))
+        pools, uncached, ran = [], model_mod._pool.__wrapped__, []
+
+        def fresh(pid, cpus):  # so its workers start without the affinity calls
+            pools.append(uncached(pid, cpus))
+            return pools[-1]
+
+        def recorded(rows):
+            ran.append(threading.get_ident())
+            return rows
+
+        monkeypatch.setattr(model_mod, "_pool", fresh)
+        try:
+            assert [a.tobytes() for a in model.score_np(images)] == want
+            model_mod._map_chunks(recorded, np.zeros(129))
+        finally:
+            for pool in pools:
+                pool.shutdown()
+        assert [pool._max_workers for pool in pools] == [os.cpu_count()] * 2
+        assert len(ran) == 3 and threading.get_ident() not in ran
 
 
 class TestLastLayerCache:
