@@ -2,11 +2,13 @@
 # Byte pins of a git revision against those of this checkout: git-archives the
 # revision under out-root, runs that tree's own scripts/byte_pins.sh and this
 # checkout's into fresh out-roots beside it, and prints one line per pinned
-# file name, "equal", "moved" (another sha256), "added" (pinned here only) or
-# "removed" (pinned at the revision only), then both digests. Exits 0 when
-# every line is equal, 1 otherwise, and 2 on a usage error, a non-empty
-# out-root, an unknown revision or a byte_pins.sh run that fails (its stderr is
-# kept in out-root). Needs git and the checkout's history, no network.
+# file name, "equal", "moved" (another sha256), "moved-header" (a checkpoint,
+# *.bin, whose f64 payload is equal in both trees, so only its header moved),
+# "added" (pinned here only) or "removed" (pinned at the revision only), then
+# both digests. Exits 0 when every line is equal, 1 otherwise, and 2 on a usage
+# error, a non-empty out-root, an unknown revision or a byte_pins.sh run that
+# fails (its stderr is kept in out-root). Needs git and the checkout's history,
+# no network.
 # Usage: scripts/pin_diff.sh <rev> <out-root>, where out-root is new or empty.
 set -euo pipefail
 
@@ -39,6 +41,14 @@ pins() {
 pins "$OUT/tree" rev
 pins "$HERE" here
 
+# payload <checkpoint>: the sha256 of its bytes after the 5-byte magic, the u32
+# version, the u64 header length at offset 9 and the header
+payload() {
+  local len
+  len="$(od -An -tu8 --endian=little -j9 -N8 "$1" | tr -d ' ')"
+  tail -c "+$((17 + len + 1))" "$1" | sha256sum | cut -d' ' -f1
+}
+
 status=0
 awk 'FNR == NR { old[$2] = $1; names[++n] = $2; next }
      { new[$2] = $1; if (!($2 in old)) names[++n] = $2 }
@@ -50,7 +60,14 @@ awk 'FNR == NR { old[$2] = $1; names[++n] = $2; next }
          print s, f
        }
        exit bad
-     }' "$OUT/rev.txt" "$OUT/here.txt" || status=1
+     }' "$OUT/rev.txt" "$OUT/here.txt" > "$OUT/lines.txt" || status=1
+while read -r s f; do
+  if [ "$s" = moved ] && [[ "$f" == *.bin ]] \
+      && [ "$(payload "$OUT/rev/$f")" = "$(payload "$OUT/here/$f")" ]; then
+    s=moved-header
+  fi
+  echo "$s $f"
+done < "$OUT/lines.txt"
 echo "$REV $(grep '^digest ' "$OUT/rev.err")"
 echo "checkout $(grep '^digest ' "$OUT/here.err")"
 exit "$status"

@@ -89,9 +89,9 @@ def _open_split(path: str, split: str):
 def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trainer.TrainLog]:
     """Train a model from a resolved config; optionally write artifacts."""
     model = Model.from_config(cfg)
-    callback = None
-    if out is not None:
-        def callback(stage, cycle, model_):
+
+    def callback(stage, cycle, model_):
+        if out is not None:
             save_checkpoint(model_, out / f"checkpoint_c{cycle}_{stage}.bin", cfg)
 
     log = trainer.run_protocol(model, train_ds, cfg, stage_callback=callback)

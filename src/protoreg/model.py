@@ -2,12 +2,11 @@
 
 Checkpoint layout (little-endian):
     magic  b"PRCK1"
-    u32 format version (currently 1)
+    u32 format version (currently 2)
     u64 header length in bytes
-    header: UTF-8 JSON with sorted keys — resolved config, stage cursor,
-            similarity kind, eps, prototype labels, provenance, tensor
-            manifest (name, shape); all but the cursor and provenance are
-            what the config gives
+    header: UTF-8 JSON with sorted keys — resolved config, similarity kind,
+            eps, prototype labels, provenance, tensor manifest (name, shape);
+            all but the provenance are what the config gives
     f64 tensor payloads in manifest order
 
 Loading a checkpoint rebuilds a model whose forward outputs are bitwise
@@ -22,7 +21,7 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,8 +39,7 @@ from .prototypes import (
 )
 
 CHECKPOINT_MAGIC = b"PRCK1"
-CHECKPOINT_VERSION = 1
-_STAGES = ("joint", "projection", "lastlayer")  # trainer.run_protocol's cursor stages
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -120,7 +118,6 @@ class Model:
     theta: Tensor
     similarity_kind: str
     eps: float
-    cursor: dict = field(default_factory=dict)  # last completed (cycle, stage)
 
     @staticmethod
     def from_config(cfg: dict) -> "Model":
@@ -211,7 +208,6 @@ def _header(model: Model, resolved_config: dict) -> dict:
     """The checkpoint header of a model built from resolved_config."""
     return {
         "config": resolved_config,
-        "cursor": model.cursor,
         "similarity_kind": model.similarity_kind,
         "eps": model.eps,
         "labels": model.bank.labels.tolist(),
@@ -258,34 +254,29 @@ def _read_header(f, path) -> dict:
     return header
 
 
-def _check_record(key: str, value, rules: dict) -> None:
-    if not isinstance(value, dict) or value.keys() != rules.keys():
-        raise ConfigError(f"{key} must be an object with keys {sorted(rules)}, got {value!r}")
-    for name, rule in rules.items():
-        check_value(f"{key}.{name}", value[name], rule)
-
-
-def _check_state(header: dict, cfg: dict) -> None:
-    """Raise a ConfigError unless the header's provenance and stage cursor fit cfg."""
-    provenance, cursor, m = header["provenance"], header["cursor"], cfg["model"]["m"]
+def _check_provenance(provenance, cfg: dict) -> None:
+    """Raise a ConfigError unless a header's provenance fits cfg."""
+    m = cfg["model"]["m"]
     if not isinstance(provenance, list) or len(provenance) != m:
         raise ConfigError(f"provenance must be a list of {m} entries, got {provenance!r}")
     h, w = block_maps(cfg)[-1]  # a record names a patch of the latent grid
     rules = {"sample_id": Rule(int, 0), "row": Rule(int, 0, h - 1), "col": Rule(int, 0, w - 1),
              "moved_sq_dist": Rule(float, 0)}
     for j, p in enumerate(provenance):
-        if p is not None:
-            _check_record(f"provenance[{j}]", p, rules)
-    if cursor != {}:
-        _check_record("cursor", cursor, {"cycle": Rule(int, 0, cfg["train"]["cycles"] - 1),
-                                         "stage": Rule(str, choices=_STAGES)})
+        if p is None:
+            continue
+        if not isinstance(p, dict) or p.keys() != rules.keys():
+            raise ConfigError(
+                f"provenance[{j}] must be an object with keys {sorted(rules)}, got {p!r}")
+        for name, rule in rules.items():
+            check_value(f"provenance[{j}].{name}", p[name], rule)
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild (model, resolved_config) from a checkpoint file.
 
     The header's config builds the model; every other header key except the
-    stage cursor and the provenance must equal what that model's header holds.
+    provenance must equal what that model's header holds.
     """
     with open(path, "rb") as f:
         header = _read_header(f, path)
@@ -302,13 +293,13 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         derived = _header(model, cfg)
         if header.keys() != derived.keys():
             raise CheckpointError(f"{path}: header keys {sorted(header)} are not {sorted(derived)}")
-        for key in sorted(derived.keys() - {"cursor", "provenance"}):
+        for key in sorted(derived.keys() - {"provenance"}):
             if header[key] != derived[key]:
                 raise CheckpointError(
                     f"{path}: header {key} {json.dumps(header[key])} disagrees with its config, "
                     f"which gives {json.dumps(derived[key])}")
         try:
-            _check_state(header, cfg)
+            _check_provenance(header["provenance"], cfg)
         except ConfigError as e:
             raise CheckpointError(f"{path}: header {e}") from e
         # the payload is read into the arrays that from_config drew, in payload
@@ -319,5 +310,4 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         read_payload(f, path, [t.data for t in params], CheckpointError)
     model.bank.provenance = [None if p is None else ProvenanceRecord(**p)
                              for p in header["provenance"]]
-    model.cursor = header["cursor"]
     return model, cfg

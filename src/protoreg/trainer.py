@@ -146,12 +146,14 @@ def project_prototypes(model: Model, latents: np.ndarray) -> list[dict]:
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def run_protocol(model: Model, data: SynthDataset, cfg: dict,
-                 stage_callback=None) -> TrainLog:
+                 stage_callback=lambda stage, cycle, model: None) -> TrainLog:
     """Run the full protocol of a resolved config in place; returns the
     per-epoch log.
 
-    stage_callback(stage_name, cycle, model), when given, fires after each
-    completed stage (used by the CLI to write per-stage checkpoints).
+    stage_callback(stage_name, cycle, model) fires after each completed stage
+    ("joint", "projection", "lastlayer"), and is the only report of one: the
+    model holds no record of its stage (the CLI writes per-stage checkpoints
+    from it).
 
     Every overflow, invalid value and division by zero raises at the op that
     makes it, so a diverging run stops with a FloatingPointError that names
@@ -165,11 +167,6 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
     log = TrainLog()
     groups = model.groups()
 
-    def finished(stage: str, cycle: int):
-        model.cursor = {"cycle": cycle, "stage": stage}
-        if stage_callback:
-            stage_callback(stage, cycle, model)
-
     for cycle in range(t["cycles"]):
         opt_trunk = Adam(groups["trunk"], t["lr_backbone"])
         # Adam updates each element on its own, so one optimizer for both groups
@@ -181,7 +178,7 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
                     cycle=cycle, stage="warmup")
         _run_epochs(model, data, cfg, [opt_trunk, opt_proto], epochs=t["joint_epochs"] - warmup,
                     rng=rng, log=log, cycle=cycle, stage="joint", epoch_offset=warmup)
-        finished("joint", cycle)
+        stage_callback("joint", cycle, model)
         with _located(f"projection, cycle {cycle}"):
             # one backbone pass serves projection and the last-layer cache
             latents = model.latents_np(data.images)
@@ -190,9 +187,9 @@ def run_protocol(model: Model, data: SynthDataset, cfg: dict,
             # frozen layers, so each step runs only the head on their cached distances
             inputs = None if cfg["data"]["augment"] else model.dmin_np(latents)
         log.projections.append({"cycle": cycle, "prototypes": report})
-        finished("projection", cycle)
+        stage_callback("projection", cycle, model)
         _run_epochs(model, data, cfg, [Adam(groups["theta"], t["lr_head"])],
                     epochs=t["lastlayer_epochs"], rng=rng, log=log, cycle=cycle,
                     stage="lastlayer", inputs=inputs)
-        finished("lastlayer", cycle)
+        stage_callback("lastlayer", cycle, model)
     return log

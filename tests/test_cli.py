@@ -114,7 +114,8 @@ class TestTrain:
     def test_final_checkpoint_is_projected_model(self, workdir):
         model, _ = load_checkpoint(workdir / "run" / "checkpoint.bin")
         assert model.bank.projected
-        assert model.cursor == {"cycle": 0, "stage": "lastlayer"}
+        assert (workdir / "run" / "checkpoint.bin").read_bytes() == \
+            (workdir / "run" / "checkpoint_c0_lastlayer.bin").read_bytes()
 
     def test_retrain_byte_identical(self, workdir, tmp_path):
         cfg_path = tmp_path / "cfg.json"

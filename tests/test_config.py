@@ -359,14 +359,12 @@ def damaged_checkpoints(raw: bytes, damage: str) -> list[bytes]:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = tiny_model(seed=5)
-        model.cursor = {"cycle": 0, "stage": "joint"}
         model.bank.provenance[1] = ProvenanceRecord(3, 1, 0, 0.25)
         cfg = tiny_resolved_cfg()
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path, cfg)
         back, cfg_back = load_checkpoint(path)
         assert cfg_back == cfg
-        assert back.cursor == model.cursor
         assert back.similarity_kind == model.similarity_kind
         assert back.eps == model.eps
         for a, b in zip(model.params(), back.params()):
@@ -398,14 +396,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        model = tiny_model(seed=0)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(model, path, tiny_resolved_cfg())
+        save_checkpoint(tiny_model(seed=0), path, tiny_resolved_cfg())
         raw = bytearray(path.read_bytes())
-        raw[5] = 99  # bump the little-endian version field
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version 99"):
-            load_checkpoint(path)
+        for version in (99, 1):  # 1: the format whose header held a stage cursor
+            raw[5:9] = struct.pack("<I", version)  # the little-endian version field
+            path.write_bytes(bytes(raw))
+            with pytest.raises(CheckpointError, match=re.escape(
+                    f"{path}: unsupported checkpoint format version {version} "
+                    "(this build reads version 2)")):
+                load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         model = tiny_model(seed=0)
@@ -516,10 +516,6 @@ class TestCheckpoint:
          "provenance[2].sample_id must be an integer, got True"),
         ("provenance", [None, None, {"sample_id": 0, "row": 0, "col": 0, "moved_sq_dist": math.inf}],
          "provenance[2].moved_sq_dist must be a finite number, got inf"),
-        ("cursor", "x", "cursor must be an object with keys ['cycle', 'stage'], got 'x'"),
-        ("cursor", {"cycle": 1, "stage": "joint"}, "cursor.cycle must be <= 0, got 1"),
-        ("cursor", {"cycle": 0, "stage": "warmup"},
-         "cursor.stage must be one of ('joint', 'projection', 'lastlayer'), got 'warmup'"),
     ])
     def test_bad_provenance_or_cursor(self, tmp_path, capsys, key, value, message):
         path, err = self.eval_error(tmp_path, capsys, **{key: value})

@@ -23,7 +23,6 @@ from test_config import split_checkpoint, with_header
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     model = tiny_model(seed=3)
-    model.cursor = {"cycle": 0, "stage": "projection"}
     model.bank.provenance = [ProvenanceRecord(j, 1, 0, 0.5) for j in range(model.bank.m)]
     model.bank.provenance[1] = None
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.bin"

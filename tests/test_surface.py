@@ -4,18 +4,22 @@ set that perfbench/ reads (ROADMAP item 5).
 
 The walk starts at every module's top-level code, at cli.main and at the
 cmd_<name> of each subcommand <name> (main looks it up by name), and follows
-the names that each reached body reads. A name reaches every function and
-class of that name; a reached class's own body and dunder methods run too.
-So a method named like a numpy attribute counts as reached wherever an array's
-attribute of that name is read; each such method names a function that calls
-it (NUMPY_NAMED).
+the names that each reached body reads. A read name reaches every function and
+class of that name outside a class body, and an attribute read (x.name) also
+reaches every method of that name; a reached class's own body and dunder
+methods run too. So a method named like an attribute of numpy, of the builtins
+or of a stdlib module that src/protoreg imports counts as reached wherever
+that attribute is read; each such method names a function that calls it
+(NUMPY_NAMED).
 
 perfbench/tracing.py wraps protoreg's functions where its callers look them
 up, so a name it lists must stay there; the last test checks that every one
 is."""
 
 import ast
+import builtins
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,16 +32,19 @@ SRC = ROOT / "src" / "protoreg"
 BENCHMARK_ONLY = {"generate", "make_splits", "predict_np", "save_dataset", "sparsity",
                   "synth_config_from", "top_contributor_set"}
 
-# every method of a src/protoreg class whose name is an attribute of np or of
-# np.ndarray: {"<class>.<method>": "<module>.<function that calls it>"}
+# every method of a src/protoreg class whose name is in foreign_names():
+# {"<class>.<method>": "<module>.<function that calls it>"}
 NUMPY_NAMED = {
+    "Adam.step": "trainer._run_epochs",
     "Tensor.add": "losses.total_loss",
     "Tensor.item": "trainer._batch_loss",
     "Tensor.log": "prototypes.similarity",
     "Tensor.mean": "losses.mse",
+    "Tensor.mul": "head.predict",
     "Tensor.reciprocal": "prototypes.similarity",
     "Tensor.reshape": "prototypes.min_pool",
     "Tensor.square": "losses.mse",
+    "Tensor.sub": "losses.mse",
     "Tensor.sum": "head.predict",
 }
 
@@ -53,9 +60,10 @@ def is_dunder(name: str) -> bool:
 
 
 def reads(stmts) -> set:
-    """The names that running stmts reads: every loaded Name and Attribute,
-    the decorators, defaults and bases of the functions and classes they
-    define, but not those definitions' bodies."""
+    """What running stmts reads, as ("name", n) for a loaded Name or Attribute n
+    and ("attr", n) for a loaded Attribute n: in the statements, and in the
+    decorators, defaults and bases of the functions and classes they define,
+    but not in those definitions' bodies."""
     names, todo = set(), list(stmts)
     while todo:
         node = todo.pop()
@@ -67,9 +75,9 @@ def reads(stmts) -> set:
             todo += node.decorator_list + node.bases + [k.value for k in node.keywords]
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names.add(("name", node.id))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            names |= {("name", node.attr), ("attr", node.attr)}
         todo += ast.iter_child_nodes(node)
     return names
 
@@ -86,30 +94,39 @@ def command_functions(trees) -> set:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")}
 
 
+def methods(tree):
+    """(class, def node) of each function and class in a class body of tree."""
+    return [(cls, node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, _DEFS)]
+
+
 def unreachable_definitions(trees):
     """{name: (path, def node)} of the non-dunder functions and classes that
     the walk in this module's docstring does not reach."""
-    defined = {}
+    defined = {}  # the read that reaches a definition: {(kind, name): [(path, node)]}
     for path, tree in trees.items():
+        in_class = {node for _, node in methods(tree)}
         for node in ast.walk(tree):
             if isinstance(node, _DEFS):
-                defined.setdefault(node.name, []).append((path, node))
-    todo = {"main"} | {"cmd_" + name.replace("-", "_") for name in subcommands(trees)}
+                key = ("attr" if node in in_class else "name", node.name)
+                defined.setdefault(key, []).append((path, node))
+    todo = {("name", "main")} | {("name", "cmd_" + name.replace("-", "_"))
+                                 for name in subcommands(trees)}
     for tree in trees.values():
         todo |= reads(tree.body)
     reached = set()
     while todo:
-        name = todo.pop()
-        reached.add(name)
-        for _, node in defined.get(name, []):
+        key = todo.pop()
+        reached.add(key)
+        for _, node in defined.get(key, []):
             todo |= reads(node.body)
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, _DEFS) and is_dunder(method.name):
                         todo |= reads(method.body)
         todo -= reached
-    return {name: where[0] for name, where in defined.items()
-            if name not in reached and not is_dunder(name)}
+    return {name: where[0] for (kind, name), where in defined.items()
+            if (kind, name) not in reached and not is_dunder(name)}
 
 
 def test_only_the_benchmark_surface_is_unused():
@@ -128,18 +145,31 @@ def test_each_subcommand_has_its_command_function_and_back():
         command_functions(trees)
 
 
+def foreign_names(trees) -> set:
+    """The attribute names of np, np.ndarray, the builtins and each builtin
+    type, and of every stdlib module that trees import and that module's
+    classes."""
+    imported = {alias.name for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    modules = [builtins] + [importlib.import_module(name) for name in sorted(imported)
+                            if name.split(".")[0] in sys.stdlib_module_names]
+    classes = [v for module in modules for v in vars(module).values() if isinstance(v, type)]
+    return {name for owner in [np, np.ndarray, *modules, *classes] for name in dir(owner)}
+
+
 def test_each_method_named_like_numpy_has_its_caller():
-    trees, numpy_names = parsed(), set(dir(np)) | set(dir(np.ndarray))
-    methods = {f"{cls.name}.{node.name}" for tree in trees.values() for cls in ast.walk(tree)
-               if isinstance(cls, ast.ClassDef) for node in cls.body
-               if isinstance(node, _DEFS) and node.name in numpy_names
-               and not is_dunder(node.name)}
-    assert methods == NUMPY_NAMED.keys()
+    trees = parsed()
+    foreign = foreign_names(trees)
+    named = {f"{cls.name}.{node.name}" for tree in trees.values() for cls, node in methods(tree)
+             if node.name in foreign and not is_dunder(node.name)}
+    assert named == NUMPY_NAMED.keys()
     for method, caller in NUMPY_NAMED.items():
         module, function = caller.split(".")
         [node] = [node for node in trees[SRC / f"{module}.py"].body
                   if isinstance(node, ast.FunctionDef) and node.name == function]
-        assert method.split(".")[1] in reads(node.body), (method, caller)
+        assert ("attr", method.split(".")[1]) in reads(node.body), (method, caller)
 
 
 def test_every_name_the_benchmark_tracer_wraps_is_where_it_looks():

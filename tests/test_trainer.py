@@ -602,7 +602,6 @@ class TestProtocol:
         assert stages.count((1, "lastlayer")) == 2
         assert len(log.projections) == 2
         assert len(log.projections[0]["prototypes"]) == model.bank.m
-        assert model.cursor == {"cycle": 1, "stage": "lastlayer"}
 
     def test_stage_callback_order(self):
         model = tiny_model(seed=0)
