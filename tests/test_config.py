@@ -517,7 +517,7 @@ class TestCheckpoint:
         ("provenance", [None, None, {"sample_id": 0, "row": 0, "col": 0, "moved_sq_dist": math.inf}],
          "provenance[2].moved_sq_dist must be a finite number, got inf"),
     ])
-    def test_bad_provenance_or_cursor(self, tmp_path, capsys, key, value, message):
+    def test_bad_provenance(self, tmp_path, capsys, key, value, message):
         path, err = self.eval_error(tmp_path, capsys, **{key: value})
         assert err == f"error: {path}: header {message}\n"
 
