@@ -1,12 +1,14 @@
 """Command line surface: subcommand <name> (gen-data, train, eval, explain,
 embed, ablate, grad-check) runs cmd_<name>, dashes as underscores, looked up in
 this module when main runs. The parser is built once per module. Every command
-echoes the fully resolved config into its output directory.
+that writes files echoes the fully resolved config into its output directory,
+through _out_dir.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -56,10 +58,14 @@ def pin_malloc_thresholds() -> bool:
                 and mallopt(_M_ARENA_MAX, 1))
 
 
-def _out_dir(path: str) -> Path:
+@contextlib.contextmanager
+def _out_dir(path: str, cfg: dict):
+    """Make the output directory at path for the block; once the block ends
+    without an error, write the resolved config cfg there as the last file."""
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
-    return p
+    yield p
+    config_mod.save_config(cfg, p / "resolved_config.json")
 
 
 def _load_cfg(path: str | None) -> dict:
@@ -100,16 +106,14 @@ def train_run(cfg: dict, train_ds, out: Path | None = None) -> tuple[Model, trai
         (out / "training_log.csv").write_text("\n".join(log.csv_rows()) + "\n")
         (out / "projection_report.json").write_text(
             json.dumps(log.projections, indent=2, sort_keys=True) + "\n")
-        config_mod.save_config(cfg, out / "resolved_config.json")
     return model, log
 
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args.config)
-    out = _out_dir(args.out)
-    n = {split: data_mod.save_split(cfg["data"], split, out / f"{split}.insd")
-         for split in data_mod.SPLITS}
-    config_mod.save_config(cfg, out / "resolved_config.json")
+    with _out_dir(args.out, cfg) as out:
+        n = {split: data_mod.save_split(cfg["data"], split, out / f"{split}.insd")
+             for split in data_mod.SPLITS}
     print(f"wrote {out / 'train.insd'} ({n['train']} samples) and "
           f"{out / 'test.insd'} ({n['test']} samples)")
     return 0
@@ -117,8 +121,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
-    out = _out_dir(args.out)
-    train_run(cfg, _load_split(args.data, "train"), out)
+    train_ds = _load_split(args.data, "train")
+    with _out_dir(args.out, cfg) as out:
+        train_run(cfg, train_ds, out)
     print(f"wrote {out / 'checkpoint.bin'}")
     return 0
 
@@ -129,14 +134,13 @@ def cmd_eval(args) -> int:
         y_hat, weights = metrics.per_sample_weights(model, test_ds)
     result = metrics.evaluate(model, test_ds, grades=cfg["data"]["grades"],
                               weights=(y_hat, weights))
-    out = _out_dir(args.out)
-    (out / "metrics.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     lines = ["sample_id,y,y_hat,abs_err,s_spars"]
     rows = zip(test_ds.y.tolist(), y_hat.tolist(), metrics.sparsity_rows(weights).tolist())
     for i, (y, y_h, spars) in enumerate(rows):
         lines.append(f"{i},{y!r},{y_h!r},{abs(y_h - y)!r},{spars}")
-    (out / "per_sample.csv").write_text("\n".join(lines) + "\n")
-    config_mod.save_config(cfg, out / "resolved_config.json")
+    with _out_dir(args.out, cfg) as out:
+        (out / "metrics.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        (out / "per_sample.csv").write_text("\n".join(lines) + "\n")
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
@@ -156,19 +160,18 @@ def cmd_explain(args) -> int:
         # files; each reads only its own image
         explanations = [explain(test_ds.images[sid], sid, float(test_ds.y[sid]), model,
                                 args.top_k) for sid in sample_ids]
-    out = _out_dir(args.out)
-    for sid, exp in zip(sample_ids, explanations):
-        if not exp.projected:
-            print(f"warning: checkpoint not projected, sample {sid} has no provenance",
-                  file=sys.stderr)
-        doc = exp.to_json_dict()
-        for r, rec in zip(doc["records"], exp.records):
-            map_name = f"sample{sid}_proto{r['prototype']}.pgm"
-            (out / map_name).write_bytes(to_pgm_bytes(rec.activation_map))
-            r["activation_map_file"] = map_name
-        (out / f"explanation_{sid}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    config_mod.save_config(cfg, out / "resolved_config.json")
+    with _out_dir(args.out, cfg) as out:
+        for sid, exp in zip(sample_ids, explanations):
+            if not exp.projected:
+                print(f"warning: checkpoint not projected, sample {sid} has no provenance",
+                      file=sys.stderr)
+            doc = exp.to_json_dict()
+            for r, rec in zip(doc["records"], exp.records):
+                map_name = f"sample{sid}_proto{r['prototype']}.pgm"
+                (out / map_name).write_bytes(to_pgm_bytes(rec.activation_map))
+                r["activation_map_file"] = map_name
+            (out / f"explanation_{sid}.json").write_text(
+                json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(sample_ids)} explanations to {out}")
     return 0
 
@@ -184,11 +187,10 @@ def cmd_embed(args) -> int:
     patch_labels = np.repeat(test_ds.y, h * w)
     top5 = metrics.top_contributor_rows(weights)
     report = metrics.pca_embed(patches, sample_ids, patch_labels, model.bank, top5)
-    out = _out_dir(args.out)
-    (out / "embedding.csv").write_text(reports.embedding_csv(report))
-    (out / "embedding.svg").write_text(reports.embedding_svg(report))
-    (out / "usage_histogram.svg").write_text(reports.histogram_svg(report.histogram))
-    config_mod.save_config(cfg, out / "resolved_config.json")
+    with _out_dir(args.out, cfg) as out:
+        (out / "embedding.csv").write_text(reports.embedding_csv(report))
+        (out / "embedding.svg").write_text(reports.embedding_svg(report))
+        (out / "usage_histogram.svg").write_text(reports.histogram_svg(report.histogram))
     print(f"wrote embedding report to {out}")
     return 0
 
@@ -295,7 +297,6 @@ def cmd_ablate(args) -> int:
     # every cell's config, its seed offsets included, is checked before anything trains
     cells = [(name, cell_config(cfg, override, s))
              for name, override in ABLATION_VARIANTS for s in range(args.seeds)]
-    out = _out_dir(args.out)
     train_ds, test_ds = _load_split(args.data, "train"), _load_split(args.data, "test")
 
     def row(cell) -> dict:
@@ -312,10 +313,11 @@ def cmd_ablate(args) -> int:
         }
 
     rows = map_cells(row, cells)
-    (out / "ablation.csv").write_text(reports.ablation_csv(rows))
-    (out / "ablation.md").write_text(reports.ablation_markdown(rows))
-    config_mod.save_config(cfg, out / "resolved_config.json")
-    print((out / "ablation.md").read_text())
+    markdown = reports.ablation_markdown(rows)
+    with _out_dir(args.out, cfg) as out:
+        (out / "ablation.csv").write_text(reports.ablation_csv(rows))
+        (out / "ablation.md").write_text(markdown)
+    print(markdown)
     return 0
 
 

@@ -62,7 +62,6 @@ RULES = {
     "model.backbone_blocks": Rule(int, 1, 256, shape=((2, 16), 3),
                                   default=[[8, 3, 2], [16, 3, 2], [16, 2, 1], [16, 1, 1]]),
     "model.seed": Rule(int, 0, 2**32 - 1, default=1),
-    "loss.alpha_mse": Rule(float, 0, default=1.0),
     "loss.alpha_clst": Rule(float, 0, default=1.0),
     "loss.alpha_psd": Rule(float, 0, default=10.0),
     "loss.k": Rule(int, 1, 1000, default=3),

@@ -16,6 +16,7 @@ TINY_CFG = {
     "model": {"m": 3, "eps": 1e-4, "backbone_blocks": [[4, 3, 2], [4, 2, 1], [4, 1, 1]]},
     "train": {"cycles": 1, "joint_epochs": 2, "lastlayer_epochs": 1, "warmup_epochs": 1,
               "batch_size": 6},
+    "loss": {"k": 2, "delta_l": 1.5},
 }
 
 
@@ -48,7 +49,7 @@ def run_suites(seed: int = 0) -> list[dict]:
     p = Tensor(rng.uniform(0.1, 0.9, size=(3, 4)), requires_grad=True)
     add("distance-map", grad_check(lambda: z.proto_sqdist(p).square().sum(), [z, p]))
 
-    cfg_loss = {"alpha_mse": 1.0, "alpha_clst": 1.0, "alpha_psd": 10.0, "k": 2, "delta_l": 1.5}
+    cfg_loss = resolve_config(TINY_CFG)["loss"]
     for kind in ("reciprocal", "log"):
         model = tiny_model(seed=seed, similarity_kind=kind)
         images = rng.uniform(0.0, 1.0, size=(6, 3, 8, 8))

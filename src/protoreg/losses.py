@@ -52,12 +52,9 @@ def psd_loss(dmat: Tensor, d_max: float) -> Tensor:
 
 def total_loss(mse_term: Tensor, clst_term: Tensor, psd_term: Tensor,
                cfg_loss: dict) -> Tensor:
-    """The three terms weighted by cfg_loss's alpha_mse, alpha_clst and alpha_psd."""
+    """The MSE term plus the other two weighted by cfg_loss's alpha_clst and alpha_psd."""
     for name, term in (("mse", mse_term), ("cluster", clst_term), ("psd", psd_term)):
         if not np.isfinite(term.data).all():
             raise FloatingPointError(f"non-finite {name} loss component")
-    return (
-        mse_term.scale(cfg_loss["alpha_mse"])
-        .add(clst_term.scale(cfg_loss["alpha_clst"]))
-        .add(psd_term.scale(cfg_loss["alpha_psd"]))
-    )
+    return (mse_term.add(clst_term.scale(cfg_loss["alpha_clst"]))
+            .add(psd_term.scale(cfg_loss["alpha_psd"])))

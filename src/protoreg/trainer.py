@@ -110,11 +110,10 @@ def _run_epochs(model: Model, data: SynthDataset, cfg: dict, optimizers: list[Ad
                     sums += (m, c, p)
                     batches += 1
             mse_avg, clst_avg, psd_avg = sums / batches
+            total = losses.total_loss(Tensor(mse_avg), Tensor(clst_avg), Tensor(psd_avg), cfg_loss)
             log.epochs.append({
                 "cycle": cycle, "stage": stage, "epoch": epoch_offset + epoch,
-                "mse": mse_avg, "clst": clst_avg, "psd": psd_avg,
-                "total": cfg_loss["alpha_mse"] * mse_avg + cfg_loss["alpha_clst"] * clst_avg
-                         + cfg_loss["alpha_psd"] * psd_avg,
+                "mse": mse_avg, "clst": clst_avg, "psd": psd_avg, "total": total.item(),
             })
 
 

@@ -426,7 +426,7 @@ class TestAblate:
                    "--data", str(workdir / "data"), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capfd.readouterr().err == f"error: cell {first} failed\n"
-        assert not (tmp_path / "out" / "ablation.csv").exists()
+        assert not (tmp_path / "out").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -507,9 +507,28 @@ class TestAblate:
         assert rc == 2
         err = capfd.readouterr().err
         assert re.fullmatch(r"error: cell worker \d+ ended with exit code 3 and no result\n", err)
-        assert not (tmp_path / "out" / "ablation.csv").exists()
+        assert not (tmp_path / "out").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_every_command_echoes_the_config_it_ran(workdir, tmp_path):
+    ckpt, data = str(workdir / "run" / "checkpoint.bin"), str(workdir / "data")
+    commands = {
+        "eval": ["--checkpoint", ckpt, "--data", data],
+        "explain": ["--checkpoint", ckpt, "--data", data, "--sample-ids", "0"],
+        "embed": ["--checkpoint", ckpt, "--data", data],
+        "ablate": ["--config", str(workdir / "cfg.json"), "--data", data],
+    }
+    for command, argv in commands.items():
+        assert main([command, *argv, "--out", str(tmp_path / command)]) == 0
+    ran = resolve_config(TINY_CFG)
+    assert load_checkpoint(ckpt)[1] == ran  # the config that eval, explain and embed ran
+    for out in [workdir / "data", workdir / "run", *(tmp_path / c for c in commands)]:
+        echo = out / "resolved_config.json"
+        assert json.loads(echo.read_text()) == ran, out
+        # the last file the command wrote
+        assert echo.stat().st_mtime_ns >= max(f.stat().st_mtime_ns for f in out.iterdir()), out
 
 
 class TestGradCheckCommand:
@@ -535,11 +554,13 @@ def diverging_config(tmp_path) -> Path:
 
 
 class TestErrors:
-    def test_missing_dataset(self, tmp_path, capsys):
-        rc = main(["train", "--data", str(tmp_path / "nope"),
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_missing_dataset(self, tmp_path, capsys, command):
+        rc = main([command, "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: dataset file not found: {tmp_path / 'nope'}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -661,6 +682,7 @@ class TestErrors:
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {DIVERGED}\n"
+        assert not (tmp_path / "run" / "resolved_config.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_diverged_run_prints_one_line(self, tmp_path, command):
@@ -705,6 +727,7 @@ class TestErrors:
         rc = main(["eval", "--checkpoint", str(ckpt),
                    "--data", str(tmp_path), "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: bad magic b'garba'\n"
 
     def test_truncated_checkpoint(self, workdir, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.bin"

@@ -71,7 +71,7 @@ class TestResolve:
             C.resolve_config({"loss": {"alpha_psd": -1.0}})
 
     @pytest.mark.parametrize("override, message", [
-        ({"loss": {"alpha_mse": -0.5}}, "loss.alpha_mse must be >= 0, got -0.5"),
+        ({"train": {"lr_backbone": 0.0}}, "train.lr_backbone must be > 0, got 0.0"),
         ({"loss": {"alpha_clst": -0.5}}, "loss.alpha_clst must be >= 0, got -0.5"),
         ({"loss": {"alpha_psd": -0.5}}, "loss.alpha_psd must be >= 0, got -0.5"),
         ({"train": {"batch_size": 0}}, "train.batch_size must be >= 1, got 0"),
@@ -278,6 +278,16 @@ class TestLoadSave:
         out = tmp_path / "resolved.json"
         C.save_config(cfg, out)
         assert json.loads(out.read_text()) == cfg
+
+    def test_deleted_key_rejected(self, tmp_path, capsys):
+        # the MSE term has no weight of its own: a config that sets one is refused
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"loss": {"alpha_mse": 1.0}}))
+        rc = main(["train", "--config", str(path), "--data", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unknown config key: loss.alpha_mse\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(C.ConfigError, match="not found"):
@@ -488,6 +498,12 @@ class TestCheckpoint:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         return path, capsys.readouterr().err
+
+    def test_header_config_with_a_deleted_key(self, tmp_path, capsys):
+        cfg = tiny_resolved_cfg()
+        path, err = self.eval_error(tmp_path, capsys,
+                                    config={**cfg, "loss": {**cfg["loss"], "alpha_mse": 1.0}})
+        assert err == f"error: {path}: header config: unknown config key: loss.alpha_mse\n"
 
     @pytest.mark.parametrize("key, value", [
         ("labels", [1.0, 1.0, 1.0]),

@@ -108,24 +108,25 @@ class TestPsdLoss:
         assert err < 1e-4
 
 
-def weights(mse, clst, psd):
-    return {"alpha_mse": mse, "alpha_clst": clst, "alpha_psd": psd}
+def weights(clst, psd):
+    return {"alpha_clst": clst, "alpha_psd": psd}
 
 
 class TestTotalLoss:
     def test_mse_only_masking(self):
-        out = total_loss(scalar(0.5), scalar(9.0), scalar(9.0), weights(1.0, 0.0, 0.0))
+        out = total_loss(scalar(0.5), scalar(9.0), scalar(9.0), weights(0.0, 0.0))
         assert out.item() == 0.5
 
     def test_paper_weights_hand_value(self):
-        out = total_loss(scalar(0.5), scalar(0.2), scalar(0.05), weights(1.0, 1.0, 10.0))
+        out = total_loss(scalar(0.5), scalar(0.2), scalar(0.05), weights(1.0, 10.0))
         assert out.item() == pytest.approx(1.2)
 
     def test_linearity_in_weights(self):
-        a = total_loss(scalar(0.3), scalar(0.2), scalar(0.1), weights(1, 1, 1)).item()
-        b = total_loss(scalar(0.3), scalar(0.2), scalar(0.1), weights(2, 2, 2)).item()
-        assert b == pytest.approx(2 * a)
+        # the MSE term is unweighted; the rest doubles with both weights
+        a = total_loss(scalar(0.3), scalar(0.2), scalar(0.1), weights(1, 1)).item()
+        b = total_loss(scalar(0.3), scalar(0.2), scalar(0.1), weights(2, 2)).item()
+        assert b - 0.3 == pytest.approx(2 * (a - 0.3))
 
     def test_non_finite_component_named(self):
         with pytest.raises(FloatingPointError, match="cluster"):
-            total_loss(scalar(0.1), scalar(np.inf), scalar(0.1), weights(1.0, 1.0, 10.0))
+            total_loss(scalar(0.1), scalar(np.inf), scalar(0.1), weights(1.0, 10.0))
